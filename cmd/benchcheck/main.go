@@ -1,8 +1,9 @@
 // Command benchcheck compares committed benchmark JSON against freshly
 // measured files and fails when a shared entry's ns/op regressed beyond the
-// threshold. It reads the common shape of every BENCH_*.json this repo
-// emits — a top-level "entries" array of {name, nsPerOp} objects — so one
-// tool gates the vgraph, repair, incremental, and strsim families alike.
+// threshold. Every BENCH_*.json this repo emits shares one document schema
+// (internal/eval's BenchDoc); the tool reads its "entries" array of
+// {name, nsPerOp} objects, so it gates the vgraph, repair, incremental, and
+// strsim families alike.
 //
 // Usage:
 //
@@ -18,6 +19,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 )
@@ -50,58 +52,70 @@ func load(path string) (map[string]float64, error) {
 }
 
 func main() {
-	threshold := flag.Float64("threshold", 1.25, "fail when fresh ns/op exceeds committed ns/op by this ratio")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: benchcheck [-threshold 1.25] committed.json=fresh.json ...")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// run performs the check and returns the exit code: 0 when no shared entry
+// regressed, 1 when one did, 2 on a usage or read error. Every message goes
+// to out.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("benchcheck", flag.ContinueOnError)
+	fs.SetOutput(out)
+	threshold := fs.Float64("threshold", 1.25, "fail when fresh ns/op exceeds committed ns/op by this ratio")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() == 0 {
+		fmt.Fprintln(out, "usage: benchcheck [-threshold 1.25] committed.json=fresh.json ...")
+		return 2
 	}
 	limit := *threshold
 	failed := false
-	for _, pair := range flag.Args() {
+	for _, pair := range fs.Args() {
 		committedPath, freshPath, ok := strings.Cut(pair, "=")
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchcheck: argument %q is not committed.json=fresh.json\n", pair)
-			os.Exit(2)
+			fmt.Fprintf(out, "benchcheck: argument %q is not committed.json=fresh.json\n", pair)
+			return 2
 		}
 		committed, err := load(committedPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(out, "benchcheck: %v\n", err)
+			return 2
 		}
 		fresh, err := load(freshPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(out, "benchcheck: %v\n", err)
+			return 2
 		}
-		fmt.Printf("%s vs %s:\n", committedPath, freshPath)
+		fmt.Fprintf(out, "%s vs %s:\n", committedPath, freshPath)
 		for _, e := range sortedKeys(committed) {
 			base := committed[e]
 			now, shared := fresh[e]
 			switch {
 			case !shared:
-				fmt.Printf("  %-28s only in committed file (skipped)\n", e)
+				fmt.Fprintf(out, "  %-28s only in committed file (skipped)\n", e)
 			case base < minNsPerOp || now < minNsPerOp:
-				fmt.Printf("  %-28s %12.0f -> %12.0f ns/op (below %v ns floor, skipped)\n", e, base, now, minNsPerOp)
+				fmt.Fprintf(out, "  %-28s %12.0f -> %12.0f ns/op (below %v ns floor, skipped)\n", e, base, now, minNsPerOp)
 			case now > base*limit:
-				fmt.Printf("  %-28s %12.0f -> %12.0f ns/op  REGRESSED %.2fx (limit %.2fx)\n",
+				fmt.Fprintf(out, "  %-28s %12.0f -> %12.0f ns/op  REGRESSED %.2fx (limit %.2fx)\n",
 					e, base, now, now/base, limit)
 				failed = true
 			default:
-				fmt.Printf("  %-28s %12.0f -> %12.0f ns/op  ok (%.2fx)\n", e, base, now, now/base)
+				fmt.Fprintf(out, "  %-28s %12.0f -> %12.0f ns/op  ok (%.2fx)\n", e, base, now, now/base)
 			}
 		}
 		for _, e := range sortedKeys(fresh) {
 			if _, shared := committed[e]; !shared {
-				fmt.Printf("  %-28s only in fresh file (skipped)\n", e)
+				fmt.Fprintf(out, "  %-28s only in fresh file (skipped)\n", e)
 			}
 		}
 	}
 	if failed {
-		fmt.Println("benchcheck: FAIL")
-		os.Exit(1)
+		fmt.Fprintln(out, "benchcheck: FAIL")
+		return 1
 	}
-	fmt.Println("benchcheck: ok")
+	fmt.Fprintln(out, "benchcheck: ok")
+	return 0
 }
 
 func sortedKeys(m map[string]float64) []string {

@@ -31,13 +31,13 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment to run (all, fig5..fig16, table3, ablation, weights, flavors, tau, detection, autotau, graphbench, repairbench, incrbench)")
+		exp       = flag.String("exp", "all", "experiment to run (all, fig5..fig16, table3, ablation, weights, flavors, tau, detection, autotau, graphbench, repairbench, incrbench, distbench)")
 		scale     = flag.Float64("scale", 0.2, "fraction of the paper's data sizes")
 		seed      = flag.Int64("seed", 7, "base RNG seed")
 		workloads = flag.String("workloads", "hosp,tax", "comma-separated workloads (hosp, tax)")
 		exact     = flag.Bool("exact", false, "include the exponential exact algorithms (small scales only)")
 		format    = flag.String("format", "text", "output format: text or json")
-		benchOut  = flag.String("benchout", "", "path for the graphbench/repairbench/incrbench JSON output (e.g. BENCH_vgraph.json, BENCH_repair.json, BENCH_incremental.json); empty disables the file")
+		benchOut  = flag.String("benchout", "", "path for the graphbench/repairbench/incrbench/distbench JSON output (e.g. BENCH_vgraph.json, BENCH_repair.json, BENCH_incremental.json, BENCH_strsim.json); empty disables the file")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of every repair's phase spans to this path")
 		metricsOn = flag.Bool("metrics", false, "dump the metrics registry (Prometheus text format) on stderr at the end")
 	)

@@ -2,52 +2,13 @@ package eval
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
-	"runtime"
 	"strings"
-	"time"
 
 	"ftrepair/internal/dataset"
 	"ftrepair/internal/fd"
-	"ftrepair/internal/obs"
 	"ftrepair/internal/strsim"
 )
-
-// DistBenchConfig selects the distance-kernel microbenchmark run.
-type DistBenchConfig struct {
-	Seed int64
-	// MinTime is the minimum measured wall-clock per entry. Defaults to
-	// 200ms.
-	MinTime time.Duration
-	Cancel  <-chan struct{}
-}
-
-// DistBenchEntry is one measured distance path. NsPerOp is per *comparison*
-// (a batch iterates a fixed pair list), unlike the build benches' per-build
-// figure; allocs and bytes are per comparison too.
-type DistBenchEntry struct {
-	Name        string  `json:"name"`
-	Len         int     `json:"len"` // string length in characters; 0 when not length-keyed
-	Iters       int     `json:"iters"`
-	NsPerOp     float64 `json:"nsPerOp"`
-	AllocsPerOp float64 `json:"allocsPerOp"`
-	BytesPerOp  float64 `json:"bytesPerOp"`
-}
-
-// DistBenchDoc is the BENCH_strsim.json payload: the bit-parallel kernels
-// against the retained DP baselines at several string lengths, the
-// one-vs-many Matcher amortization, and the distance-plane hit path against
-// the sharded-map hit path, plus derived speedup ratios.
-type DistBenchDoc struct {
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	Meta       obs.RunMeta      `json:"meta"`
-	Entries    []DistBenchEntry `json:"entries"`
-	// Speedups are ns/op ratios: "kernel/lenL" (DP → kernel),
-	// "matcher/lenL" (one-shot kernel → streamed Matcher), and "plane"
-	// (map hit → plane hit).
-	Speedups map[string]float64 `json:"speedups"`
-}
 
 // distSink accumulates benchmark results so the measured calls cannot be
 // dead-code eliminated.
@@ -89,49 +50,14 @@ func dbMutate(rng *rand.Rand, s string, k int) string {
 // kernels against the retained DP oracles at lengths straddling the 64-char
 // word boundary, the one-vs-many Matcher (pattern tables built once per
 // stream), and a warmed DistCache answering interned pairs from the
-// distance plane versus the sharded map. Candidates are near pairs (a few
-// edits apart) — the case the length prefilters cannot reject, which is
-// what survives to the kernels in real builds.
-func DistBench(c DistBenchConfig) (*DistBenchDoc, error) {
-	if c.MinTime <= 0 {
-		c.MinTime = 200 * time.Millisecond
-	}
-	doc := &DistBenchDoc{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Meta:       obs.CollectMeta("synthetic"),
-		Speedups:   make(map[string]float64),
-	}
-	canceled := func() bool { return benchCanceled(c.Cancel) }
-
-	// measure runs batches of `ops` comparisons until MinTime elapses.
-	measure := func(name string, length, ops int, batch func()) DistBenchEntry {
-		iters := 0
-		m0, b0 := allocSnap()
-		start := time.Now()
-		for time.Since(start) < c.MinTime {
-			if canceled() {
-				break
-			}
-			batch()
-			iters++
-		}
-		elapsed := time.Since(start)
-		m1, b1 := allocSnap()
-		if iters == 0 {
-			iters = 1
-		}
-		e := DistBenchEntry{
-			Name:        name,
-			Len:         length,
-			Iters:       iters,
-			NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters*ops),
-			AllocsPerOp: float64(m1-m0) / float64(uint64(iters*ops)),
-			BytesPerOp:  float64(b1-b0) / float64(uint64(iters*ops)),
-		}
-		doc.Entries = append(doc.Entries, e)
-		return e
-	}
-
+// distance plane versus the sharded map; ns/op is per comparison.
+// Candidates are near pairs (a few edits apart) — the case the length
+// prefilters cannot reject, which is what survives to the kernels in real
+// builds. Ratios: "kernel/len<L>" (DP → kernel), "matcher/len<L>" (one-shot
+// kernel → streamed Matcher) and "plane" (map hit → plane hit).
+func DistBench(c BenchConfig) (*BenchDoc, error) {
+	c.Workload, c.N = "synthetic", 0
+	r := newBenchRun("strsim", c)
 	rng := rand.New(rand.NewSource(c.Seed))
 	const streamLen = 64
 	for _, length := range []int{8, 16, 64, 128} {
@@ -140,32 +66,37 @@ func DistBench(c DistBenchConfig) (*DistBenchDoc, error) {
 		for i := range cands {
 			cands[i] = dbMutate(rng, pat, 1+rng.Intn(3))
 		}
-		dp := measure(fmt.Sprintf("dp/len%d", length), length, streamLen, func() {
+		dp := fmt.Sprintf("dp/len%d", length)
+		kernel := fmt.Sprintf("kernel/len%d", length)
+		matcher := fmt.Sprintf("matcher/len%d", length)
+		if _, err := r.time(dp, 0, streamLen, func(int) error {
 			for _, cand := range cands {
 				distSink += strsim.LevenshteinDP(pat, cand)
 			}
-		})
-		kernel := measure(fmt.Sprintf("kernel/len%d", length), length, streamLen, func() {
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		if _, err := r.time(kernel, 0, streamLen, func(int) error {
 			for _, cand := range cands {
 				distSink += strsim.Levenshtein(pat, cand)
 			}
-		})
-		matcher := measure(fmt.Sprintf("matcher/len%d", length), length, streamLen, func() {
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		if _, err := r.time(matcher, 0, streamLen, func(int) error {
 			mt := strsim.AcquireMatcher(pat)
 			for _, cand := range cands {
 				distSink += mt.Distance(cand)
 			}
 			mt.Release()
-		})
-		if kernel.NsPerOp > 0 {
-			doc.Speedups[fmt.Sprintf("kernel/len%d", length)] = dp.NsPerOp / kernel.NsPerOp
+			return nil
+		}); err != nil {
+			return nil, err
 		}
-		if matcher.NsPerOp > 0 {
-			doc.Speedups[fmt.Sprintf("matcher/len%d", length)] = kernel.NsPerOp / matcher.NsPerOp
-		}
-		if canceled() {
-			return doc, nil
-		}
+		r.ratio(kernel, dp, kernel)
+		r.ratio(matcher, kernel, matcher)
 	}
 
 	// Cache hit paths: one column of distinct 12-char values, every pair
@@ -189,7 +120,7 @@ func DistBench(c DistBenchConfig) (*DistBenchDoc, error) {
 	}
 	rel, err := dataset.FromRows(dataset.Strings("A"), rows)
 	if err != nil {
-		return doc, err
+		return nil, err
 	}
 	pairs := make([][2]string, 4096)
 	for i := range pairs {
@@ -199,40 +130,28 @@ func DistBench(c DistBenchConfig) (*DistBenchDoc, error) {
 		}
 		pairs[i] = [2]string{vals[a], vals[b]}
 	}
-	hitBatch := func(cfg *fd.DistConfig) func() {
-		return func() {
+	hitBatch := func(cfg *fd.DistConfig) func(int) error {
+		return func(int) error {
 			for _, p := range pairs {
 				distSink += int(cfg.AttrDist(0, p[0], p[1]) * 64)
 			}
+			return nil
 		}
 	}
+	// Each config is warmed with one untimed batch, so every pair resolves
+	// exactly; a batch cannot fail.
 	planed := fd.DefaultDistConfig(rel)
-	hitBatch(planed)() // warm: every pair resolved exactly
+	_ = hitBatch(planed)(0)
 	mapped := fd.DefaultDistConfig(rel)
 	mapped.Dicts = nil
 	mapped.Cache = fd.NewDistCache()
-	hitBatch(mapped)()
-	mapHit := measure("maphit", 0, len(pairs), hitBatch(mapped))
-	planeHit := measure("planehit", 0, len(pairs), hitBatch(planed))
-	if planeHit.NsPerOp > 0 {
-		doc.Speedups["plane"] = mapHit.NsPerOp / planeHit.NsPerOp
+	_ = hitBatch(mapped)(0)
+	if _, err := r.time("maphit", 0, len(pairs), hitBatch(mapped)); err != nil {
+		return nil, err
 	}
-	return doc, nil
-}
-
-// PrintDistBench renders the microbenchmark table.
-func PrintDistBench(w io.Writer, doc *DistBenchDoc) {
-	fmt.Fprintf(w, "## Distance kernel bench (GOMAXPROCS=%d)\n", doc.GOMAXPROCS)
-	fmt.Fprintf(w, "%-18s %10s %12s %12s %12s\n", "path", "iters", "ns/op", "allocs/op", "B/op")
-	for _, e := range doc.Entries {
-		fmt.Fprintf(w, "%-18s %10d %12.1f %12.3f %12.1f\n",
-			e.Name, e.Iters, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp)
+	if _, err := r.time("planehit", 0, len(pairs), hitBatch(planed)); err != nil {
+		return nil, err
 	}
-	for _, k := range []string{"kernel/len8", "kernel/len16", "kernel/len64", "kernel/len128",
-		"matcher/len8", "matcher/len16", "matcher/len64", "matcher/len128", "plane"} {
-		if v, ok := doc.Speedups[k]; ok {
-			fmt.Fprintf(w, "speedup %-18s %6.2fx\n", k, v)
-		}
-	}
-	fmt.Fprintln(w)
+	r.ratio("plane", "maphit", "planehit")
+	return r.doc, nil
 }

@@ -2,94 +2,20 @@ package eval
 
 import (
 	"fmt"
-	"io"
-	"runtime"
-	"time"
 
 	"ftrepair/internal/fd"
-	"ftrepair/internal/obs"
 	"ftrepair/internal/repair"
 	"ftrepair/internal/vgraph"
 )
 
-// GraphBenchConfig selects the construction-phase benchmark instance.
-type GraphBenchConfig struct {
-	// Workload is "hosp" or "tax"; N the tuple count.
-	Workload string
-	N        int
-	Seed     int64
-	// MinTime is the minimum measured wall-clock per entry; each entry
-	// repeats its operation until it elapses. Defaults to 200ms.
-	MinTime time.Duration
-	Cancel  <-chan struct{}
-}
-
-// GraphBenchEntry is one measured build configuration.
-type GraphBenchEntry struct {
-	Name         string  `json:"name"`
-	Mode         string  `json:"mode"` // allpairs, indexed, or detect
-	Workers      int     `json:"workers"`
-	Cache        bool    `json:"cache"`
-	Iters        int     `json:"iters"`
-	NsPerOp      float64 `json:"nsPerOp"`
-	AllocsPerOp  float64 `json:"allocsPerOp"`
-	BytesPerOp   float64 `json:"bytesPerOp"`
-	Vertices     int     `json:"vertices"`
-	Edges        int     `json:"edges"`
-	EdgesPerSec  float64 `json:"edgesPerSec"`
-	CacheHitRate float64 `json:"cacheHitRate"`
-}
-
-// GraphBenchDoc is the BENCH_vgraph.json payload: the vgraph/detect timing
-// family on one instance, plus derived speedup ratios.
-type GraphBenchDoc struct {
-	Workload   string `json:"workload"`
-	N          int    `json:"n"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Meta records the run environment (go version, commit, dataset) so a
-	// checked-in BENCH_*.json is self-describing.
-	Meta    obs.RunMeta       `json:"meta"`
-	Entries []GraphBenchEntry `json:"entries"`
-	// Speedups are ns/op ratios: "<mode>-cache" (cache off → on, sequential),
-	// "<mode>-workers" (1 → GOMAXPROCS workers, cached), "<mode>-combined".
-	Speedups map[string]float64 `json:"speedups"`
-}
-
-// allocSnap reads the cumulative heap-allocation counters. Mallocs and
-// TotalAlloc are monotonic, so a before/after delta divided by the
-// iteration count yields allocs/op and bytes/op — the same quantities
-// `go test -benchmem` reports — without a testing.B. The single
-// ReadMemStats pause per entry is outside the per-iteration loop and
-// negligible against a 200ms MinTime.
-func allocSnap() (mallocs, bytes uint64) {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.Mallocs, m.TotalAlloc
-}
-
-// benchCanceled polls the cancellation channel between timed iterations.
-func benchCanceled(ch <-chan struct{}) bool {
-	if ch == nil {
-		return false
-	}
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
-}
-
 // GraphBench times violation-graph construction (all-pairs and indexed, with
 // the distance cache on/off and the worker pool at 1 and GOMAXPROCS) plus
-// end-to-end multi-FD detection on a generated instance. Each entry uses a
-// fresh cache that persists across its iterations — the pipeline reality,
-// where the cache built during graph construction keeps serving repair-cost
-// and target-search queries.
-func GraphBench(c GraphBenchConfig) (*GraphBenchDoc, error) {
-	if c.MinTime <= 0 {
-		c.MinTime = 200 * time.Millisecond
-	}
+// end-to-end multi-FD detection on a generated instance; ns/op is per build.
+// Each entry uses a fresh cache that persists across its iterations — the
+// pipeline reality, where the cache built during graph construction keeps
+// serving repair-cost and target-search queries.
+func GraphBench(c BenchConfig) (*BenchDoc, error) {
+	r := newBenchRun("vgraph", c)
 	single, err := Prepare(Setup{Workload: c.Workload, N: c.N, FDs: 1, ErrorRate: 0.04, Seed: c.Seed})
 	if err != nil {
 		return nil, err
@@ -98,88 +24,54 @@ func GraphBench(c GraphBenchConfig) (*GraphBenchDoc, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc := &GraphBenchDoc{
-		Workload:   c.Workload,
-		N:          c.N,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Meta:       obs.CollectMeta(c.Workload),
-		Speedups:   make(map[string]float64),
-	}
 
 	f, tau := single.Set.FDs[0], single.Set.Tau[0]
-	measureBuild := func(mode string, workers int, useCache bool) error {
-		cfg := *single.Cfg // shallow copy: only the cache differs per entry
-		if useCache {
-			cfg.Cache = fd.NewDistCache()
-			cfg.AttachPlanes()
-		} else {
-			cfg.Cache = nil
-		}
-		opts := vgraph.Options{DisableIndex: mode == "allpairs", Workers: workers, Cancel: c.Cancel}
-		var g *vgraph.Graph
-		iters := 0
-		m0, b0 := allocSnap()
-		start := time.Now()
-		for time.Since(start) < c.MinTime {
-			if benchCanceled(c.Cancel) {
-				return repair.ErrCanceled
-			}
-			g = vgraph.Build(single.Dirty, f, &cfg, tau, opts)
-			iters++
-		}
-		elapsed := time.Since(start)
-		m1, b1 := allocSnap()
-		e := GraphBenchEntry{
-			Name:        fmt.Sprintf("%s/w%d/%s", mode, workers, onOff(useCache)),
-			Mode:        mode,
-			Workers:     workers,
-			Cache:       useCache,
-			Iters:       iters,
-			NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters),
-			AllocsPerOp: float64(m1-m0) / float64(iters),
-			BytesPerOp:  float64(b1-b0) / float64(iters),
-			Vertices:    len(g.Vertices),
-			Edges:       g.NumEdges(),
-		}
-		if e.NsPerOp > 0 {
-			e.EdgesPerSec = float64(g.NumEdges()) / (e.NsPerOp / 1e9)
-		}
-		if useCache {
-			hits, misses := cfg.Cache.Counters()
-			if hits+misses > 0 {
-				e.CacheHitRate = float64(hits) / float64(hits+misses)
-			}
-		}
-		doc.Entries = append(doc.Entries, e)
-		return nil
-	}
-
+	procs := r.doc.GOMAXPROCS
 	for _, mode := range []string{"allpairs", "indexed"} {
+		if r.canceled() {
+			return nil, repair.ErrCanceled
+		}
 		for _, v := range []struct {
 			workers int
 			cache   bool
 		}{
 			{1, false},
 			{1, true},
-			{doc.GOMAXPROCS, true},
+			{procs, true},
 		} {
-			if doc.nsPerOp(mode, v.workers, v.cache) > 0 {
-				continue // GOMAXPROCS=1: the parallel variant duplicates {1, cache}
+			cfg := *single.Cfg // shallow copy: only the cache differs per entry
+			cfg.Cache = nil
+			tag := "nocache"
+			if v.cache {
+				cfg.Cache = fd.NewDistCache()
+				cfg.AttachPlanes()
+				tag = "cache"
 			}
-			if err := measureBuild(mode, v.workers, v.cache); err != nil {
-				return doc, err
+			opts := vgraph.Options{DisableIndex: mode == "allpairs", Workers: v.workers, Cancel: c.Cancel}
+			var g *vgraph.Graph
+			e, err := r.time(fmt.Sprintf("%s/w%d/%s", mode, v.workers, tag), 0, 1, func(int) error {
+				g = vgraph.Build(single.Dirty, f, &cfg, tau, opts)
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			if e == nil {
+				continue
+			}
+			e.Counters = map[string]float64{
+				"vertices":    float64(len(g.Vertices)),
+				"edges":       float64(g.NumEdges()),
+				"edgesPerSec": e.perSec(g.NumEdges()),
+			}
+			if v.cache {
+				e.Counters["cacheHitRate"] = hitRate(cfg.Cache)
 			}
 		}
-		base := doc.nsPerOp(mode, 1, false)
-		cached := doc.nsPerOp(mode, 1, true)
-		par := doc.nsPerOp(mode, doc.GOMAXPROCS, true)
-		if cached > 0 {
-			doc.Speedups[mode+"-cache"] = base / cached
-		}
-		if par > 0 {
-			doc.Speedups[mode+"-workers"] = cached / par
-			doc.Speedups[mode+"-combined"] = base / par
-		}
+		parallel := fmt.Sprintf("%s/w%d/cache", mode, procs)
+		r.ratio(mode+"-cache", mode+"/w1/nocache", mode+"/w1/cache")
+		r.ratio(mode+"-workers", mode+"/w1/cache", parallel)
+		r.ratio(mode+"-combined", mode+"/w1/nocache", parallel)
 	}
 
 	// End-to-end detection over the full FD set: concurrent per-FD builds +
@@ -188,69 +80,25 @@ func GraphBench(c GraphBenchConfig) (*GraphBenchDoc, error) {
 	cfg.Cache = fd.NewDistCache()
 	cfg.AttachPlanes()
 	var viols []repair.Violation
-	iters := 0
-	m0, b0 := allocSnap()
-	start := time.Now()
-	for time.Since(start) < c.MinTime {
-		if benchCanceled(c.Cancel) {
-			return doc, repair.ErrCanceled
-		}
+	e, err := r.time(fmt.Sprintf("detect/%dfds/cache", len(full.Set.FDs)), 0, 1, func(int) error {
 		viols = repair.Detect(full.Dirty, full.Set, &cfg, repair.Options{Cancel: c.Cancel})
-		iters++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	elapsed := time.Since(start)
-	m1, b1 := allocSnap()
-	e := GraphBenchEntry{
-		Name:        fmt.Sprintf("detect/%dfds/cache", len(full.Set.FDs)),
-		Mode:        "detect",
-		Workers:     doc.GOMAXPROCS,
-		Cache:       true,
-		Iters:       iters,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters),
-		AllocsPerOp: float64(m1-m0) / float64(iters),
-		BytesPerOp:  float64(b1-b0) / float64(iters),
-		Edges:       len(viols),
+	e.Counters = map[string]float64{
+		"edges":        float64(len(viols)),
+		"cacheHitRate": hitRate(cfg.Cache),
 	}
-	if hits, misses := cfg.Cache.Counters(); hits+misses > 0 {
-		e.CacheHitRate = float64(hits) / float64(hits+misses)
-	}
-	doc.Entries = append(doc.Entries, e)
-	return doc, nil
+	return r.doc, nil
 }
 
-// nsPerOp looks up the measured ns/op of one build configuration (0 when
-// absent).
-func (doc *GraphBenchDoc) nsPerOp(mode string, workers int, cache bool) float64 {
-	for _, e := range doc.Entries {
-		if e.Mode == mode && e.Workers == workers && e.Cache == cache {
-			return e.NsPerOp
-		}
+// hitRate is the cache's hit share over its lifetime.
+func hitRate(c *fd.DistCache) float64 {
+	hits, misses := c.Counters()
+	if hits+misses == 0 {
+		return 0
 	}
-	return 0
-}
-
-func onOff(b bool) string {
-	if b {
-		return "cache"
-	}
-	return "nocache"
-}
-
-// PrintGraphBench renders the document as the text table the graphbench
-// experiment emits.
-func PrintGraphBench(w io.Writer, doc *GraphBenchDoc) {
-	fmt.Fprintf(w, "## Graph construction bench — %s (N=%d, GOMAXPROCS=%d)\n",
-		doc.Workload, doc.N, doc.GOMAXPROCS)
-	fmt.Fprintf(w, "%-24s %8s %14s %12s %12s %10s %14s %10s\n",
-		"config", "iters", "ns/op", "allocs/op", "B/op", "edges", "edges/s", "hit rate")
-	for _, e := range doc.Entries {
-		fmt.Fprintf(w, "%-24s %8d %14.0f %12.0f %12.0f %10d %14.0f %10.3f\n",
-			e.Name, e.Iters, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp, e.Edges, e.EdgesPerSec, e.CacheHitRate)
-	}
-	for _, k := range []string{"allpairs-cache", "allpairs-workers", "allpairs-combined", "indexed-cache", "indexed-workers", "indexed-combined"} {
-		if v, ok := doc.Speedups[k]; ok {
-			fmt.Fprintf(w, "speedup %-20s %6.2fx\n", k, v)
-		}
-	}
-	fmt.Fprintln(w)
+	return float64(hits) / float64(hits+misses)
 }

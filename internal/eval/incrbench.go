@@ -2,28 +2,15 @@ package eval
 
 import (
 	"fmt"
-	"io"
-	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"ftrepair/internal/dataset"
 	"ftrepair/internal/fd"
 	"ftrepair/internal/gen"
 	"ftrepair/internal/incr"
-	"ftrepair/internal/obs"
 	"ftrepair/internal/repair"
 )
-
-// IncrBenchConfig selects the incremental-ingest benchmark instance.
-type IncrBenchConfig struct {
-	// Workload is "hosp" or "tax"; N the total row count of the largest
-	// instance (N/4 and N/2 are also replayed for scaling).
-	Workload string
-	N        int
-	Seed     int64
-	Cancel   <-chan struct{}
-}
 
 // incrBenchFDs limits the FD subset the stream is checked against. The full
 // HOSP set contains low-cardinality FDs whose shared patterns chain every
@@ -32,94 +19,36 @@ type IncrBenchConfig struct {
 // engine exists for.
 const incrBenchFDs = 3
 
-// IncrBenchEntry is one replayed ingest configuration: a fixed arrival
-// stream applied to one relation size in one mode.
-type IncrBenchEntry struct {
-	Name string `json:"name"`
-	// Mode is "incremental" (warm sharded engine, per-batch flush),
-	// "spot" (small localized batches into the warm engine — the direct
-	// probe of the touched-component bound), or "fromscratch" (monolithic
-	// GreedyM over the whole accumulated relation per batch).
-	Mode string `json:"mode"`
-	// N is the relation size after the full stream; Workers the engine or
-	// repair parallelism.
-	N       int `json:"n"`
-	Workers int `json:"workers"`
-	// Batches and BatchRows shape the replayed stream.
-	Batches   int `json:"batches"`
-	BatchRows int `json:"batchRows"`
-	// Per-batch wall-clock statistics over the stream.
-	AvgBatchMs float64 `json:"avgBatchMs"`
-	MaxBatchMs float64 `json:"maxBatchMs"`
-	// Per-batch heap-allocation averages over the stream (the "op" here is
-	// one ingest batch).
-	AllocsPerOp float64 `json:"allocsPerOp"`
-	BytesPerOp  float64 `json:"bytesPerOp"`
-	// Shard telemetry, incremental mode only: live shards after the stream,
-	// mean shards touched per batch, and the largest row count any touched
-	// shard had across the stream — the quantity that bounds per-batch work.
-	Shards              int     `json:"shards,omitempty"`
-	AvgShardsTouched    float64 `json:"avgShardsTouched,omitempty"`
-	MaxTouchedShardRows int     `json:"maxTouchedShardRows,omitempty"`
-}
-
-// IncrBenchDoc is the BENCH_incremental.json payload: per-batch ingest
-// latency of the sharded incremental engine vs recomputing from scratch, at
-// three relation sizes, plus derived ratios.
-type IncrBenchDoc struct {
-	Workload   string `json:"workload"`
-	N          int    `json:"n"`
-	FDs        int    `json:"fds"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Meta records the run environment so a checked-in BENCH_*.json is
-	// self-describing.
-	Meta    obs.RunMeta      `json:"meta"`
-	Entries []IncrBenchEntry `json:"entries"`
-	// Ratios: "fromscratch-vs-incremental-n<size>" (per-batch speedup at
-	// each size), "incremental-n<max>-vs-n<min>" (how scatter-batch latency
-	// grows with standing relation size — it tracks the rows of the touched
-	// shards, which a wide 100-row batch scatters across), and
-	// "spot-n<max>-vs-n<min>" (how a small localized batch scales — near 1
-	// means a batch pays for the components it touches, not the relation).
-	Ratios map[string]float64 `json:"ratios"`
-	// Equivalent reports the end-of-stream oracle check at the largest size:
-	// the engine's relation is identical to a from-scratch rebuild over the
-	// same input.
-	Equivalent bool `json:"equivalent"`
-}
-
 // IncrBench replays a timed ingest stream (gen.Stream) against the sharded
 // incremental engine and against monolithic per-batch recomputation, at
-// N/4, N/2 and N total rows. The arrival batch size is fixed across sizes,
-// so comparing per-batch latencies across sizes isolates the standing
-// relation's contribution.
-func IncrBench(c IncrBenchConfig) (*IncrBenchDoc, error) {
-	workers := runtime.GOMAXPROCS(0)
-	doc := &IncrBenchDoc{
-		Workload:   c.Workload,
-		N:          c.N,
-		FDs:        incrBenchFDs,
-		GOMAXPROCS: workers,
-		Meta:       obs.CollectMeta(c.Workload),
-		Ratios:     make(map[string]float64),
-	}
+// N/4, N/2 and N total rows; ns/op is per ingest batch. The arrival batch
+// size is fixed across sizes, so comparing per-batch latencies across sizes
+// isolates the standing relation's contribution. At N the engine's relation
+// must equal its from-scratch oracle, or the run fails.
+//
+// Entries: "incremental/n<size>" (warm sharded engine, one flush per
+// arrival batch), "spot/n<size>" (small localized batches into the warm
+// engine — the direct probe of the touched-component bound) and
+// "fromscratch/n<size>" (GreedyM over the whole accumulated relation per
+// batch). Ratios: "fromscratch-vs-incremental-n<size>", and
+// "incremental-n<max>-vs-n<min>" and "spot-n<max>-vs-n<min>" — how batch
+// latency grows with the standing relation; near 1 means a batch pays for
+// the components it touches, not the relation.
+func IncrBench(c BenchConfig) (*BenchDoc, error) {
+	r := newBenchRun("incr", c)
+	workers := r.doc.GOMAXPROCS
 	sizes := []int{c.N / 4, c.N / 2, c.N}
 	const batches = 8
-	incAvg := make(map[int]float64)
-	spotAvg := make(map[int]float64)
-	for i, size := range sizes {
-		if size < 100 || (i > 0 && size == sizes[i-1]) {
+	for _, size := range sizes {
+		if r.canceled() {
+			return nil, repair.ErrCanceled
+		}
+		if size < 100 {
 			continue
 		}
 		// Fixed arrival size across relation sizes (capped only when the
 		// whole instance is tiny), so the cross-size comparison is fair.
-		batchRows := 100
-		if cap := size * 2 / (3 * batches); cap < batchRows {
-			batchRows = cap
-		}
-		if batchRows < 1 {
-			batchRows = 1
-		}
+		batchRows := max(min(100, size*2/(3*batches)), 1)
 		base, stream, fds, err := gen.Stream(gen.StreamConfig{
 			Workload: c.Workload, Base: size - batches*batchRows,
 			Batches: batches, BatchSize: batchRows,
@@ -146,176 +75,94 @@ func IncrBench(c IncrBenchConfig) (*IncrBenchDoc, error) {
 		if err != nil {
 			return nil, err
 		}
-
-		// Incremental: one warm engine, one flush per arrival batch.
 		eng, _, err := incr.NewEngine(base, set, cfg, incr.Options{Workers: workers})
 		if err != nil {
 			return nil, err
 		}
-		inc := IncrBenchEntry{
-			Name: fmt.Sprintf("incremental/n%d", size), Mode: "incremental",
-			N: size, Workers: workers, Batches: len(stream), BatchRows: batchRows,
-		}
-		touched := 0
-		m0, b0 := allocSnap()
-		for _, b := range stream {
-			if benchCanceled(c.Cancel) {
-				return doc, repair.ErrCanceled
-			}
-			br, err := eng.Append(b.Rows, "bench", c.Cancel)
-			if err != nil {
-				return doc, err
-			}
-			ms := float64(br.Elapsed.Microseconds()) / 1000
-			inc.AvgBatchMs += ms
-			if ms > inc.MaxBatchMs {
-				inc.MaxBatchMs = ms
-			}
-			touched += br.ShardsTouched
-			if br.MaxShardRows > inc.MaxTouchedShardRows {
-				inc.MaxTouchedShardRows = br.MaxShardRows
-			}
-		}
-		m1, b1 := allocSnap()
-		inc.AvgBatchMs /= float64(len(stream))
-		inc.AllocsPerOp = float64(m1-m0) / float64(len(stream))
-		inc.BytesPerOp = float64(b1-b0) / float64(len(stream))
-		inc.AvgShardsTouched = float64(touched) / float64(len(stream))
-		inc.Shards = eng.Stats().Shards
-		doc.Entries = append(doc.Entries, inc)
-		incAvg[size] = inc.AvgBatchMs
 
+		// ingest times n batches into the warm engine and records its shard
+		// telemetry: live shards after the batches, mean shards touched per
+		// batch, and the largest row count any touched shard had — the
+		// quantity that bounds per-batch work.
+		ingest := func(name string, n, rowsPer int, rows func(i int) [][]string) error {
+			touched, maxRows := 0, 0
+			e, err := r.time(name, n, 1, func(i int) error {
+				br, err := eng.Append(rows(i), "bench", c.Cancel)
+				if err != nil {
+					return err
+				}
+				touched += br.ShardsTouched
+				maxRows = max(maxRows, br.MaxShardRows)
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			e.Counters = batchCounters(e, rowsPer)
+			e.Counters["shards"] = float64(eng.Stats().Shards)
+			e.Counters["avgShardsTouched"] = float64(touched) / float64(n)
+			e.Counters["maxTouchedShardRows"] = float64(maxRows)
+			return nil
+		}
+		incName := fmt.Sprintf("incremental/n%d", size)
+		if err := ingest(incName, len(stream), batchRows, func(i int) [][]string { return stream[i].Rows }); err != nil {
+			return nil, err
+		}
 		if size == sizes[len(sizes)-1] {
 			oracle, _, err := incr.RepairAll(eng.InputSnapshot(), set, cfg, incr.Options{Workers: workers})
 			if err != nil {
-				return doc, err
+				return nil, err
 			}
-			doc.Equivalent = relationsEqual(eng.Snapshot(), oracle)
+			if !slices.EqualFunc(eng.Snapshot().Tuples, oracle.Tuples, slices.Equal[dataset.Tuple]) {
+				return nil, fmt.Errorf("eval: %s: the engine's relation differs from its from-scratch oracle", incName)
+			}
 		}
 
 		// Spot latency: small batches of rows the relation already holds, so
-		// each lands in a handful of existing shards. This is the direct
-		// probe of the touched-component bound — its cost must track those
-		// shards' sizes, staying near-flat as the relation grows.
+		// each lands in a handful of existing shards. Its cost must track
+		// those shards' sizes, staying near-flat as the relation grows.
 		const spotReps, spotRows = 5, 10
-		spot := IncrBenchEntry{
-			Name: fmt.Sprintf("spot/n%d", size), Mode: "spot",
-			N: size, Workers: workers, Batches: spotReps, BatchRows: spotRows,
-		}
-		spotTouched := 0
-		m0, b0 = allocSnap()
-		for r := 0; r < spotReps; r++ {
+		if err := ingest(fmt.Sprintf("spot/n%d", size), spotReps, spotRows, func(i int) [][]string {
 			rows := make([][]string, spotRows)
 			for j := range rows {
-				rows[j] = full.Tuples[(r*spotRows+j*97)%full.Len()]
+				rows[j] = full.Tuples[(i*spotRows+j*97)%full.Len()]
 			}
-			if benchCanceled(c.Cancel) {
-				return doc, repair.ErrCanceled
-			}
-			br, err := eng.Append(rows, "bench", c.Cancel)
-			if err != nil {
-				return doc, err
-			}
-			ms := float64(br.Elapsed.Microseconds()) / 1000
-			spot.AvgBatchMs += ms
-			if ms > spot.MaxBatchMs {
-				spot.MaxBatchMs = ms
-			}
-			spotTouched += br.ShardsTouched
-			if br.MaxShardRows > spot.MaxTouchedShardRows {
-				spot.MaxTouchedShardRows = br.MaxShardRows
-			}
+			return rows
+		}); err != nil {
+			return nil, err
 		}
-		m1, b1 = allocSnap()
-		spot.AvgBatchMs /= spotReps
-		spot.AllocsPerOp = float64(m1-m0) / spotReps
-		spot.BytesPerOp = float64(b1-b0) / spotReps
-		spot.AvgShardsTouched = float64(spotTouched) / spotReps
-		spot.Shards = eng.Stats().Shards
-		doc.Entries = append(doc.Entries, spot)
-		spotAvg[size] = spot.AvgBatchMs
 
 		// From scratch: each arrival triggers a monolithic repair of the
 		// whole accumulated (original, dirty) relation.
 		accum := base.Clone()
-		fs := IncrBenchEntry{
-			Name: fmt.Sprintf("fromscratch/n%d", size), Mode: "fromscratch",
-			N: size, Workers: workers, Batches: len(stream), BatchRows: batchRows,
-		}
-		m0, b0 = allocSnap()
-		for _, b := range stream {
-			if benchCanceled(c.Cancel) {
-				return doc, repair.ErrCanceled
-			}
-			for _, row := range b.Rows {
+		fsName := fmt.Sprintf("fromscratch/n%d", size)
+		e, err := r.time(fsName, len(stream), 1, func(i int) error {
+			for _, row := range stream[i].Rows {
 				if err := accum.Append(row); err != nil {
-					return doc, err
+					return err
 				}
 			}
-			start := time.Now()
-			if _, err := repair.GreedyM(accum, set, cfg, repair.Options{
-				Parallel: workers, Cancel: c.Cancel,
-			}); err != nil {
-				return doc, err
-			}
-			ms := float64(time.Since(start).Microseconds()) / 1000
-			fs.AvgBatchMs += ms
-			if ms > fs.MaxBatchMs {
-				fs.MaxBatchMs = ms
-			}
+			_, err := repair.GreedyM(accum, set, cfg, repair.Options{Parallel: workers, Cancel: c.Cancel})
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
-		m1, b1 = allocSnap()
-		fs.AvgBatchMs /= float64(len(stream))
-		fs.AllocsPerOp = float64(m1-m0) / float64(len(stream))
-		fs.BytesPerOp = float64(b1-b0) / float64(len(stream))
-		doc.Entries = append(doc.Entries, fs)
-		if inc.AvgBatchMs > 0 {
-			doc.Ratios[fmt.Sprintf("fromscratch-vs-incremental-n%d", size)] = fs.AvgBatchMs / inc.AvgBatchMs
-		}
+		e.Counters = batchCounters(e, batchRows)
+		r.ratio(fmt.Sprintf("fromscratch-vs-incremental-n%d", size), fsName, incName)
 	}
 	lo, hi := sizes[0], sizes[len(sizes)-1]
-	if incAvg[lo] > 0 && incAvg[hi] > 0 {
-		doc.Ratios[fmt.Sprintf("incremental-n%d-vs-n%d", hi, lo)] = incAvg[hi] / incAvg[lo]
-	}
-	if spotAvg[lo] > 0 && spotAvg[hi] > 0 {
-		doc.Ratios[fmt.Sprintf("spot-n%d-vs-n%d", hi, lo)] = spotAvg[hi] / spotAvg[lo]
-	}
-	return doc, nil
+	r.ratio(fmt.Sprintf("incremental-n%d-vs-n%d", hi, lo), fmt.Sprintf("incremental/n%d", hi), fmt.Sprintf("incremental/n%d", lo))
+	r.ratio(fmt.Sprintf("spot-n%d-vs-n%d", hi, lo), fmt.Sprintf("spot/n%d", hi), fmt.Sprintf("spot/n%d", lo))
+	return r.doc, nil
 }
 
-// relationsEqual reports cell-for-cell equality of two aligned relations.
-func relationsEqual(a, b *dataset.Relation) bool {
-	if a.Len() != b.Len() {
-		return false
+// batchCounters are the figures every ingest entry carries besides ns/op:
+// the FD subset, the rows per batch, and the slowest batch.
+func batchCounters(e *BenchEntry, batchRows int) map[string]float64 {
+	return map[string]float64{
+		"fds":        incrBenchFDs,
+		"batchRows":  float64(batchRows),
+		"maxBatchMs": float64(e.slowest) / float64(time.Millisecond),
 	}
-	for i := range a.Tuples {
-		for j := range a.Tuples[i] {
-			if a.Tuples[i][j] != b.Tuples[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// PrintIncrBench renders the document as the text table the incrbench
-// experiment emits.
-func PrintIncrBench(w io.Writer, doc *IncrBenchDoc) {
-	fmt.Fprintf(w, "## Incremental ingest bench — %s (N=%d, FDs=%d, GOMAXPROCS=%d, equivalent=%v)\n",
-		doc.Workload, doc.N, doc.FDs, doc.GOMAXPROCS, doc.Equivalent)
-	fmt.Fprintf(w, "%-24s %8s %10s %12s %12s %12s %12s %10s %12s\n",
-		"config", "batches", "batchRows", "avg ms", "max ms", "allocs/op", "B/op", "shards", "maxTouched")
-	for _, e := range doc.Entries {
-		fmt.Fprintf(w, "%-24s %8d %10d %12.2f %12.2f %12.0f %12.0f %10d %12d\n",
-			e.Name, e.Batches, e.BatchRows, e.AvgBatchMs, e.MaxBatchMs, e.AllocsPerOp, e.BytesPerOp, e.Shards, e.MaxTouchedShardRows)
-	}
-	keys := make([]string, 0, len(doc.Ratios))
-	for k := range doc.Ratios {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "ratio %-38s %6.2fx\n", k, doc.Ratios[k])
-	}
-	fmt.Fprintln(w)
 }

@@ -3,93 +3,29 @@ package eval
 import (
 	"errors"
 	"fmt"
-	"io"
-	"runtime"
-	"sort"
-	"time"
 
-	"ftrepair/internal/obs"
 	"ftrepair/internal/repair"
 	"ftrepair/internal/vgraph"
 )
 
-// RepairBenchConfig selects the repair-phase benchmark instance.
-type RepairBenchConfig struct {
-	// Workload is "hosp" or "tax"; N the tuple count of the largest greedy
-	// instance (growth is also timed at N/4 and N/2 for scaling).
-	Workload string
-	N        int
-	Seed     int64
-	// MinTime is the minimum measured wall-clock per entry; each entry
-	// repeats its operation until it elapses. Defaults to 200ms.
-	MinTime time.Duration
-	Cancel  <-chan struct{}
-}
-
-// RepairBenchEntry is one measured repair-phase configuration.
-type RepairBenchEntry struct {
-	Name        string  `json:"name"`
-	Mode        string  `json:"mode"` // greedy-naive, greedy-heap, exact, plan
-	N           int     `json:"n,omitempty"`
-	Workers     int     `json:"workers,omitempty"`
-	Iters       int     `json:"iters"`
-	NsPerOp     float64 `json:"nsPerOp"`
-	AllocsPerOp float64 `json:"allocsPerOp"`
-	BytesPerOp  float64 `json:"bytesPerOp"`
-	// Greedy growth: instance shape and the grown set size.
-	Vertices int `json:"vertices,omitempty"`
-	Edges    int `json:"edges,omitempty"`
-	SetSize  int `json:"setSize,omitempty"`
-	// ExactM: enumerated combinations per run and throughput.
-	Combos       int     `json:"combos,omitempty"`
-	CombosPerSec float64 `json:"combosPerSec,omitempty"`
-	// Plan evaluation: repairing tuple groups per run and throughput.
-	Groups       int     `json:"groups,omitempty"`
-	GroupsPerSec float64 `json:"groupsPerSec,omitempty"`
-}
-
-// RepairBenchDoc is the BENCH_repair.json payload: greedy-growth scaling
-// (naive rescan vs indexed heap), branch-and-bound combination throughput
-// vs workers, and parallel plan-evaluation throughput, plus derived
-// speedup ratios.
-type RepairBenchDoc struct {
-	Workload   string `json:"workload"`
-	N          int    `json:"n"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Meta records the run environment (go version, commit, dataset) so a
-	// checked-in BENCH_*.json is self-describing.
-	Meta    obs.RunMeta        `json:"meta"`
-	Entries []RepairBenchEntry `json:"entries"`
-	// Speedups are ns/op ratios: "greedy-heap-n<size>" (naive → heap at each
-	// greedy size), "exact-workers" and "plan-workers" (1 → GOMAXPROCS
-	// workers; present only on multicore hosts).
-	Speedups map[string]float64 `json:"speedups"`
-}
-
 // RepairBench times the repair-phase hot paths on generated HOSP/Tax
-// instances: Algorithm-2 greedy growth at three sizes on both the naive
+// instances: Algorithm-2 greedy growth at N/4, N/2 and N on both the naive
 // full-rescan reference and the indexed-heap path, exact branch-and-bound
 // over MIS combinations at several worker counts, and multi-FD plan
 // evaluation (target-tree build + nearest searches) at several worker
-// counts.
-func RepairBench(c RepairBenchConfig) (*RepairBenchDoc, error) {
-	if c.MinTime <= 0 {
-		c.MinTime = 200 * time.Millisecond
-	}
-	doc := &RepairBenchDoc{
-		Workload:   c.Workload,
-		N:          c.N,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Meta:       obs.CollectMeta(c.Workload),
-		Speedups:   make(map[string]float64),
-	}
+// counts. ns/op is per growth, per ExactM run and per plan evaluation.
+func RepairBench(c BenchConfig) (*BenchDoc, error) {
+	r := newBenchRun("repair", c)
+	procs := r.doc.GOMAXPROCS
 
 	// Greedy growth N-scaling. Single-FD instances isolate the growth loop;
 	// the graph is built once per size and reused, so each iteration times
 	// growth alone.
-	sizes := []int{c.N / 4, c.N / 2, c.N}
-	for i, size := range sizes {
-		if size < 50 || (i > 0 && size == sizes[i-1]) {
+	for _, size := range []int{c.N / 4, c.N / 2, c.N} {
+		if r.canceled() {
+			return nil, repair.ErrCanceled
+		}
+		if size < 50 {
 			continue
 		}
 		// ErrorRate 0.1 (vs the pipeline default 0.04) doubles the violation
@@ -101,51 +37,29 @@ func RepairBench(c RepairBenchConfig) (*RepairBenchDoc, error) {
 		}
 		f, tau := inst.Set.FDs[0], inst.Set.Tau[0]
 		g := vgraph.Build(inst.Dirty, f, inst.Cfg, tau,
-			vgraph.Options{Workers: doc.GOMAXPROCS, Cancel: c.Cancel})
-		var perMode [2]float64
-		for mi, naive := range []bool{true, false} {
-			if benchCanceled(c.Cancel) {
-				return doc, repair.ErrCanceled
-			}
+			vgraph.Options{Workers: procs, Cancel: c.Cancel})
+		for _, mode := range []string{"greedy-naive", "greedy-heap"} {
+			naive := mode == "greedy-naive"
 			// One untimed warm-up run primes the grower/scratch pools and the
 			// reused result buffer, so the heap entry's allocs/op reports the
 			// steady state the pools exist for (the naive reference allocates
 			// fresh state per run by design).
 			set := repair.GrowGreedyInto(g, naive, nil)
-			iters := 0
-			m0, b0 := allocSnap()
-			start := time.Now()
-			for time.Since(start) < c.MinTime {
-				if benchCanceled(c.Cancel) {
-					return doc, repair.ErrCanceled
-				}
+			e, err := r.time(fmt.Sprintf("%s/n%d", mode, size), 0, 1, func(int) error {
 				set = repair.GrowGreedyInto(g, naive, set)
-				iters++
+				return nil
+			})
+			if err != nil {
+				return nil, err
 			}
-			elapsed := time.Since(start)
-			m1, b1 := allocSnap()
-			mode := "greedy-heap"
-			if naive {
-				mode = "greedy-naive"
+			e.Counters = map[string]float64{
+				"vertices": float64(len(g.Vertices)),
+				"edges":    float64(g.NumEdges()),
+				"setSize":  float64(len(set)),
 			}
-			e := RepairBenchEntry{
-				Name:        fmt.Sprintf("%s/n%d", mode, size),
-				Mode:        mode,
-				N:           size,
-				Iters:       iters,
-				NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters),
-				AllocsPerOp: float64(m1-m0) / float64(iters),
-				BytesPerOp:  float64(b1-b0) / float64(iters),
-				Vertices:    len(g.Vertices),
-				Edges:       g.NumEdges(),
-				SetSize:     len(set),
-			}
-			doc.Entries = append(doc.Entries, e)
-			perMode[mi] = e.NsPerOp
 		}
-		if perMode[1] > 0 {
-			doc.Speedups[fmt.Sprintf("greedy-heap-n%d", size)] = perMode[0] / perMode[1]
-		}
+		r.ratio(fmt.Sprintf("greedy-heap-n%d", size),
+			fmt.Sprintf("greedy-naive/n%d", size), fmt.Sprintf("greedy-heap/n%d", size))
 	}
 
 	// Exact branch-and-bound combination throughput. The instance is fixed
@@ -168,68 +82,52 @@ func RepairBench(c RepairBenchConfig) (*RepairBenchDoc, error) {
 	}
 	var exactInst *Instance
 	for _, s := range ladder {
+		if r.canceled() {
+			return nil, repair.ErrCanceled
+		}
 		inst, err := Prepare(s)
 		if err != nil {
 			return nil, err
-		}
-		if benchCanceled(c.Cancel) {
-			return doc, repair.ErrCanceled
 		}
 		_, err = repair.ExactM(inst.Dirty, inst.Set, inst.Cfg, repair.Options{Cancel: c.Cancel})
 		if errors.Is(err, repair.ErrTooManyMIS) {
 			continue
 		}
 		if err != nil {
-			return doc, err
+			return nil, err
 		}
 		exactInst = inst
 		break
 	}
 	// exactInst == nil means every rung overflowed: leave the exact entries
 	// out rather than fail the greedy/plan measurements.
-	exactNs := make(map[int]float64)
 	if exactInst != nil {
-		for _, workers := range []int{1, 2, doc.GOMAXPROCS} {
-			if _, done := exactNs[workers]; done {
-				continue
+		for _, workers := range []int{1, 2, procs} {
+			if r.canceled() {
+				return nil, repair.ErrCanceled
 			}
 			var res *repair.Result
-			var err error
-			iters := 0
-			m0, b0 := allocSnap()
-			start := time.Now()
-			for time.Since(start) < c.MinTime {
-				if benchCanceled(c.Cancel) {
-					return doc, repair.ErrCanceled
-				}
+			e, err := r.time(fmt.Sprintf("exact/w%d", workers), 0, 1, func(int) error {
+				var err error
 				res, err = repair.ExactM(exactInst.Dirty, exactInst.Set, exactInst.Cfg,
 					repair.Options{Parallel: workers, Cancel: c.Cancel})
-				if err != nil {
-					return doc, err
-				}
-				iters++
+				return err
+			})
+			if err != nil {
+				return nil, err
 			}
-			elapsed := time.Since(start)
-			m1, b1 := allocSnap()
-			e := RepairBenchEntry{
-				Name:        fmt.Sprintf("exact/w%d", workers),
-				Mode:        "exact",
-				N:           exactInst.Dirty.Len(),
-				Workers:     workers,
-				Iters:       iters,
-				NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters),
-				AllocsPerOp: float64(m1-m0) / float64(iters),
-				BytesPerOp:  float64(b1-b0) / float64(iters),
-				Combos:      res.Stats["combinations"],
+			if e == nil {
+				continue
 			}
-			if e.NsPerOp > 0 {
-				e.CombosPerSec = float64(e.Combos) / (e.NsPerOp / 1e9)
+			combos := res.Stats["combinations"]
+			e.Counters = map[string]float64{
+				"n":            float64(exactInst.Dirty.Len()),
+				"combos":       float64(combos),
+				"combosPerSec": e.perSec(combos),
 			}
-			doc.Entries = append(doc.Entries, e)
-			exactNs[workers] = e.NsPerOp
 		}
-		if par := exactNs[doc.GOMAXPROCS]; par > 0 && doc.GOMAXPROCS > 1 {
-			doc.Speedups["exact-workers"] = exactNs[1] / par
+		if procs > 1 {
+			r.ratio("exact-workers", "exact/w1", fmt.Sprintf("exact/w%d", procs))
 		}
 	}
 
@@ -243,72 +141,24 @@ func RepairBench(c RepairBenchConfig) (*RepairBenchDoc, error) {
 	if err != nil {
 		return nil, err
 	}
-	planNs := make(map[int]float64)
-	for _, workers := range []int{1, doc.GOMAXPROCS} {
-		if _, done := planNs[workers]; done {
+	for _, workers := range []int{1, procs} {
+		e, err := r.time(fmt.Sprintf("plan/%dfds/w%d", pb.FDs, workers), 0, 1, func(int) error {
+			_, _, err := pb.Run(workers)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		if e == nil {
 			continue
 		}
-		iters := 0
-		m0, b0 := allocSnap()
-		start := time.Now()
-		for time.Since(start) < c.MinTime {
-			if benchCanceled(c.Cancel) {
-				return doc, repair.ErrCanceled
-			}
-			if _, _, err := pb.Run(workers); err != nil {
-				return doc, err
-			}
-			iters++
+		e.Counters = map[string]float64{
+			"groups":       float64(pb.Groups),
+			"groupsPerSec": e.perSec(pb.Groups),
 		}
-		elapsed := time.Since(start)
-		m1, b1 := allocSnap()
-		e := RepairBenchEntry{
-			Name:        fmt.Sprintf("plan/%dfds/w%d", pb.FDs, workers),
-			Mode:        "plan",
-			N:           c.N,
-			Workers:     workers,
-			Iters:       iters,
-			NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters),
-			AllocsPerOp: float64(m1-m0) / float64(iters),
-			BytesPerOp:  float64(b1-b0) / float64(iters),
-			Groups:      pb.Groups,
-		}
-		if e.NsPerOp > 0 {
-			e.GroupsPerSec = float64(pb.Groups) / (e.NsPerOp / 1e9)
-		}
-		doc.Entries = append(doc.Entries, e)
-		planNs[workers] = e.NsPerOp
 	}
-	if par := planNs[doc.GOMAXPROCS]; par > 0 && doc.GOMAXPROCS > 1 {
-		doc.Speedups["plan-workers"] = planNs[1] / par
+	if procs > 1 {
+		r.ratio("plan-workers", fmt.Sprintf("plan/%dfds/w1", pb.FDs), fmt.Sprintf("plan/%dfds/w%d", pb.FDs, procs))
 	}
-	return doc, nil
-}
-
-// PrintRepairBench renders the document as the text table the repairbench
-// experiment emits.
-func PrintRepairBench(w io.Writer, doc *RepairBenchDoc) {
-	fmt.Fprintf(w, "## Repair phase bench — %s (N=%d, GOMAXPROCS=%d)\n",
-		doc.Workload, doc.N, doc.GOMAXPROCS)
-	fmt.Fprintf(w, "%-24s %8s %14s %12s %12s %10s %12s %12s\n",
-		"config", "iters", "ns/op", "allocs/op", "B/op", "set/combos", "combos/s", "groups/s")
-	for _, e := range doc.Entries {
-		size := e.SetSize
-		if e.Mode == "exact" {
-			size = e.Combos
-		} else if e.Mode == "plan" {
-			size = e.Groups
-		}
-		fmt.Fprintf(w, "%-24s %8d %14.0f %12.0f %12.0f %10d %12.0f %12.0f\n",
-			e.Name, e.Iters, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp, size, e.CombosPerSec, e.GroupsPerSec)
-	}
-	keys := make([]string, 0, len(doc.Speedups))
-	for k := range doc.Speedups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "speedup %-20s %6.2fx\n", k, doc.Speedups[k])
-	}
-	fmt.Fprintln(w)
+	return r.doc, nil
 }

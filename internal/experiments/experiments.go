@@ -5,10 +5,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"time"
 
@@ -28,9 +26,10 @@ type Config struct {
 	// Cancel stops in-flight repairs early (e.g. on SIGINT); measurements
 	// taken after it fires report "repair: canceled" instead of numbers.
 	Cancel <-chan struct{}
-	// BenchOut, when non-empty, makes the graphbench and repairbench
-	// experiments also write their measurements as JSON to this path
-	// (e.g. BENCH_vgraph.json, BENCH_repair.json).
+	// BenchOut, when non-empty, makes the graphbench, repairbench,
+	// incrbench and distbench experiments also write their measurements as
+	// JSON to this path (BENCH_vgraph.json, BENCH_repair.json,
+	// BENCH_incremental.json, BENCH_strsim.json).
 	BenchOut string
 	// Trace, when non-nil, collects phase spans from every repair the
 	// experiments run (observational only).
@@ -113,10 +112,10 @@ func list() []experiment {
 		{"tau", "FT-threshold sensitivity sweep", tauAblation},
 		{"detection", "FT vs classic error localization", detectionAblation},
 		{"autotau", "SelectTau heuristic vs fixed threshold", autotauAblation},
-		{"graphbench", "construction-phase timings: parallel + memoized graph build", graphbench},
-		{"distbench", "distance-kernel timings: bit-parallel vs DP, matcher streams, plane hits", distbench},
-		{"repairbench", "repair-phase timings: heap greedy growth, parallel B&B, plan evaluation", repairbench},
-		{"incrbench", "incremental-ingest timings: sharded engine per-batch latency vs from-scratch", incrbench},
+		{"graphbench", "construction-phase timings: parallel + memoized graph build", benchExp(eval.GraphBench, 200)},
+		{"distbench", "distance-kernel timings: bit-parallel vs DP, matcher streams, plane hits", benchExp(eval.DistBench, 200)},
+		{"repairbench", "repair-phase timings: heap greedy growth, parallel B&B, plan evaluation", benchExp(eval.RepairBench, 200)},
+		{"incrbench", "incremental-ingest timings: sharded engine per-batch latency vs from-scratch", benchExp(eval.IncrBench, 400)},
 	}
 }
 
@@ -521,152 +520,39 @@ func autotauAblation(c Config, w io.Writer) error {
 	return nil
 }
 
-// graphbench times the violation-graph construction family (all-pairs and
-// indexed builds × cache on/off × worker counts, plus end-to-end Detect)
-// and optionally writes the measurements to Config.BenchOut as JSON. The
-// instance is sized from the scale so the default run lands at N=5000 —
-// large enough for the all-pairs build to dominate.
-func graphbench(c Config, w io.Writer) error {
-	wk := c.Workloads[0]
-	n := int(25000 * c.Scale)
-	if n < 200 {
-		n = 200
-	}
-	minTime := 500 * time.Millisecond
-	if n < 1000 {
-		// Tiny scales (tests) need the shape, not stable timings.
-		minTime = 10 * time.Millisecond
-	}
-	doc, err := eval.GraphBench(eval.GraphBenchConfig{
-		Workload: wk,
-		N:        n,
-		Seed:     c.Seed,
-		MinTime:  minTime,
-		Cancel:   c.Cancel,
-	})
-	if err != nil {
-		return err
-	}
-	eval.PrintGraphBench(w, doc)
-	if c.BenchOut != "" {
-		buf, err := json.MarshalIndent(doc, "", "  ")
+// benchExp wraps a benchmark family as an experiment: it prints the
+// family's table and, when Config.BenchOut is set, writes the document there
+// as JSON. The instance is sized from the scale so the default run lands at
+// N=5000 (never below minN) — large enough for the all-pairs build and the
+// naive greedy rescan to dominate.
+func benchExp(family func(eval.BenchConfig) (*eval.BenchDoc, error), minN int) func(Config, io.Writer) error {
+	return func(c Config, w io.Writer) error {
+		n := int(25000 * c.Scale)
+		minTime := 500 * time.Millisecond
+		if n < 1000 {
+			// Tiny scales (tests) need the shape, not stable timings.
+			minTime = 10 * time.Millisecond
+		}
+		doc, err := family(eval.BenchConfig{
+			Workload: c.Workloads[0],
+			N:        max(n, minN),
+			Seed:     c.Seed,
+			MinTime:  minTime,
+			Cancel:   c.Cancel,
+		})
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(c.BenchOut, append(buf, '\n'), 0o644); err != nil {
-			return fmt.Errorf("experiments: writing %s: %w", c.BenchOut, err)
+		doc.Print(w)
+		if c.BenchOut == "" {
+			return nil
 		}
-		fmt.Fprintf(w, "wrote %s\n\n", c.BenchOut)
-	}
-	return nil
-}
-
-// distbench times the string-distance hot paths (bit-parallel kernels vs
-// the retained DPs at several lengths, Matcher streaming, plane vs map
-// cache hits) and optionally writes the measurements to Config.BenchOut as
-// JSON (BENCH_strsim.json). Input sizes are fixed — the kernels are
-// length-keyed, not relation-sized — so only the per-entry measuring time
-// scales down for tiny (test) runs.
-func distbench(c Config, w io.Writer) error {
-	minTime := 500 * time.Millisecond
-	if c.Scale < 0.04 {
-		minTime = 10 * time.Millisecond
-	}
-	doc, err := eval.DistBench(eval.DistBenchConfig{
-		Seed:    c.Seed,
-		MinTime: minTime,
-		Cancel:  c.Cancel,
-	})
-	if err != nil {
-		return err
-	}
-	eval.PrintDistBench(w, doc)
-	if c.BenchOut != "" {
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
+		if err := doc.WriteFile(c.BenchOut); err != nil {
 			return err
 		}
-		if err := os.WriteFile(c.BenchOut, append(buf, '\n'), 0o644); err != nil {
-			return fmt.Errorf("experiments: writing %s: %w", c.BenchOut, err)
-		}
 		fmt.Fprintf(w, "wrote %s\n\n", c.BenchOut)
+		return nil
 	}
-	return nil
-}
-
-// repairbench times the repair-phase hot paths (greedy growth naive vs
-// indexed heap at three sizes, exact branch-and-bound combination
-// throughput vs workers, and multi-FD plan evaluation vs workers) and
-// optionally writes the measurements to Config.BenchOut as JSON. The
-// greedy instance is sized from the scale so the default run lands at
-// N=5000 — large enough for the naive rescan's quadratic term to show.
-func repairbench(c Config, w io.Writer) error {
-	wk := c.Workloads[0]
-	n := int(25000 * c.Scale)
-	if n < 200 {
-		n = 200
-	}
-	minTime := 500 * time.Millisecond
-	if n < 1000 {
-		// Tiny scales (tests) need the shape, not stable timings.
-		minTime = 10 * time.Millisecond
-	}
-	doc, err := eval.RepairBench(eval.RepairBenchConfig{
-		Workload: wk,
-		N:        n,
-		Seed:     c.Seed,
-		MinTime:  minTime,
-		Cancel:   c.Cancel,
-	})
-	if err != nil {
-		return err
-	}
-	eval.PrintRepairBench(w, doc)
-	if c.BenchOut != "" {
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(c.BenchOut, append(buf, '\n'), 0o644); err != nil {
-			return fmt.Errorf("experiments: writing %s: %w", c.BenchOut, err)
-		}
-		fmt.Fprintf(w, "wrote %s\n\n", c.BenchOut)
-	}
-	return nil
-}
-
-// incrbench replays a timed ingest stream against the sharded incremental
-// engine and against monolithic per-batch recomputation, at three relation
-// sizes, and optionally writes the measurements to Config.BenchOut as JSON
-// (BENCH_incremental.json). The claim under test: per-batch latency tracks
-// the touched components, not the standing relation size.
-func incrbench(c Config, w io.Writer) error {
-	wk := c.Workloads[0]
-	n := int(25000 * c.Scale)
-	if n < 400 {
-		n = 400
-	}
-	doc, err := eval.IncrBench(eval.IncrBenchConfig{
-		Workload: wk,
-		N:        n,
-		Seed:     c.Seed,
-		Cancel:   c.Cancel,
-	})
-	if err != nil {
-		return err
-	}
-	eval.PrintIncrBench(w, doc)
-	if c.BenchOut != "" {
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(c.BenchOut, append(buf, '\n'), 0o644); err != nil {
-			return fmt.Errorf("experiments: writing %s: %w", c.BenchOut, err)
-		}
-		fmt.Fprintf(w, "wrote %s\n\n", c.BenchOut)
-	}
-	return nil
 }
 
 // Names lists the available experiment names in presentation order.

@@ -218,7 +218,12 @@ func (b *Batcher) loop() {
 				return
 			}
 			b.armTimer()
-			b.work.Wait()
+			// armTimer marks an already-overdue head as fired without any
+			// wakeup to come, so waiting then would strand it until the
+			// next Enqueue or Close.
+			if !b.flushable() {
+				b.work.Wait()
+			}
 		}
 		reqs, rows, reason := b.take()
 		b.space.Broadcast()

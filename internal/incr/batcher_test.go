@@ -60,6 +60,56 @@ func TestBatcherMaxDelayFlush(t *testing.T) {
 	}
 }
 
+// TestBatcherOverdueAfterFlush: a request that arrives during a flush and
+// is overdue when the flush ends flushes at once, without waiting for
+// another Enqueue or Close to wake the flusher.
+func TestBatcherOverdueAfterFlush(t *testing.T) {
+	eng, rows := newTestEngine(t, 200)
+	const maxDelay = time.Millisecond
+	flushing, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	b := incr.NewBatcher(eng, incr.BatcherConfig{
+		MaxBatch: 2, MaxDelay: maxDelay,
+		// Holds the first flush open, the way a flush slower than MaxDelay
+		// keeps the flusher busy.
+		OnFlush: func(*incr.BatchResult) {
+			first.Do(func() {
+				close(flushing)
+				<-release
+			})
+		},
+	})
+	defer b.Close()
+	if _, err := b.Enqueue(context.Background(), rows[:2]); err != nil {
+		t.Fatal(err)
+	}
+	<-flushing
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	type outcome struct {
+		res *incr.EnqueueResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := b.Enqueue(ctx, rows[2:3])
+		done <- outcome{res, err}
+	}()
+	for b.QueuedRequests() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(2 * maxDelay) // the queued request is now overdue
+	close(release)
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("overdue request was not flushed: %v", got.err)
+	}
+	if got.res.Batch.Reason != "interval" {
+		t.Fatalf("reason = %q, want interval", got.res.Batch.Reason)
+	}
+}
+
 // TestBatcherBackpressure: with the queue full, Enqueue blocks and honors
 // context cancellation; Close flushes the stranded queue with reason
 // "close" and rejects later enqueues.

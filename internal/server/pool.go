@@ -97,7 +97,9 @@ func (s *Server) execJob(j *Job) {
 	}
 	var cancel <-chan struct{} = j.cancelCh
 	if j.spec.TimeoutMs > 0 {
-		cancel = withDeadline(j.cancelCh, time.Duration(j.spec.TimeoutMs)*time.Millisecond)
+		var stop func()
+		cancel, stop = withDeadline(j.cancelCh, time.Duration(j.spec.TimeoutMs)*time.Millisecond)
+		defer stop()
 	}
 	// Every job gets its own trace; the summaries ride along in the job
 	// result so clients can see where the wall time went without any
@@ -155,17 +157,20 @@ func (s *Server) verifyIfRequested(j *Job, jr *JobResult, res *repair.Result) {
 }
 
 // withDeadline derives a channel that fires when either the parent cancel
-// channel closes or the timeout elapses.
-func withDeadline(parent <-chan struct{}, d time.Duration) <-chan struct{} {
-	out := make(chan struct{})
+// channel closes or the timeout elapses. stop ends the watcher goroutine and
+// its timer; call it once the channel is no longer read.
+func withDeadline(parent <-chan struct{}, d time.Duration) (fired <-chan struct{}, stop func()) {
+	out, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		t := time.NewTimer(d)
 		defer t.Stop()
 		select {
 		case <-parent:
 		case <-t.C:
+		case <-done:
+			return
 		}
 		close(out)
 	}()
-	return out
+	return out, func() { close(done) }
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -405,6 +406,34 @@ func TestJobTimeout(t *testing.T) {
 	final := pollJob(t, ts.URL, v.ID, 10*time.Second)
 	if final.State != JobCanceled {
 		t.Fatalf("timed-out job ended %s, want canceled", final.State)
+	}
+}
+
+// TestTimedJobsReleaseDeadlineWatchers: a job's timeoutMs watcher ends with
+// the job, not when the timeout would have fired, so finished timed jobs
+// leave no goroutines behind.
+func TestTimedJobsReleaseDeadlineWatchers(t *testing.T) {
+	s := New(Config{Workers: 1})
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	spec := JobSpec{CSV: hospCSV(), FDs: []string{"City -> State"}, Algorithm: "GreedyS", TimeoutMs: 60000}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		prob, err := spec.compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := s.jobs.add(spec, prob)
+		s.execJob(j)
+		if st := j.State(); st != JobDone {
+			t.Fatalf("job %d ended %s", i, st)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 20 finished timed jobs, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
