@@ -155,6 +155,8 @@ func RepairBench(c BenchConfig) (*BenchDoc, error) {
 		e.Counters = map[string]float64{
 			"groups":       float64(pb.Groups),
 			"groupsPerSec": e.perSec(pb.Groups),
+			"treeExplored": float64(pb.Explored),
+			"treeNodes":    float64(pb.Nodes),
 		}
 	}
 	if procs > 1 {

@@ -57,6 +57,9 @@ type PlanBench struct {
 	Groups int
 	// FDs is the number of FDs in the chosen component.
 	FDs int
+	// Explored and Nodes are the prepared levels' target-tree counts: the
+	// partial paths the join tries and the nodes it keeps.
+	Explored, Nodes int
 }
 
 // NewPlanBench prepares a plan evaluation over the largest multi-FD
@@ -90,6 +93,11 @@ func NewPlanBench(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, disabl
 			b.Groups++
 		}
 	}
+	tree, err := targettree.Build(b.levels)
+	if err != nil {
+		return nil, fmt.Errorf("repair: plan target tree: %w", err)
+	}
+	b.Explored, b.Nodes = tree.Explored, tree.Nodes
 	return b, nil
 }
 

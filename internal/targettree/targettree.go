@@ -8,10 +8,12 @@
 package targettree
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 
 	"ftrepair/internal/dataset"
 )
@@ -27,59 +29,103 @@ type Level struct {
 // current value a and a candidate target value b at schema column col.
 type DistFunc func(col int, a, b string) float64
 
+// node is one kept node. Values are dense ids: id i stands for the value
+// vals[i] of column cols[vcol[i]], and ids order by column, then by value.
 type node struct {
-	parent *node
-	// assigned are the columns newly bound at this node with their values.
-	cols []int
-	vals []string
-	// children of the node (empty at leaves).
-	children []*node
-	// sub: for every column bound somewhere strictly below this node, the
-	// sorted distinct values occurring in the subtree. Used for EDIST.
-	// Sorted slices beat the maps they replaced twice over: iteration is
-	// much cheaper in the search hot loop, and the fixed order makes the
-	// f-bound summation deterministic (map-order iteration perturbed its
-	// last bits between runs, which could flip exploration order between
-	// equal-cost targets).
-	sub []colVals
-}
-
-// colVals is one column's sorted distinct subtree values.
-type colVals struct {
-	col  int
-	vals []string
+	parent int32
+	// ids are the values newly bound at this node, in level-attribute
+	// order (columns fixed by ancestors are not repeated).
+	ids []int32
+	// kids[kidLo:kidHi] are the children, in pattern order.
+	kidLo, kidHi int32
+	// subs[subLo:subHi] are the sorted distinct ids bound strictly below
+	// the node — per column, the subtree's values, for EDIST. The fixed
+	// order makes the f-bound summation deterministic.
+	subLo, subHi int32
 }
 
 // Tree is the built target tree.
 type Tree struct {
-	root *node
+	// nodes holds the kept nodes in post-order (each after its subtree),
+	// the root last; kids and subs are the slabs their ranges index.
+	nodes []node
+	kids  []int32
+	subs  []int32
 	// cols is the union of all level attributes, sorted.
 	cols []int
-	// levels after sorting by pattern-set size (ascending).
-	levels []Level
+	vcol []int32
+	vals []string
 	// Targets counts root-to-leaf paths (valid targets).
 	Targets int
+	// Explored counts the partial paths the join tried, the empty root
+	// path included: the figure MaxNodes bounds.
+	Explored int
+	// Nodes counts the nodes kept, root included.
+	Nodes int
 }
 
-// MaxNodes bounds the tree size: the worst-case space is the product of
-// the level sizes (§5.1), which explodes when the independent sets keep
-// many variants per join key (low thresholds on dirty data). Build returns
+// MaxNodes bounds the partial paths Build explores: the join can try up to
+// the product of the level sizes (§5.1), which explodes when the
+// independent sets keep many variants per join key (low thresholds on
+// dirty data). Build keeps only paths that reach full depth, so memory
+// follows the live tree while time follows the paths tried. Build returns
 // an error at the cap; callers fall back to per-FD repair.
 const MaxNodes = 1 << 21
 
+// joinLevel is one level prepared for the join. A position of Attrs is a
+// key when a level above binds its column — the same for every partial
+// path — and new otherwise.
+type joinLevel struct {
+	Level
+	// slot[pos] is Attrs[pos]'s index in the tree's cols.
+	slot []int
+	// key and fresh are the key and new positions of Attrs.
+	key, fresh []int
+	// order lists the pattern indices sorted by key, ties by index; nil
+	// when the level has no key, as every pattern then joins.
+	order []int32
+	// ids[i*len(fresh)+j] is pattern i's value id at fresh[j]; the first
+	// is unnumbered (-1) until a kept node uses the pattern.
+	ids []int32
+}
+
+// keyCmp compares pattern i's key values with the bound ones.
+func (l *joinLevel) keyCmp(i int32, bind []string) int {
+	p := l.Patterns[i]
+	for _, pos := range l.key {
+		if c := strings.Compare(p[pos], bind[l.slot[pos]]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// builder holds the depth-first join's state.
+type builder struct {
+	t      *Tree
+	levels []joinLevel
+	// bind holds the current path's value per slot of cols.
+	bind []string
+	// stack holds the kept children of the nodes being grown.
+	stack []int32
+}
+
 // Build constructs the tree. Levels are sorted by |Patterns| ascending so
-// the root has small fan-out (§5.1). Paths whose shared attributes do not
-// agree are discarded; so are partial paths that cannot reach full depth. It
-// returns an error when no valid target exists or the tree exceeds
-// MaxNodes.
+// the root has small fan-out (§5.1). The join runs depth first over one
+// binding array, probing each level's patterns by key, and keeps a node
+// only when its subtree reaches full depth. It returns an error when no
+// valid target exists or the join explores more than MaxNodes paths.
 func Build(levels []Level) (*Tree, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("targettree: no levels")
 	}
-	ls := append([]Level(nil), levels...)
-	sort.SliceStable(ls, func(a, b int) bool { return len(ls[a].Patterns) < len(ls[b].Patterns) })
-
-	colSet := make(map[int]bool)
+	ls := make([]joinLevel, len(levels))
+	var cols []int
+	for i, l := range levels {
+		ls[i].Level = l
+		cols = append(cols, l.Attrs...)
+	}
+	slices.SortStableFunc(ls, func(a, b joinLevel) int { return cmp.Compare(len(a.Patterns), len(b.Patterns)) })
 	for _, l := range ls {
 		if len(l.Attrs) == 0 {
 			return nil, fmt.Errorf("targettree: level with no attributes")
@@ -89,143 +135,175 @@ func Build(levels []Level) (*Tree, error) {
 				return nil, fmt.Errorf("targettree: pattern arity %d != %d attributes", len(p), len(l.Attrs))
 			}
 		}
-		for _, c := range l.Attrs {
-			colSet[c] = true
-		}
 	}
-	cols := make([]int, 0, len(colSet))
-	for c := range colSet {
-		cols = append(cols, c)
-	}
-	sort.Ints(cols)
+	slices.Sort(cols)
+	cols = slices.Compact(cols)
 
-	t := &Tree{root: &node{}, cols: cols, levels: ls}
-	frontier := []*node{t.root}
-	nodes := 1
-	for _, l := range ls {
-		var next []*node
-		for _, nd := range frontier {
-			bound := pathBindings(nd)
-			for _, p := range l.Patterns {
-				if !compatible(bound, l.Attrs, p) {
-					continue
-				}
-				nodes++
-				if nodes > MaxNodes {
-					return nil, fmt.Errorf("targettree: join exceeds %d nodes; fall back to per-constraint repair", MaxNodes)
-				}
-				child := &node{parent: nd, cols: newCols(bound, l.Attrs), vals: nil}
-				// Record only newly bound columns (shared ones are already
-				// fixed by ancestors and must not be double counted).
-				for i, c := range l.Attrs {
-					if _, ok := bound[c]; !ok {
-						child.vals = append(child.vals, p[i])
+	// boundAt[s] is the depth of the level that first binds slot s.
+	boundAt := make([]int, len(cols))
+	for s := range boundAt {
+		boundAt[s] = -1
+	}
+	for d := range ls {
+		l := &ls[d]
+		n := len(l.Attrs)
+		buf := make([]int, 2*n)
+		l.slot, l.key = buf[:n], buf[n:n]
+		for pos, c := range l.Attrs {
+			s, _ := slices.BinarySearch(cols, c)
+			if l.slot[pos] = s; boundAt[s] < 0 {
+				boundAt[s] = d
+			}
+			if boundAt[s] < d {
+				l.key = append(l.key, pos)
+			}
+		}
+		l.fresh = l.key[len(l.key):]
+		for pos, s := range l.slot {
+			if boundAt[s] == d {
+				l.fresh = append(l.fresh, pos)
+			}
+		}
+		if len(l.key) > 0 {
+			l.order = make([]int32, len(l.Patterns))
+			for i := range l.order {
+				l.order[i] = int32(i)
+			}
+			slices.SortFunc(l.order, func(a, b int32) int {
+				for _, pos := range l.key {
+					if c := strings.Compare(l.Patterns[a][pos], l.Patterns[b][pos]); c != 0 {
+						return c
 					}
 				}
-				nd.children = append(nd.children, child)
-				next = append(next, child)
+				return cmp.Compare(a, b)
+			})
+		}
+		l.ids = make([]int32, len(l.Patterns)*len(l.fresh))
+		for i := 0; i < len(l.ids); i += len(l.fresh) {
+			l.ids[i] = -1
+		}
+	}
+
+	b := &builder{t: &Tree{cols: cols, Explored: 1}, levels: ls, bind: make([]string, len(cols))}
+	if err := b.grow(0); err != nil {
+		return nil, err
+	}
+	if len(b.stack) == 0 {
+		return nil, fmt.Errorf("targettree: join is empty (incompatible independent sets)")
+	}
+	b.keep(nil, 0)
+	b.number(boundAt)
+	b.t.fillSubs()
+	b.t.Nodes = len(b.t.nodes)
+	return b.t, nil
+}
+
+// grow tries every pattern of level d that agrees with the bound keys,
+// binds its new values and recurses; patterns whose subtree reaches full
+// depth become nodes, pushed on the stack in pattern order.
+func (b *builder) grow(d int) error {
+	l := &b.levels[d]
+	k := 0
+	if l.order != nil {
+		k, _ = slices.BinarySearchFunc(l.order, b.bind, l.keyCmp)
+	}
+	for ; k < len(l.Patterns); k++ {
+		i := int32(k)
+		if l.order != nil {
+			if i = l.order[k]; l.keyCmp(i, b.bind) != 0 {
+				break
 			}
 		}
-		if len(next) == 0 {
-			return nil, fmt.Errorf("targettree: join is empty (incompatible independent sets)")
+		if b.t.Explored++; b.t.Explored > MaxNodes {
+			return fmt.Errorf("targettree: join exceeds %d nodes; fall back to per-constraint repair", MaxNodes)
 		}
-		frontier = next
+		p := l.Patterns[i]
+		for _, pos := range l.fresh {
+			b.bind[l.slot[pos]] = p[pos]
+		}
+		mark := len(b.stack)
+		if d+1 < len(b.levels) {
+			if err := b.grow(d + 1); err != nil {
+				return err
+			}
+			if len(b.stack) == mark {
+				continue // dead branch: no path reaches full depth
+			}
+		} else {
+			b.t.Targets++
+		}
+		n := len(l.fresh)
+		ids := l.ids[int(i)*n : int(i+1)*n]
+		if n > 0 {
+			ids[0] = 0 // numbered once the join is done
+		}
+		b.keep(ids, mark)
 	}
-	t.Targets = len(frontier)
-	t.prune()
-	t.fillValueSets(t.root)
-	return t, nil
+	return nil
 }
 
-// pathBindings collects the column->value assignments on the path from the
-// root to nd.
-func pathBindings(nd *node) map[int]string {
-	bound := make(map[int]string)
-	for cur := nd; cur != nil; cur = cur.parent {
-		for i, c := range cur.cols {
-			bound[c] = cur.vals[i]
-		}
+// keep appends a node that adopts the children stacked from mark on and
+// stacks it in their place.
+func (b *builder) keep(ids []int32, mark int) {
+	t := b.t
+	id := int32(len(t.nodes))
+	for _, c := range b.stack[mark:] {
+		t.nodes[c].parent = id
 	}
-	return bound
+	lo := int32(len(t.kids))
+	t.kids = append(t.kids, b.stack[mark:]...)
+	t.nodes = append(t.nodes, node{ids: ids, kidLo: lo, kidHi: int32(len(t.kids))})
+	b.stack = append(b.stack[:mark], id)
 }
 
-func compatible(bound map[int]string, attrs []int, pattern []string) bool {
-	for i, c := range attrs {
-		if v, ok := bound[c]; ok && v != pattern[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func newCols(bound map[int]string, attrs []int) []int {
-	var out []int
-	for _, c := range attrs {
-		if _, ok := bound[c]; !ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// prune removes internal nodes with no children (paths that died before
-// reaching full depth), bottom-up.
-func (t *Tree) prune() {
-	depth := len(t.levels)
-	var walk func(nd *node, d int) bool
-	walk = func(nd *node, d int) bool {
-		if d == depth {
-			return true
-		}
-		kept := nd.children[:0]
-		for _, c := range nd.children {
-			if walk(c, d+1) {
-				kept = append(kept, c)
+// number gives each distinct (column, value) pair of the kept nodes a dense
+// id, ordered by column and then by value, and writes the ids into the
+// level tables the nodes' id slices view.
+func (b *builder) number(boundAt []int) {
+	t := b.t
+	for s, d := range boundAt {
+		l := &b.levels[d]
+		n := len(l.fresh)
+		base := len(t.vals)
+		for i, p := range l.Patterns {
+			for _, pos := range l.fresh {
+				if l.ids[i*n] >= 0 && l.slot[pos] == s {
+					t.vals = append(t.vals, p[pos])
+				}
 			}
 		}
-		nd.children = kept
-		return len(kept) > 0
-	}
-	walk(t.root, 0)
-}
-
-// fillValueSets computes, for each node, the attribute values bound in its
-// strict subtree, freezing them into the node's sorted sub slices. The
-// working representation is a map set per column; only the frozen slices
-// are retained.
-func (t *Tree) fillValueSets(nd *node) map[int]map[string]struct{} {
-	sets := make(map[int]map[string]struct{})
-	for _, c := range nd.children {
-		childSets := t.fillValueSets(c)
-		for i, col := range c.cols {
-			add(sets, col, c.vals[i])
+		slices.Sort(t.vals[base:])
+		t.vals = t.vals[:base+len(slices.Compact(t.vals[base:]))]
+		vs := t.vals[base:]
+		for range vs {
+			t.vcol = append(t.vcol, int32(s))
 		}
-		for col, vs := range childSets {
-			for v := range vs {
-				add(sets, col, v)
+		for i, p := range l.Patterns {
+			for j, pos := range l.fresh {
+				if l.ids[i*n] >= 0 && l.slot[pos] == s {
+					x, _ := slices.BinarySearch(vs, p[pos])
+					l.ids[i*n+j] = int32(base + x)
+				}
 			}
 		}
 	}
-	nd.sub = make([]colVals, 0, len(sets))
-	for col, vs := range sets {
-		cv := colVals{col: col, vals: make([]string, 0, len(vs))}
-		for v := range vs {
-			cv.vals = append(cv.vals, v)
-		}
-		sort.Strings(cv.vals)
-		nd.sub = append(nd.sub, cv)
-	}
-	sort.Slice(nd.sub, func(i, j int) bool { return nd.sub[i].col < nd.sub[j].col })
-	return sets
 }
 
-func add(m map[int]map[string]struct{}, col int, v string) {
-	s, ok := m[col]
-	if !ok {
-		s = make(map[string]struct{})
-		m[col] = s
+// fillSubs computes each node's subtree id list from its children's, which
+// post-order has already filled.
+func (t *Tree) fillSubs() {
+	for i := range t.nodes {
+		nd := &t.nodes[i]
+		lo := len(t.subs)
+		for _, c := range t.kids[nd.kidLo:nd.kidHi] {
+			kid := &t.nodes[c]
+			t.subs = append(t.subs, kid.ids...)
+			t.subs = append(t.subs, t.subs[kid.subLo:kid.subHi]...)
+		}
+		slices.Sort(t.subs[lo:])
+		t.subs = t.subs[:lo+len(slices.Compact(t.subs[lo:]))]
+		nd.subLo, nd.subHi = int32(lo), int32(len(t.subs))
 	}
-	s[v] = struct{}{}
 }
 
 // Target is a full assignment of the tree's columns.
@@ -234,50 +312,127 @@ type Target struct {
 	Vals []string
 }
 
+// target assembles the assignment on the path from the root to leaf.
+func (tr *Tree) target(leaf int32) Target {
+	out := Target{Cols: tr.cols, Vals: make([]string, len(tr.cols))}
+	for n := leaf; n != int32(len(tr.nodes)-1); n = tr.nodes[n].parent {
+		for _, id := range tr.nodes[n].ids {
+			out.Vals[tr.vcol[id]] = tr.vals[id]
+		}
+	}
+	return out
+}
+
 // pqItem is a search-frontier entry.
 type pqItem struct {
-	nd    *node
+	nd    int32
 	f     float64 // RDIST + EDIST lower bound
 	rdist float64
 }
 
+// pq is a min-heap on f. push and pop take container/heap's sift steps, so
+// entries with equal f leave in the same order as they would there.
 type pq []pqItem
 
-func (p pq) Len() int           { return len(p) }
-func (p pq) Less(i, j int) bool { return p[i].f < p[j].f }
-func (p pq) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x any)        { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() any {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
-	return it
-}
-
-// distKey identifies one (column, candidate value) distance of a query.
-type distKey struct {
-	col int
-	val string
-}
-
-// distMemo caches one query's attribute distances: sibling subtrees share
-// most of their value sets, so each distinct (column, value) pair is
-// scored once per Nearest call instead of once per node that carries it.
-type distMemo struct {
-	t    dataset.Tuple
-	dist DistFunc
-	m    map[distKey]float64
-}
-
-func (dm *distMemo) at(col int, v string) float64 {
-	k := distKey{col, v}
-	if d, ok := dm.m[k]; ok {
-		return d
+func (q *pq) push(it pqItem) {
+	h := append(*q, it)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(h[j].f < h[i].f) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
 	}
-	d := dm.dist(col, dm.t[col], v)
-	dm.m[k] = d
-	return d
+	*q = h
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; 2*i+1 < n; {
+		j := 2*i + 1
+		if j+1 < n && h[j+1].f < h[j].f {
+			j++
+		}
+		if !(h[j].f < h[i].f) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
+}
+
+// memo caches one query's attribute distances by value id: sibling
+// subtrees share most of their values, so each distinct (column, value)
+// pair is scored once per Nearest call instead of once per node that
+// carries it. Memos are pooled across calls and trees; a slot holds a
+// distance only when its stamp is the current call's generation, so
+// starting a call is one increment.
+type memo struct {
+	tr    *Tree
+	t     dataset.Tuple
+	dist  DistFunc
+	gen   uint32
+	slots []memoSlot
+	q     pq
+}
+
+type memoSlot struct {
+	gen uint32
+	d   float64
+}
+
+var memos = sync.Pool{New: func() any { return new(memo) }}
+
+func acquireMemo(tr *Tree, t dataset.Tuple, dist DistFunc) *memo {
+	m := memos.Get().(*memo)
+	m.tr, m.t, m.dist = tr, t, dist
+	if len(m.slots) < len(tr.vals) {
+		m.slots = make([]memoSlot, len(tr.vals))
+	}
+	if m.gen++; m.gen == 0 {
+		clear(m.slots)
+		m.gen = 1
+	}
+	return m
+}
+
+func (m *memo) release() {
+	m.tr, m.t, m.dist, m.q = nil, nil, nil, m.q[:0]
+	memos.Put(m)
+}
+
+func (m *memo) at(id int32) float64 {
+	s := &m.slots[id]
+	if s.gen != m.gen {
+		col := m.tr.cols[m.tr.vcol[id]]
+		s.gen, s.d = m.gen, m.dist(col, m.t[col], m.tr.vals[id])
+	}
+	return s.d
+}
+
+// edist is the lower bound for the columns bound strictly below nd: per
+// column, the minimum distance from the query's value to any value
+// occurring in the subtree.
+func (m *memo) edist(nd *node) float64 {
+	sub, vcol := m.tr.subs[nd.subLo:nd.subHi], m.tr.vcol
+	var sum float64
+	for i := 0; i < len(sub); {
+		col, best := vcol[sub[i]], math.Inf(1)
+		for ; i < len(sub) && vcol[sub[i]] == col; i++ {
+			// Distances are non-negative; the per-column minimum cannot
+			// improve past zero.
+			if best > 0 {
+				best = min(best, m.at(sub[i]))
+			}
+		}
+		sum += best
+	}
+	return sum
 }
 
 // Nearest finds the target minimizing the summed attribute distance to t
@@ -287,50 +442,46 @@ func (dm *distMemo) at(col int, v string) float64 {
 // and, once it fires, returns the best incumbent found so far — callers
 // that need the exact optimum must check cancellation themselves.
 func (tr *Tree) Nearest(t dataset.Tuple, dist DistFunc, cancel <-chan struct{}) (Target, float64, int) {
-	dm := &distMemo{t: t, dist: dist, m: make(map[distKey]float64)}
-	q := pq{{nd: tr.root}}
-	heap.Init(&q)
+	m := acquireMemo(tr, t, dist)
+	defer m.release()
+	m.q.push(pqItem{nd: int32(len(tr.nodes) - 1)})
 	bestCost := math.Inf(1)
-	var bestLeaf *node
+	bestLeaf := int32(-1)
 	visited := 0
-	for q.Len() > 0 {
+	for len(m.q) > 0 {
 		if visited&63 == 0 && canceled(cancel) {
 			break
 		}
-		it := heap.Pop(&q).(pqItem)
+		it := m.q.pop()
 		visited++
 		if it.f >= bestCost {
 			continue // lower bound can't beat the incumbent
 		}
-		nd := it.nd
-		if len(nd.children) == 0 && nd != tr.root {
+		nd := &tr.nodes[it.nd]
+		if nd.kidLo == nd.kidHi {
 			// Leaf: RDIST is the exact cost (every column bound).
 			if it.rdist < bestCost {
 				bestCost = it.rdist
-				bestLeaf = nd
+				bestLeaf = it.nd
 			}
 			continue
 		}
-		for _, c := range nd.children {
+		for _, c := range tr.kids[nd.kidLo:nd.kidHi] {
+			kid := &tr.nodes[c]
 			r := it.rdist
-			for i, col := range c.cols {
-				r += dm.at(col, c.vals[i])
+			for _, id := range kid.ids {
+				r += m.at(id)
 			}
-			f := r + edist(c, dm)
+			f := r + m.edist(kid)
 			if f < bestCost {
-				heap.Push(&q, pqItem{nd: c, f: f, rdist: r})
+				m.q.push(pqItem{nd: c, f: f, rdist: r})
 			}
 		}
 	}
-	if bestLeaf == nil {
+	if bestLeaf < 0 {
 		return Target{}, math.Inf(1), visited
 	}
-	bound := pathBindings(bestLeaf)
-	out := Target{Cols: tr.cols, Vals: make([]string, len(tr.cols))}
-	for i, c := range tr.cols {
-		out.Vals[i] = bound[c]
-	}
-	return out, bestCost, visited
+	return tr.target(bestLeaf), bestCost, visited
 }
 
 // NearestScan is the linear-scan baseline: it materializes and scores every
@@ -373,50 +524,14 @@ func canceled(ch <-chan struct{}) bool {
 	}
 }
 
-// edist is the lower bound for the columns bound strictly below nd: per
-// column, the minimum distance from the query's value to any value
-// occurring in the subtree.
-func edist(nd *node, dm *distMemo) float64 {
-	var sum float64
-	for _, sv := range nd.sub {
-		best := math.Inf(1)
-		for _, v := range sv.vals {
-			if d := dm.at(sv.col, v); d < best {
-				best = d
-				// Distances are non-negative; the per-column minimum
-				// cannot improve past zero.
-				if best <= 0 {
-					break
-				}
-			}
-		}
-		sum += best
-	}
-	return sum
-}
-
-// All materializes every target (root-to-leaf path) of the tree.
+// All materializes every target (root-to-leaf path) of the tree, leaves
+// in tree order.
 func (tr *Tree) All() []Target {
 	var out []Target
-	var leaves []*node
-	var collect func(nd *node)
-	collect = func(nd *node) {
-		if len(nd.children) == 0 && nd.parent != nil {
-			leaves = append(leaves, nd)
-			return
+	for i, nd := range tr.nodes {
+		if nd.kidLo == nd.kidHi {
+			out = append(out, tr.target(int32(i)))
 		}
-		for _, c := range nd.children {
-			collect(c)
-		}
-	}
-	collect(tr.root)
-	for _, leaf := range leaves {
-		bound := pathBindings(leaf)
-		tg := Target{Cols: tr.cols, Vals: make([]string, len(tr.cols))}
-		for i, c := range tr.cols {
-			tg.Vals[i] = bound[c]
-		}
-		out = append(out, tg)
 	}
 	return out
 }

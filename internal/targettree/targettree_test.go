@@ -1,10 +1,14 @@
 package targettree_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"ftrepair/internal/dataset"
@@ -255,5 +259,184 @@ func TestNearestCanceled(t *testing.T) {
 	}
 	if _, cost, _ := tr.NearestScan(dirty.Tuples[3], dist, cancel); !math.IsInf(cost, 1) {
 		t.Fatalf("canceled NearestScan returned cost %v, want +Inf", cost)
+	}
+}
+
+// randomLevels draws one level set for the differential test: 1–6 levels
+// over at most 6 columns and a 2–4-letter alphabet, so columns are shared
+// or not at random, duplicate patterns and dead branches are common, some
+// joins are empty, and a few inputs are malformed (a repeated column, a
+// level without attributes, a pattern of the wrong arity).
+func randomLevels(rng *rand.Rand) []targettree.Level {
+	ncols := 1 + rng.Intn(6)
+	alpha := "abcd"[:2+rng.Intn(3)]
+	levels := make([]targettree.Level, 1+rng.Intn(6))
+	for i := range levels {
+		attrs := rng.Perm(ncols)[:1+rng.Intn(min(3, ncols))]
+		switch rng.Intn(40) {
+		case 0:
+			attrs = append(attrs, attrs[0])
+		case 1:
+			attrs = nil
+		}
+		n := 1 + rng.Intn(5)
+		if rng.Intn(20) == 0 {
+			n = 0
+		}
+		l := targettree.Level{Attrs: attrs}
+		for len(l.Patterns) < n {
+			if len(l.Patterns) > 0 && rng.Intn(5) == 0 {
+				l.Patterns = append(l.Patterns, l.Patterns[rng.Intn(len(l.Patterns))])
+				continue
+			}
+			p := make([]string, len(attrs))
+			for j := range p {
+				p[j] = string(alpha[rng.Intn(len(alpha))])
+			}
+			if len(p) > 0 && rng.Intn(100) == 0 {
+				p = p[1:]
+			}
+			l.Patterns = append(l.Patterns, p)
+		}
+		levels[i] = l
+	}
+	return levels
+}
+
+// tieDist scores in quarters, so many paths tie on f; fracDist scores in
+// tenths, so float sums depend on their order.
+func tieDist(col int, a, b string) float64 {
+	if a == b {
+		return 0
+	}
+	return float64(1+(int(a[0])+2*int(b[0])+col)%3) / 4
+}
+
+func fracDist(col int, a, b string) float64 {
+	if a == b {
+		return 0
+	}
+	return 0.1 * float64(1+(7*int(a[0])+3*int(b[0])+5*col)%9)
+}
+
+func errString(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+// TestBuildMatchesNestedLoop pins Build and Nearest to the nested-loop
+// reference (reference_test.go) on random level sets: the same error, the
+// same counts and targets in order, and for random queries the same target,
+// cost bits and visit count.
+func TestBuildMatchesNestedLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	built := 0
+	for trial := 0; trial < 3000; trial++ {
+		levels := randomLevels(rng)
+		ref, refErr := refBuild(levels)
+		tr, err := targettree.Build(levels)
+		if errString(err) != errString(refErr) {
+			t.Fatalf("trial %d: Build error %q, reference %q (levels %v)", trial, errString(err), errString(refErr), levels)
+		}
+		if err != nil {
+			continue
+		}
+		built++
+		if tr.Targets != ref.targets || tr.Explored != ref.explored || tr.Nodes != ref.nodes {
+			t.Fatalf("trial %d: targets/explored/nodes = %d/%d/%d, reference %d/%d/%d",
+				trial, tr.Targets, tr.Explored, tr.Nodes, ref.targets, ref.explored, ref.nodes)
+		}
+		if got, want := tr.All(), ref.all(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: All = %v, reference %v", trial, got, want)
+		}
+		dist := targettree.DistFunc(tieDist)
+		if trial%2 == 1 {
+			dist = fracDist
+		}
+		for q := 0; q < 5; q++ {
+			tuple := make(dataset.Tuple, 6)
+			for c := range tuple {
+				tuple[c] = string("abcde"[rng.Intn(5)])
+			}
+			tg, cost, visited := tr.Nearest(tuple, dist, nil)
+			rtg, rcost, rvisited := ref.nearest(tuple, dist)
+			if !reflect.DeepEqual(tg, rtg) || math.Float64bits(cost) != math.Float64bits(rcost) || visited != rvisited {
+				t.Fatalf("trial %d query %v: Nearest = %v %v %d, reference %v %v %d",
+					trial, tuple, tg.Vals, cost, visited, rtg.Vals, rcost, rvisited)
+			}
+		}
+	}
+	if built < 500 {
+		t.Fatalf("only %d of 3000 random level sets built; the generator no longer exercises Nearest", built)
+	}
+}
+
+// TestNearestConcurrent checks that goroutines sharing one tree, and the
+// pooled distance memos, get the answers a sequential caller gets.
+func TestNearestConcurrent(t *testing.T) {
+	tr, err := targettree.Build(hospLevels(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := hospQueries(tr, 64)
+	type answer struct {
+		vals    []string
+		cost    uint64
+		visited int
+	}
+	ask := func(q dataset.Tuple) answer {
+		tg, cost, visited := tr.Nearest(q, toyDist, nil)
+		return answer{tg.Vals, math.Float64bits(cost), visited}
+	}
+	want := make([]answer, len(queries))
+	for i, q := range queries {
+		want[i] = ask(q)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range queries {
+				i := (k + 8*g) % len(queries)
+				if got := ask(queries[i]); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d query %d: %v, sequential %v", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestBuildCapCountsExploredPaths: two unshared levels of 1,500 patterns
+// give 2.25 M partial paths, over MaxNodes, and a third level matches none
+// of them. The cap counts paths tried, not kept, so Build still fails — and
+// keeps none of those paths in memory on the way.
+func TestBuildCapCountsExploredPaths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tries 2.1 M partial paths")
+	}
+	const n = 1500
+	levels := []targettree.Level{{Attrs: []int{0}}, {Attrs: []int{1}}, {Attrs: []int{0, 2}}}
+	for i := 0; i < n; i++ {
+		levels[0].Patterns = append(levels[0].Patterns, []string{fmt.Sprintf("a%d", i)})
+		levels[1].Patterns = append(levels[1].Patterns, []string{fmt.Sprintf("b%d", i)})
+		levels[2].Patterns = append(levels[2].Patterns, []string{fmt.Sprintf("x%d", i), "c"})
+	}
+	if 1+n+n*n <= targettree.MaxNodes {
+		t.Fatalf("%d partial paths no longer exceed MaxNodes = %d", 1+n+n*n, targettree.MaxNodes)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := targettree.Build(levels)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("Build error = %v, want the MaxNodes cap", err)
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs > 100 {
+		t.Fatalf("Build allocated %d times before the cap fired; it should keep no dead path", allocs)
 	}
 }
