@@ -51,8 +51,8 @@ bench-incremental:
 	go run ./cmd/repairbench -exp incrbench -benchout BENCH_incremental.json
 
 # Times the string-distance hot paths (bit-parallel kernels vs the retained
-# DPs, one-vs-many Matcher streams, distance-plane vs map cache hits) and
-# writes BENCH_strsim.json.
+# DPs, one-vs-many Matcher streams, distance-plane cache hits) and writes
+# BENCH_strsim.json.
 bench-distance:
 	go run ./cmd/repairbench -exp distbench -benchout BENCH_strsim.json
 

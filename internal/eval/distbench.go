@@ -50,11 +50,10 @@ func dbMutate(rng *rand.Rand, s string, k int) string {
 // kernels against the retained DP oracles at lengths straddling the 64-char
 // word boundary, the one-vs-many Matcher (pattern tables built once per
 // stream), and a warmed DistCache answering interned pairs from the
-// distance plane versus the sharded map; ns/op is per comparison.
-// Candidates are near pairs (a few edits apart) — the case the length
-// prefilters cannot reject, which is what survives to the kernels in real
-// builds. Ratios: "kernel/len<L>" (DP → kernel), "matcher/len<L>" (one-shot
-// kernel → streamed Matcher) and "plane" (map hit → plane hit).
+// distance plane; ns/op is per comparison. Candidates are near pairs (a few
+// edits apart) — the case the length prefilters cannot reject, which is
+// what survives to the kernels in real builds. Ratios: "kernel/len<L>"
+// (DP → kernel) and "matcher/len<L>" (one-shot kernel → streamed Matcher).
 func DistBench(c BenchConfig) (*BenchDoc, error) {
 	c.Workload, c.N = "synthetic", 0
 	r := newBenchRun("strsim", c)
@@ -99,9 +98,9 @@ func DistBench(c BenchConfig) (*BenchDoc, error) {
 		r.ratio(matcher, kernel, matcher)
 	}
 
-	// Cache hit paths: one column of distinct 12-char values, every pair
-	// warmed, then re-queried — the plane (interned codes, one atomic load)
-	// against the sharded map (hash + RWMutex).
+	// Cache hit path: one column of distinct 12-char values, every pair
+	// warmed, then re-queried from the plane (interned codes, one atomic
+	// load).
 	const domain = 128
 	const alphabet = "abcdefghijklmnop"
 	vals := make([]string, domain)
@@ -130,28 +129,18 @@ func DistBench(c BenchConfig) (*BenchDoc, error) {
 		}
 		pairs[i] = [2]string{vals[a], vals[b]}
 	}
-	hitBatch := func(cfg *fd.DistConfig) func(int) error {
-		return func(int) error {
-			for _, p := range pairs {
-				distSink += int(cfg.AttrDist(0, p[0], p[1]) * 64)
-			}
-			return nil
-		}
-	}
-	// Each config is warmed with one untimed batch, so every pair resolves
-	// exactly; a batch cannot fail.
 	planed := fd.DefaultDistConfig(rel)
-	_ = hitBatch(planed)(0)
-	mapped := fd.DefaultDistConfig(rel)
-	mapped.Dicts = nil
-	mapped.Cache = fd.NewDistCache()
-	_ = hitBatch(mapped)(0)
-	if _, err := r.time("maphit", 0, len(pairs), hitBatch(mapped)); err != nil {
+	hitBatch := func(int) error {
+		for _, p := range pairs {
+			distSink += int(planed.AttrDist(0, p[0], p[1]) * 64)
+		}
+		return nil
+	}
+	// One untimed batch warms the plane, so every pair resolves exactly; a
+	// batch cannot fail.
+	_ = hitBatch(0)
+	if _, err := r.time("planehit", 0, len(pairs), hitBatch); err != nil {
 		return nil, err
 	}
-	if _, err := r.time("planehit", 0, len(pairs), hitBatch(planed)); err != nil {
-		return nil, err
-	}
-	r.ratio("plane", "maphit", "planehit")
 	return r.doc, nil
 }

@@ -413,6 +413,7 @@ func flavorAblation(c Config, w io.Writer) error {
 				return err
 			}
 			inst.Cfg.Edit = fl.flavor
+			inst.Cfg.AttachPlanes()
 			p := eval.Measure(inst, eval.OurAlgos(false, c.opts())[0])
 			if p.Err != "" {
 				fmt.Fprintf(w, "%-14s %10s %10s %12s  (%s)\n", fl.name, "-", "-", "-", p.Err)

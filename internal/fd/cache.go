@@ -1,8 +1,6 @@
 package fd
 
 import (
-	"hash/maphash"
-	"sync"
 	"sync/atomic"
 
 	"ftrepair/internal/dataset"
@@ -12,180 +10,49 @@ import (
 // value pairs recur thousands of times across a repair run — pattern pairs
 // share attribute values after tuple grouping, and PatternDist, Dist,
 // DistWithin, target-tree plan costs, and greedy rescoring all re-derive
-// the same Levenshtein distances — so caching the per-attribute result
-// removes the pipeline's dominant repeated work.
+// the same distances — so caching the per-attribute result removes the
+// pipeline's dominant repeated work.
 //
-// The cache is sharded: each shard owns an independent map guarded by its
-// own RWMutex, and a key is routed to a shard by hashing, so concurrent
-// graph-construction workers contend only when they touch the same shard.
-// Distances are symmetric, so the key orders the value pair (a <= b) and
-// both argument orders hit the same entry. The key also carries the edit
-// flavor because callers mutate DistConfig.Edit between builds (flavor
-// ablations do exactly that) and a Levenshtein result must never answer an
-// OSA query.
+// The memo is a set of per-column distance planes (AttachPlanes): flat
+// triangular arrays over interned value-pair codes, one atomic load per
+// lookup, serving all three edit flavors. See plane.go for the cell
+// encodings and the bit-identity argument. A query no plane can answer —
+// an un-interned value, a column whose domain exceeds the plane caps, a
+// flavor other than the attached one, a config without dictionaries — is
+// computed uncached.
 //
-// Entries are either exact distances or lower bounds. A bounded evaluation
-// (StringDistWithin) that *accepts* a pair yields the exact distance
-// (bitwise equal to the full computation — both evaluate d/m in float64);
-// one that *rejects* at budget t proves only that the distance exceeds t,
-// which is stored as a lower bound. A memoized lower bound b answers any
-// later bounded query with budget <= b (the distance exceeds b, hence the
-// budget) — and on FT workloads almost all candidate pairs are rejections,
-// so bounding them is what makes repeated builds and multi-FD detection
-// cheap. Exact entries always win over bounds; a bound is upgraded in
-// place when a larger budget re-rejects or an acceptance resolves the
-// pair.
-//
-// In front of the sharded maps sit optional per-column distance planes
-// (AttachPlanes): flat triangular arrays over interned value-pair codes
-// holding integer edit distances and bounds. A pair whose both values are
-// interned is answered by one atomic load; everything else — un-interned
-// values, columns whose domain exceeds the plane caps, flavors other than
-// the attached one — falls through to the maps. See plane.go for the
-// encoding and the bit-identity argument.
+// The counters are schedule-independent: a plane query counts a miss only
+// when its store fills an empty cell, every other plane query (including a
+// recomputation that upgrades a lower bound, or one that lost the fill race
+// to a concurrent worker) counts a hit, and an uncached computation counts
+// a miss. Plane misses therefore equal the cells filled, and hits + misses
+// equal the string lookups made, at any worker count.
 //
 // A DistCache must not be copied after first use.
 type DistCache struct {
-	seed   maphash.Seed
-	shards [cacheShards]cacheShard
-
 	// planes[col] answers value pairs interned in col's dictionary; nil
-	// entries (and a nil slice) fall through to the sharded maps. Written
-	// once by AttachPlanes before concurrent use.
+	// entries (and a nil slice) compute uncached. Written once by
+	// AttachPlanes before concurrent use.
 	planes      []*distPlane
 	planeFlavor EditFlavor
 	planeHits   atomic.Uint64
 	planeMisses atomic.Uint64
-}
-
-const (
-	cacheShards = 32
-	// cacheShardCap bounds each shard's entry count. When a shard fills up
-	// it is reset wholesale (epoch eviction): recurring values repopulate
-	// it within one build, and the bound keeps long-lived servers from
-	// accumulating unbounded distinct-pair state across jobs.
-	cacheShardCap = 1 << 16
-)
-
-type cacheShard struct {
-	mu     sync.RWMutex
-	m      map[pairKey]cacheVal
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-// pairKey identifies one memoized distance: the column (numeric spans and
-// schema types are per-column), the edit flavor, and the ordered value
-// pair.
-type pairKey struct {
-	col    int
-	flavor EditFlavor
-	a, b   string
-}
-
-// cacheVal is one memoized result: the exact distance, or (exact=false) a
-// proven lower bound — the true distance is strictly greater than d.
-type cacheVal struct {
-	d     float64
-	exact bool
+	uncached    atomic.Uint64
 }
 
 // NewDistCache returns an empty cache ready for concurrent use.
 func NewDistCache() *DistCache {
-	return &DistCache{seed: maphash.MakeSeed()}
-}
-
-func (c *DistCache) shard(k pairKey) *cacheShard {
-	var h maphash.Hash
-	h.SetSeed(c.seed)
-	h.WriteString(k.a)
-	h.WriteByte(0)
-	h.WriteString(k.b)
-	h.WriteByte(byte(k.col))
-	h.WriteByte(byte(k.flavor))
-	return &c.shards[h.Sum64()%cacheShards]
-}
-
-func orderPair(col int, flavor EditFlavor, a, b string) pairKey {
-	if b < a {
-		a, b = b, a
-	}
-	return pairKey{col: col, flavor: flavor, a: a, b: b}
-}
-
-// lookup fetches the memoized entry without touching the counters; the
-// caller records a hit or miss once it knows whether the entry answers its
-// query (a lower bound may be too weak for the budget at hand).
-func (c *DistCache) lookup(col int, flavor EditFlavor, a, b string) (cacheVal, *cacheShard, bool) {
-	k := orderPair(col, flavor, a, b)
-	s := c.shard(k)
-	s.mu.RLock()
-	v, ok := s.m[k]
-	s.mu.RUnlock()
-	return v, s, ok
-}
-
-// getExact returns the memoized exact distance, counting the hit or miss.
-// Lower-bound entries cannot answer an unbounded query and count as
-// misses.
-func (c *DistCache) getExact(col int, flavor EditFlavor, a, b string) (float64, bool) {
-	v, s, ok := c.lookup(col, flavor, a, b)
-	if ok && v.exact {
-		s.hits.Add(1)
-		return v.d, true
-	}
-	s.misses.Add(1)
-	return 0, false
-}
-
-// putExact stores a fully computed distance, superseding any bound.
-func (c *DistCache) putExact(col int, flavor EditFlavor, a, b string, d float64) {
-	c.store(orderPair(col, flavor, a, b), cacheVal{d: d, exact: true})
-}
-
-// putBound records that the distance of the pair strictly exceeds t. An
-// existing exact entry or a stronger bound is left in place.
-func (c *DistCache) putBound(col int, flavor EditFlavor, a, b string, t float64) {
-	k := orderPair(col, flavor, a, b)
-	s := c.shard(k)
-	s.mu.Lock()
-	if old, ok := s.m[k]; ok && (old.exact || old.d >= t) {
-		s.mu.Unlock()
-		return
-	}
-	s.storeLocked(k, cacheVal{d: t})
-	s.mu.Unlock()
-}
-
-func (c *DistCache) store(k pairKey, v cacheVal) {
-	s := c.shard(k)
-	s.mu.Lock()
-	s.storeLocked(k, v)
-	s.mu.Unlock()
-}
-
-func (s *cacheShard) storeLocked(k pairKey, v cacheVal) {
-	if s.m == nil || len(s.m) >= cacheShardCap {
-		s.m = make(map[pairKey]cacheVal)
-	}
-	s.m[k] = v
+	return &DistCache{}
 }
 
 // AttachPlanes equips the cache with per-column distance planes over the
 // given dictionaries for one edit flavor. Columns with a nil dictionary,
 // fewer than two distinct values, or a domain exceeding the plane size caps
-// are skipped (their pairs keep using the sharded maps), and the Jaccard
-// flavor attaches nothing (its distances are not integer edit counts).
-// Attach before sharing the cache across goroutines; attaching replaces any
-// previous planes.
+// are skipped (their pairs compute uncached). Attach before sharing the
+// cache across goroutines; attaching replaces any previous planes.
 func (c *DistCache) AttachPlanes(dicts []*dataset.Dict, flavor EditFlavor) {
-	c.planes = nil
 	c.planeFlavor = flavor
-	if flavor == EditJaccard || len(dicts) == 0 {
-		return
-	}
-	planes := make([]*distPlane, len(dicts))
-	attached := false
+	c.planes = make([]*distPlane, len(dicts))
 	budget := planeTotalCells
 	for col, d := range dicts {
 		if d == nil || d.Len() < 2 {
@@ -195,54 +62,55 @@ func (c *DistCache) AttachPlanes(dicts []*dataset.Dict, flavor EditFlavor) {
 		if cells > planeMaxCells || cells > budget {
 			continue
 		}
-		planes[col] = newDistPlane(d)
+		c.planes[col] = newDistPlane(d)
 		budget -= cells
-		attached = true
-	}
-	if attached {
-		c.planes = planes
 	}
 }
 
-// plane returns col's distance plane when one is attached for the flavor.
-func (c *DistCache) plane(col int, flavor EditFlavor) *distPlane {
-	if c.planes == nil || flavor != c.planeFlavor || col >= len(c.planes) {
-		return nil
+// interned resolves a string pair to col's distance plane and the values'
+// codes; ok is false unless a plane is attached for the flavor and its
+// dictionary holds both values.
+func (c *DistCache) interned(col int, flavor EditFlavor, a, b string) (p *distPlane, ca, cb int32, ok bool) {
+	if flavor != c.planeFlavor || col >= len(c.planes) || c.planes[col] == nil {
+		return nil, 0, 0, false
 	}
-	return c.planes[col]
+	p = c.planes[col]
+	if ca, ok = p.dict.Code(a); !ok {
+		return nil, 0, 0, false
+	}
+	cb, ok = p.dict.Code(b)
+	return p, ca, cb, ok
 }
 
-// Counters returns the cumulative hit and miss counts across all shards and
-// planes.
+// countStore records a plane query that computed its pair: a miss when its
+// store filled the empty cell, a hit otherwise.
+func (c *DistCache) countStore(filled bool) {
+	if filled {
+		c.planeMisses.Add(1)
+	} else {
+		c.planeHits.Add(1)
+	}
+}
+
+// Counters returns the cumulative hit and miss counts: plane traffic plus
+// one miss per uncached computation.
 func (c *DistCache) Counters() (hits, misses uint64) {
-	for i := range c.shards {
-		hits += c.shards[i].hits.Load()
-		misses += c.shards[i].misses.Load()
-	}
-	hits += c.planeHits.Load()
-	misses += c.planeMisses.Load()
-	return hits, misses
+	return c.planeHits.Load(), c.planeMisses.Load() + c.uncached.Load()
 }
 
 // PlaneCounters returns the cumulative plane-only hit and miss counts: how
-// many lookups the per-column distance planes answered with one atomic load
-// versus how many fell through to the sharded maps. The same counts are
-// folded into Counters' totals; this accessor splits them out so per-run
-// deltas can attribute cache traffic to the plane fast path.
+// many lookups the per-column distance planes answered versus how many
+// filled an empty cell. The same counts are folded into Counters' totals;
+// this accessor splits them out so per-run deltas can attribute cache
+// traffic to the planes rather than to uncached computation.
 func (c *DistCache) PlaneCounters() (hits, misses uint64) {
 	return c.planeHits.Load(), c.planeMisses.Load()
 }
 
-// Len returns the number of memoized entries currently held, occupied plane
-// cells included.
+// Len returns the number of memoized entries currently held: the occupied
+// plane cells.
 func (c *DistCache) Len() int {
 	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
 	for _, p := range c.planes {
 		if p != nil {
 			n += p.occupied()

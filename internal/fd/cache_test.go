@@ -88,8 +88,10 @@ func TestCachedDistWithinAgrees(t *testing.T) {
 }
 
 func TestDistCacheCounters(t *testing.T) {
+	// Interned values answer from the plane: the first query fills the
+	// pair's cell (one miss), the swapped query reads the same cell (a hit).
 	schema := dataset.Strings("A")
-	rel, err := dataset.FromRows(schema, [][]string{{"x"}})
+	rel, err := dataset.FromRows(schema, [][]string{{"boston"}, {"bostom"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +99,11 @@ func TestDistCacheCounters(t *testing.T) {
 	if h, m := cfg.Cache.Counters(); h != 0 || m != 0 {
 		t.Fatalf("fresh cache counters = %d/%d", h, m)
 	}
-	cfg.AttrDist(0, "boston", "bostom") // miss, then stored
+	cfg.AttrDist(0, "boston", "bostom") // miss: fills the cell
 	if h, m := cfg.Cache.Counters(); h != 0 || m != 1 {
 		t.Fatalf("after first query: hits %d, misses %d", h, m)
 	}
-	cfg.AttrDist(0, "bostom", "boston") // symmetric: same entry
+	cfg.AttrDist(0, "bostom", "boston") // symmetric: same cell
 	if h, m := cfg.Cache.Counters(); h != 1 || m != 1 {
 		t.Fatalf("after symmetric query: hits %d, misses %d", h, m)
 	}
@@ -113,65 +115,17 @@ func TestDistCacheCounters(t *testing.T) {
 	if h, m := cfg.Cache.Counters(); h != 1 || m != 1 {
 		t.Fatalf("equal-string query touched the cache: hits %d, misses %d", h, m)
 	}
-	// A different flavor is a different key.
+	// The planes serve the attached flavor only: an OSA query on the
+	// Levenshtein planes computes uncached, counting a miss every time and
+	// filling no cell.
 	cfg.Edit = fd.EditOSA
 	cfg.AttrDist(0, "boston", "bostom")
-	if h, m := cfg.Cache.Counters(); h != 1 || m != 2 {
-		t.Fatalf("flavor change hit the wrong entry: hits %d, misses %d", h, m)
+	cfg.AttrDist(0, "boston", "bostom")
+	if h, m := cfg.Cache.Counters(); h != 1 || m != 3 {
+		t.Fatalf("flavor mismatch: hits %d, misses %d, want 1/3", h, m)
 	}
-	if cfg.Cache.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", cfg.Cache.Len())
-	}
-}
-
-// lowerBoundRel is the two-tuple fixture for the lower-bound tests:
-// dist(A) = 1/4, weighted 0.125 under the default w_l = 0.5.
-func lowerBoundRel(t *testing.T) (*dataset.Relation, *fd.FD) {
-	t.Helper()
-	schema := dataset.Strings("A", "B")
-	rel, err := dataset.FromRows(schema, [][]string{{"abcd", "x"}, {"abce", "x"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rel, fd.MustParse(schema, "A->B")
-}
-
-func checkLowerBound(t *testing.T, cfg *fd.DistConfig, f *fd.FD, t1, t2 dataset.Tuple,
-	step string, tau float64, wantOK bool, wantHits, wantMisses uint64) {
-	t.Helper()
-	if _, ok := cfg.DistWithin(f, tau, t1, t2); ok != wantOK {
-		t.Fatalf("%s: DistWithin ok = %v, want %v", step, ok, wantOK)
-	}
-	if h, m := cfg.Cache.Counters(); h != wantHits || m != wantMisses {
-		t.Fatalf("%s: counters = %d/%d, want %d/%d", step, h, m, wantHits, wantMisses)
-	}
-}
-
-func TestDistCacheLowerBounds(t *testing.T) {
-	// A bounded rejection is memoized as a lower bound: it answers repeat
-	// queries at the same or smaller budget, is recomputed (and upgraded)
-	// at a larger budget, and is superseded by an exact entry once some
-	// query accepts the pair. This exercises the sharded-map path, so the
-	// planes are detached (no dictionaries, fresh cache).
-	rel, f := lowerBoundRel(t)
-	cfg := fd.DefaultDistConfig(rel)
-	cfg.Dicts = nil
-	cfg.Cache = fd.NewDistCache()
-	t1, t2 := rel.Tuples[0], rel.Tuples[1]
-	check := func(step string, tau float64, wantOK bool, wantHits, wantMisses uint64) {
-		t.Helper()
-		checkLowerBound(t, cfg, f, t1, t2, step, tau, wantOK, wantHits, wantMisses)
-	}
-	check("first rejection", 0.05, false, 0, 1)  // miss, bound stored
-	check("repeat rejection", 0.05, false, 1, 1) // answered by the bound
-	check("larger budget", 0.08, false, 1, 2)    // float bound too weak: recompute
-	check("acceptance", 0.2, true, 1, 3)         // exact entry replaces bound
-	check("reject via exact", 0.05, false, 2, 3)
-	if d := cfg.AttrDist(0, "abcd", "abce"); !fd.FloatEq(d, 0.25) {
-		t.Fatalf("AttrDist = %v, want 0.25", d)
-	}
-	if h, m := cfg.Cache.Counters(); h != 3 || m != 3 {
-		t.Fatalf("final counters = %d/%d, want 3/3", h, m)
+	if ph, pm := cfg.Cache.PlaneCounters(); ph != 1 || pm != 1 {
+		t.Fatalf("flavor mismatch reached the plane: plane counters %d/%d", ph, pm)
 	}
 	if cfg.Cache.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", cfg.Cache.Len())
@@ -179,28 +133,43 @@ func TestDistCacheLowerBounds(t *testing.T) {
 }
 
 func TestDistPlaneLowerBounds(t *testing.T) {
-	// Same sequence on the distance-plane path (both values interned).
-	// Plane bounds live in integer space — a rejection at band int(t*m)
-	// answers every later budget with the same band — so the "larger
-	// budget" step that recomputes on the map path is a plane hit: tau
-	// 0.08 still yields band int(0.16*4) = 0, covered by the stored bound.
-	rel, f := lowerBoundRel(t)
+	// A bounded rejection is memoized as a lower bound: it answers repeat
+	// queries at the same or smaller budget, and is superseded by an exact
+	// cell once some query accepts the pair. Plane bounds live in integer
+	// space — a rejection at band int(t*m) answers every later budget with
+	// the same band — so tau 0.08 still yields band int(0.16*4) = 0,
+	// covered by the stored bound. Only the query that fills the empty
+	// cell counts a miss; the acceptance that upgrades the bound recomputes
+	// but counts a hit.
+	//
+	// dist(A) = 1/4, weighted 0.125 under the default w_l = 0.5.
+	schema := dataset.Strings("A", "B")
+	rel, err := dataset.FromRows(schema, [][]string{{"abcd", "x"}, {"abce", "x"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fd.MustParse(schema, "A->B")
 	cfg := fd.DefaultDistConfig(rel) // planes attached by NewDistConfig
 	t1, t2 := rel.Tuples[0], rel.Tuples[1]
 	check := func(step string, tau float64, wantOK bool, wantHits, wantMisses uint64) {
 		t.Helper()
-		checkLowerBound(t, cfg, f, t1, t2, step, tau, wantOK, wantHits, wantMisses)
+		if _, ok := cfg.DistWithin(f, tau, t1, t2); ok != wantOK {
+			t.Fatalf("%s: DistWithin ok = %v, want %v", step, ok, wantOK)
+		}
+		if h, m := cfg.Cache.Counters(); h != wantHits || m != wantMisses {
+			t.Fatalf("%s: counters = %d/%d, want %d/%d", step, h, m, wantHits, wantMisses)
+		}
 	}
-	check("first rejection", 0.05, false, 0, 1)  // miss, bound L=0 stored
+	check("first rejection", 0.05, false, 0, 1)  // miss, bound L=0 fills the cell
 	check("repeat rejection", 0.05, false, 1, 1) // answered by the bound
 	check("same-band budget", 0.08, false, 2, 1) // band still 0: bound answers
-	check("acceptance", 0.2, true, 2, 2)         // band 1: exact cell replaces bound
-	check("reject via exact", 0.05, false, 3, 2)
+	check("acceptance", 0.2, true, 3, 1)         // band 1: exact cell replaces bound
+	check("reject via exact", 0.05, false, 4, 1)
 	if d := cfg.AttrDist(0, "abcd", "abce"); !fd.FloatEq(d, 0.25) {
 		t.Fatalf("AttrDist = %v, want 0.25", d)
 	}
-	if h, m := cfg.Cache.Counters(); h != 4 || m != 2 {
-		t.Fatalf("final counters = %d/%d, want 4/2", h, m)
+	if h, m := cfg.Cache.Counters(); h != 5 || m != 1 {
+		t.Fatalf("final counters = %d/%d, want 5/1", h, m)
 	}
 	if cfg.Cache.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (one occupied plane cell)", cfg.Cache.Len())
@@ -218,21 +187,29 @@ func TestDistCacheNumericBypass(t *testing.T) {
 	if h, m := cfg.Cache.Counters(); h != 0 || m != 0 {
 		t.Fatalf("numeric comparison touched the cache: hits %d, misses %d", h, m)
 	}
-	// Unparseable numerics fall back to the string path, which does cache.
+	// Unparseable numerics fall back to the string path. A numeric column
+	// has no dictionary, hence no plane: each such query computes uncached
+	// and counts one miss.
 	cfg.AttrDist(0, "one", "two")
-	if _, m := cfg.Cache.Counters(); m != 1 {
-		t.Fatalf("unparseable numeric bypassed the cache: misses %d", m)
+	cfg.AttrDist(0, "one", "two")
+	if h, m := cfg.Cache.Counters(); h != 0 || m != 2 {
+		t.Fatalf("unparseable numerics: hits %d, misses %d, want 0/2", h, m)
 	}
 }
 
 func TestDistCacheConcurrent(t *testing.T) {
-	// Hammer one shared cache from many goroutines; correctness is checked
-	// against an uncached config, and the race detector checks the locking.
+	// Hammer one shared cache from many goroutines with interned City values
+	// (plane path) and un-interned noisy words (uncached path); correctness
+	// is checked against an uncached config, and the race detector checks
+	// the plane's atomics.
 	dirty, _ := gen.Citizens()
 	cached := fd.DefaultDistConfig(dirty)
 	bare := fd.DefaultDistConfig(dirty)
 	bare.Cache = nil
 	words := randomWords(rand.New(rand.NewSource(2)), 30)
+	for _, tu := range dirty.Tuples {
+		words = append(words, tu[3])
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -257,7 +234,11 @@ func TestDistCacheConcurrent(t *testing.T) {
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
-	if h, m := cached.Cache.Counters(); h == 0 || m == 0 {
-		t.Fatalf("expected both hits and misses, got %d/%d", h, m)
+	ph, pm := cached.Cache.PlaneCounters()
+	if ph == 0 || pm == 0 {
+		t.Fatalf("plane never engaged: plane counters %d/%d", ph, pm)
+	}
+	if _, m := cached.Cache.Counters(); m == pm {
+		t.Fatal("uncached path never engaged: every miss was a plane fill")
 	}
 }

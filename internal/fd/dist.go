@@ -27,18 +27,20 @@ type DistConfig struct {
 	// transpositions at cost 1) models keyboard typos more closely.
 	Edit EditFlavor
 	// Cache memoizes per-attribute string distances across the whole
-	// pipeline (graph construction, repair costs, target search). Nil
-	// bypasses memoization. NewDistConfig enables it by default; callers
-	// constructing a DistConfig literal opt in explicitly. The cache keys
-	// include the edit flavor, so mutating Edit on a live config is safe.
+	// pipeline (graph construction, repair costs, target search) and counts
+	// the lookups. Nil bypasses memoization and counting. NewDistConfig
+	// enables it by default; callers constructing a DistConfig literal opt
+	// in explicitly. The planes serve only the flavor they were attached
+	// for, so mutating Edit on a live config is safe: queries of another
+	// flavor compute uncached until AttachPlanes runs again.
 	Cache *DistCache
 	// Dicts holds the per-column value dictionaries (nil for numeric
 	// columns) backing the cache's distance planes: pairs of interned
 	// values resolve to integer codes and their distances memoize in flat
-	// triangular arrays instead of the sharded maps. NewDistConfig builds
-	// them from the relation; a nil slice simply keeps every pair on the
-	// map path. Call AttachPlanes after replacing Cache or mutating Edit
-	// so the planes follow.
+	// triangular arrays. NewDistConfig builds them from the relation; with
+	// a nil slice the cache holds no planes and every string pair computes
+	// uncached. Call AttachPlanes after replacing Cache or mutating Edit so
+	// the planes follow.
 	Dicts []*dataset.Dict
 }
 
@@ -147,7 +149,7 @@ func NewDistConfig(rel *dataset.Relation, wl, wr float64) (*DistConfig, error) {
 // AttachPlanes (re)attaches the cache's per-column distance planes for the
 // config's current edit flavor. Call it after swapping Cache (fresh caches
 // start plane-less) or mutating Edit; without dictionaries or a cache it is
-// a no-op and every pair stays on the sharded-map path.
+// a no-op and every string pair computes uncached.
 func (cfg *DistConfig) AttachPlanes() {
 	if cfg.Cache == nil || cfg.Dicts == nil {
 		return
@@ -174,10 +176,10 @@ func close1(x float64) bool {
 // that fail to parse fall back to string comparison, so dirty numeric cells
 // (a real-world occurrence) degrade gracefully rather than aborting.
 //
-// String comparisons consult Cache when set — the column's distance plane
-// when both values are interned, the sharded map otherwise. Numeric
-// comparisons bypass both: parsing plus a subtraction is cheaper than any
-// lookup.
+// String comparisons consult Cache when set: the column's distance plane
+// answers when both values are interned, anything else computes uncached
+// and counts a miss. Numeric comparisons bypass the cache: parsing plus a
+// subtraction is cheaper than any lookup.
 func (cfg *DistConfig) AttrDist(col int, a, b string) float64 {
 	return cfg.attrDist(col, a, b, nil)
 }
@@ -194,19 +196,10 @@ func (cfg *DistConfig) attrDist(col int, a, b string, mt *strsim.Matcher) float6
 		}
 	}
 	if cfg.Cache != nil {
-		if p := cfg.Cache.plane(col, cfg.Edit); p != nil {
-			if ca, okA := p.dict.Code(a); okA {
-				if cb, okB := p.dict.Code(b); okB {
-					return cfg.planeDist(p, ca, cb, a, b, mt)
-				}
-			}
+		if p, ca, cb, ok := cfg.Cache.interned(col, cfg.Edit, a, b); ok {
+			return cfg.planeDist(p, ca, cb, a, b, mt)
 		}
-		if d, ok := cfg.Cache.getExact(col, cfg.Edit, a, b); ok {
-			return d
-		}
-		d := cfg.stringDist(a, b, mt)
-		cfg.Cache.putExact(col, cfg.Edit, a, b, d)
-		return d
+		cfg.Cache.uncached.Add(1)
 	}
 	return cfg.stringDist(a, b, mt)
 }
@@ -216,6 +209,9 @@ func (cfg *DistConfig) attrDist(col int, a, b string, mt *strsim.Matcher) float6
 // exact expression NormalizedEdit/NormalizedOSA evaluate — so a plane hit
 // is bitwise equal to recomputation.
 func (cfg *DistConfig) planeDist(p *distPlane, ca, cb int32, a, b string, mt *strsim.Matcher) float64 {
+	if cfg.Edit == EditJaccard {
+		return cfg.planeJaccard(p, ca, cb, a, b)
+	}
 	m := p.dict.RuneLen(ca)
 	if l := p.dict.RuneLen(cb); l > m {
 		m = l
@@ -224,7 +220,6 @@ func (cfg *DistConfig) planeDist(p *distPlane, ca, cb int32, a, b string, mt *st
 		cfg.Cache.planeHits.Add(1)
 		return float64(v&^planeExactBit) / float64(m)
 	}
-	cfg.Cache.planeMisses.Add(1)
 	var k int
 	switch {
 	case mt != nil:
@@ -234,8 +229,29 @@ func (cfg *DistConfig) planeDist(p *distPlane, ca, cb int32, a, b string, mt *st
 	default:
 		k = strsim.Levenshtein(a, b)
 	}
-	p.storeExact(ca, cb, k)
+	cfg.Cache.countStore(p.storeExact(ca, cb, planeExactBit|uint32(k)))
 	return float64(k) / float64(m)
+}
+
+// planeJaccard answers a Jaccard query from the column's distance plane,
+// which stores the pair's 2-gram intersection and union counts; the result
+// is JaccardDistance's own 1 - inter/union, so a hit is bitwise equal to
+// recomputation. Pairs whose counts overflow a cell compute uncached.
+func (cfg *DistConfig) planeJaccard(p *distPlane, ca, cb int32, a, b string) float64 {
+	var inter, union int
+	if v := p.load(ca, cb); v&planeExactBit != 0 {
+		cfg.Cache.planeHits.Add(1)
+		inter, union = int(v>>jaccardUnionBits&jaccardMaxInter), int(v&jaccardMaxUnion)
+	} else {
+		inter, union = strsim.JaccardCounts(a, b, 2)
+		if inter <= jaccardMaxInter && union <= jaccardMaxUnion {
+			cfg.Cache.countStore(p.storeExact(ca, cb, planeExactBit|uint32(inter)<<jaccardUnionBits|uint32(union)))
+		} else {
+			cfg.Cache.uncached.Add(1)
+		}
+	}
+	// Distinct values each yield at least one gram, so union >= 1.
+	return 1 - float64(inter)/float64(union)
 }
 
 // stringDist is StringDist with an optional prebuilt matcher for a
@@ -342,49 +358,24 @@ func (cfg *DistConfig) distWithin(f *FD, tau float64, t1, t2 dataset.Tuple, pm *
 
 // stringDistWithinCached is StringDistWithin routed through the length
 // lower bound and the distance cache. The length bound applies to the edit
-// flavors only (a q-gram Jaccard distance can undercut it). An exact cache
-// entry answers the bounded query outright; a memoized lower bound answers
-// it when the budget does not exceed the bound (the distance provably
-// does). Accepted bounded results are bitwise equal to the full distance
-// (both evaluate d/m in float64) and are stored exactly; rejections are
-// stored as lower bounds at the rejecting budget. Either way, cached and
-// uncached runs agree exactly.
-//
-// When both values are interned in an attached distance plane the query is
-// answered there instead: exact cells reject or accept in integer space and
-// reconstruct the same d/m float, bound cells reject any budget whose
-// integer band int(t*m) the stored bound covers. mt optionally carries a's
+// flavors only (a q-gram Jaccard distance can undercut it). When both
+// values are interned in an attached distance plane the query is answered
+// there: exact cells reject or accept and reconstruct the same float the
+// full computation yields, bound cells reject any budget whose integer band
+// int(t*m) the stored bound covers. Anything else computes uncached. Either
+// way, cached and uncached runs agree exactly. mt optionally carries a's
 // prebuilt matcher (Levenshtein flavor only) for the compute path.
 func (cfg *DistConfig) stringDistWithinCached(col int, a, b string, t float64, mt *strsim.Matcher) (float64, bool) {
 	if cfg.Edit != EditJaccard && strsim.MinDistByLength(a, b) > t {
 		return 0, false
 	}
-	if cfg.Cache == nil {
-		return cfg.stringDistWithin(a, b, t, mt)
-	}
-	if p := cfg.Cache.plane(col, cfg.Edit); p != nil {
-		if ca, okA := p.dict.Code(a); okA {
-			if cb, okB := p.dict.Code(b); okB {
-				return cfg.planeDistWithin(p, ca, cb, a, b, t, mt)
-			}
+	if cfg.Cache != nil {
+		if p, ca, cb, ok := cfg.Cache.interned(col, cfg.Edit, a, b); ok {
+			return cfg.planeDistWithin(p, ca, cb, a, b, t, mt)
 		}
+		cfg.Cache.uncached.Add(1)
 	}
-	v, s, ok := cfg.Cache.lookup(col, cfg.Edit, a, b)
-	if ok && (v.exact || t <= v.d) {
-		s.hits.Add(1)
-		if !v.exact || v.d > t {
-			return 0, false
-		}
-		return v.d, true
-	}
-	s.misses.Add(1)
-	d, ok := cfg.stringDistWithin(a, b, t, mt)
-	if ok {
-		cfg.Cache.putExact(col, cfg.Edit, a, b, d)
-	} else {
-		cfg.Cache.putBound(col, cfg.Edit, a, b, t)
-	}
-	return d, ok
+	return cfg.stringDistWithin(a, b, t, mt)
 }
 
 // planeDistWithin answers a bounded query from the column's distance plane
@@ -392,7 +383,15 @@ func (cfg *DistConfig) stringDistWithinCached(col int, a, b string, t float64, m
 // int(t*m), acceptance reconstructs float64(k)/float64(m), and the final
 // nd > t guard is preserved. A stored lower bound L rejects any query whose
 // band does not exceed it — the distance provably exceeds L >= int(t*m).
+// Jaccard queries resolve the exact distance and compare it, as
+// StringDistWithin does.
 func (cfg *DistConfig) planeDistWithin(p *distPlane, ca, cb int32, a, b string, t float64, mt *strsim.Matcher) (float64, bool) {
+	if cfg.Edit == EditJaccard {
+		if d := cfg.planeJaccard(p, ca, cb, a, b); d <= t {
+			return d, true
+		}
+		return 0, false
+	}
 	if t < 0 {
 		return 0, false
 	}
@@ -415,7 +414,6 @@ func (cfg *DistConfig) planeDistWithin(p *distPlane, ca, cb int32, a, b string, 
 		cfg.Cache.planeHits.Add(1)
 		return 0, false
 	}
-	cfg.Cache.planeMisses.Add(1)
 	var k int
 	var ok bool
 	switch {
@@ -427,10 +425,10 @@ func (cfg *DistConfig) planeDistWithin(p *distPlane, ca, cb int32, a, b string, 
 		k, ok = strsim.LevenshteinBounded(a, b, maxDist)
 	}
 	if !ok {
-		p.storeBound(ca, cb, maxDist)
+		cfg.Cache.countStore(p.storeBound(ca, cb, maxDist))
 		return 0, false
 	}
-	p.storeExact(ca, cb, k)
+	cfg.Cache.countStore(p.storeExact(ca, cb, planeExactBit|uint32(k)))
 	nd := float64(k) / float64(m)
 	if nd > t {
 		return 0, false

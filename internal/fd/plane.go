@@ -6,16 +6,16 @@ import (
 	"ftrepair/internal/dataset"
 )
 
-// distPlane memoizes the integer edit distances of one column's interned
-// value pairs in a flat triangular array: cell(a, b) with a < b lives at
-// b*(b-1)/2 + a. Reads are a single atomic load — no hashing, no locks —
-// which is what the 99%-hit distance paths of graph construction pay per
-// pair. Writes are improve-only compare-and-swap upgrades, so concurrent
-// build workers race benignly: a lost race leaves a weaker (still correct)
-// entry, never a wrong one, and cached runs stay bit-identical to uncached
-// ones at any worker count.
+// distPlane memoizes the distances of one column's interned value pairs in
+// a flat triangular array: cell(a, b) with a < b lives at b*(b-1)/2 + a.
+// Reads are a single atomic load — no hashing, no locks — which is what the
+// 99%-hit distance paths of graph construction pay per pair. Writes are
+// improve-only compare-and-swap upgrades, so concurrent build workers race
+// benignly: a lost race leaves a weaker (still correct) entry, never a
+// wrong one, and cached runs stay bit-identical to uncached ones at any
+// worker count.
 //
-// Cell encoding (uint32):
+// Cell encoding (uint32) for the edit flavors:
 //
 //	0                  — empty
 //	planeExactBit | k  — the exact integer edit distance is k
@@ -30,6 +30,12 @@ import (
 // last bits of cost sums). A bound is consulted in integer space: a bounded
 // query with budget t rejects outright when its int(t*m) does not exceed a
 // stored L.
+//
+// Jaccard cells are always exact: planeExactBit | inter<<16 | union, the
+// pair's 2-gram set intersection (15 bits) and union (16 bits) counts from
+// strsim.JaccardCounts, reconstructed as 1 - inter/union — again the
+// expression JaccardDistance evaluates. Pairs whose counts do not fit are
+// computed uncached.
 type distPlane struct {
 	dict  *dataset.Dict
 	cells []atomic.Uint32
@@ -39,11 +45,15 @@ const (
 	planeExactBit = uint32(1) << 31
 	// planeMaxCells caps one column's triangular cell count (pairs of
 	// distinct values); 1<<22 cells is 16 MiB. Columns with larger active
-	// domains keep using the sharded map.
+	// domains compute uncached.
 	planeMaxCells = 1 << 22
 	// planeTotalCells caps the summed cell count across all columns of one
 	// cache, bounding a config's plane memory at 32 MiB.
 	planeTotalCells = 1 << 23
+
+	jaccardUnionBits = 16
+	jaccardMaxUnion  = 1<<jaccardUnionBits - 1
+	jaccardMaxInter  = 1<<15 - 1
 )
 
 // planeCells is the triangular size for n distinct values.
@@ -65,29 +75,36 @@ func (p *distPlane) cell(a, b int32) *atomic.Uint32 {
 // load fetches the raw cell value (0 when the pair was never evaluated).
 func (p *distPlane) load(a, b int32) uint32 { return p.cell(a, b).Load() }
 
-// storeExact records the exact integer distance k, superseding any bound.
-// An exact value is a pure function of the pair, so once a cell is exact it
+// storeExact records the exact cell value v (planeExactBit set),
+// superseding any bound, and reports whether it filled an empty cell. An
+// exact value is a pure function of the pair, so once a cell is exact it
 // never changes.
-func (p *distPlane) storeExact(a, b int32, k int) {
+func (p *distPlane) storeExact(a, b int32, v uint32) bool {
 	c := p.cell(a, b)
-	v := planeExactBit | uint32(k)
 	for {
 		old := c.Load()
-		if old&planeExactBit != 0 || c.CompareAndSwap(old, v) {
-			return
+		if old&planeExactBit != 0 {
+			return false
+		}
+		if c.CompareAndSwap(old, v) {
+			return old == 0
 		}
 	}
 }
 
-// storeBound records that the pair's distance strictly exceeds L. Exact
-// entries and stronger (larger) bounds are kept.
-func (p *distPlane) storeBound(a, b int32, L int) {
+// storeBound records that the pair's distance strictly exceeds L and
+// reports whether it filled an empty cell. Exact entries and stronger
+// (larger) bounds are kept.
+func (p *distPlane) storeBound(a, b int32, L int) bool {
 	c := p.cell(a, b)
 	v := uint32(L) + 1
 	for {
 		old := c.Load()
-		if old&planeExactBit != 0 || old >= v || c.CompareAndSwap(old, v) {
-			return
+		if old&planeExactBit != 0 || old >= v {
+			return false
+		}
+		if c.CompareAndSwap(old, v) {
+			return old == 0
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"ftrepair/internal/dataset"
 	"ftrepair/internal/fd"
 	"ftrepair/internal/gen"
+	"ftrepair/internal/strsim"
 )
 
 // TestPlaneDistancesBitwiseEqual drives the distance-plane path with the
@@ -16,7 +17,7 @@ import (
 func TestPlaneDistancesBitwiseEqual(t *testing.T) {
 	dirty, _ := gen.Citizens()
 	f := gen.CitizensFDs(dirty.Schema)[1] // City -> State
-	for _, flavor := range []fd.EditFlavor{fd.EditLevenshtein, fd.EditOSA} {
+	for _, flavor := range []fd.EditFlavor{fd.EditLevenshtein, fd.EditOSA, fd.EditJaccard} {
 		planed := fd.DefaultDistConfig(dirty)
 		planed.Edit = flavor
 		planed.AttachPlanes()
@@ -45,6 +46,40 @@ func TestPlaneDistancesBitwiseEqual(t *testing.T) {
 		if h, _ := planed.Cache.Counters(); h == 0 {
 			t.Fatalf("flavor %d: no cache hits — plane never engaged", flavor)
 		}
+	}
+
+	// An interned pair whose 2-gram intersection count (32999) does not fit
+	// a Jaccard cell computes uncached: bitwise equal to JaccardDistance, a
+	// miss per query, no cell filled. Jaccard only — the edit flavors' full
+	// DP on 33000-rune values would dominate the test's run time.
+	long := make([]rune, 33000)
+	for i := range long {
+		long[i] = rune(0x10000 + i) // distinct runes: 32999 distinct 2-grams
+	}
+	a, b := string(long), string(long)+"z"
+	schema := dataset.Strings("A", "B")
+	rel, err := dataset.FromRows(schema, [][]string{{a, "x"}, {b, "x"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f = fd.MustParse(schema, "A->B")
+	cfg := fd.DefaultDistConfig(rel)
+	cfg.Edit = fd.EditJaccard
+	cfg.AttachPlanes()
+	want := strsim.JaccardDistance(a, b, 2)
+	for pass := 0; pass < 2; pass++ {
+		if got := cfg.AttrDist(0, a, b); got != want {
+			t.Fatalf("pass %d: AttrDist = %v, want %v", pass, got, want)
+		}
+		if d, ok := cfg.DistWithin(f, 0.5, rel.Tuples[0], rel.Tuples[1]); !ok || d != cfg.WL*want {
+			t.Fatalf("pass %d: DistWithin = %v,%v, want %v,true", pass, d, ok, cfg.WL*want)
+		}
+	}
+	if h, m := cfg.Cache.Counters(); h != 0 || m != 4 {
+		t.Fatalf("counters = %d/%d, want 0/4 (uncached)", h, m)
+	}
+	if n := cfg.Cache.Len(); n != 0 {
+		t.Fatalf("Len = %d, want 0: an overflowing pair must not fill a cell", n)
 	}
 }
 

@@ -28,11 +28,11 @@ var Pipeline = struct {
 	DistCacheHits   *Counter
 	DistCacheMisses *Counter
 	// DistPlaneHits / DistPlaneMisses are the per-run distance-plane deltas
-	// (the "distPlaneHits"/"distPlaneMisses" Stats entries): pairs answered
-	// by one atomic load against a per-column plane versus pairs that fell
-	// through to the sharded maps. The plane counts are also folded into
-	// the distcache totals above, so these split the cache traffic, they do
-	// not add to it.
+	// (the "distPlaneHits"/"distPlaneMisses" Stats entries): plane lookups
+	// answered without filling a cell versus lookups that filled an empty
+	// cell. The plane counts are also folded into the distcache totals
+	// above, whose misses add the uncached computations, so these split the
+	// cache traffic, they do not add to it.
 	DistPlaneHits   *Counter
 	DistPlaneMisses *Counter
 	// MISNodes / MISPruned count expansion-tree nodes explored and subtrees
@@ -64,7 +64,7 @@ var Pipeline = struct {
 	DistPlaneHits: std.Counter("ftrepair_distplane_hits_total",
 		"Distance-plane hits (one-atomic-load answers) reported by finished repair runs."),
 	DistPlaneMisses: std.Counter("ftrepair_distplane_misses_total",
-		"Distance-plane fall-throughs to the sharded maps reported by finished repair runs."),
+		"Distance-plane lookups that filled an empty cell reported by finished repair runs."),
 	MISNodes: std.Counter("ftrepair_mis_nodes_explored_total",
 		"Expansion-tree nodes explored by the exact MIS search."),
 	MISPruned: std.Counter("ftrepair_mis_subtrees_pruned_total",

@@ -8,8 +8,10 @@ import (
 	"reflect"
 	"testing"
 
+	"ftrepair/internal/dataset"
 	"ftrepair/internal/fd"
 	"ftrepair/internal/obs"
+	"ftrepair/internal/vgraph"
 )
 
 // phasesOf collects the distinct phases of a trace's ended spans.
@@ -139,16 +141,8 @@ func TestExactSTraceClosesOnCancel(t *testing.T) {
 // repaired with and without a trace attached produces bit-identical
 // relations, costs, and stats.
 func TestTraceDoesNotChangeOutput(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	rel := noisyTripleRelation(t, rng, 80, 0.3)
+	rel, set := twoFDInstance(t)
 	cfg := fd.DefaultDistConfig(rel)
-	set, err := fd.NewSet([]*fd.FD{
-		fd.MustParse(rel.Schema, "City->State"),
-		fd.MustParse(rel.Schema, "State->Country"),
-	}, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	plain, err := GreedyM(rel, set, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +161,42 @@ func TestTraceDoesNotChangeOutput(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain.Stats, traced.Stats) {
 		t.Fatalf("tracing changed stats: %v != %v", plain.Stats, traced.Stats)
+	}
+}
+
+// twoFDInstance is the noisy City/State/Country relation with its two
+// chained FDs that the Stats-equality tests repair.
+func twoFDInstance(t *testing.T) (*dataset.Relation, *fd.Set) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(13))
+	rel := noisyTripleRelation(t, rng, 80, 0.3)
+	set, err := fd.NewSet([]*fd.FD{
+		fd.MustParse(rel.Schema, "City->State"),
+		fd.MustParse(rel.Schema, "State->Country"),
+	}, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel, set
+}
+
+// TestCacheStatsScheduleIndependent repairs the same input with fresh
+// configs under eight concurrent graph-build workers: the distance-cache
+// counters in Stats must not depend on which worker reaches a value pair
+// first, so every run reports the same map.
+func TestCacheStatsScheduleIndependent(t *testing.T) {
+	rel, set := twoFDInstance(t)
+	var first map[string]int
+	for run := 0; run < 20; run++ {
+		res, err := GreedyM(rel, set, fd.DefaultDistConfig(rel), Options{Graph: vgraph.Options{Workers: 8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = res.Stats
+		} else if !reflect.DeepEqual(first, res.Stats) {
+			t.Fatalf("run %d stats %v differ from run 0 %v", run, res.Stats, first)
+		}
 	}
 }
 

@@ -128,7 +128,7 @@ func graphOpts(opts Options) vgraph.Options {
 // cacheSnap freezes the distance-cache counters at the start of a repair so
 // per-run deltas can be reported even though the cache (and its cumulative
 // counters) outlives individual runs. Plane counts are snapped separately:
-// they split the cache totals into fast-path and fall-through traffic.
+// they split the cache totals into plane traffic and uncached computations.
 type cacheSnap struct{ hits, misses, planeHits, planeMisses uint64 }
 
 func snapCacheStats(cfg *fd.DistConfig) cacheSnap {

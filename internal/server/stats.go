@@ -28,9 +28,9 @@ type StatsView struct {
 	// finished jobs (the "distCacheHits"/"distCacheMisses" Stats entries).
 	DistCacheHits   int `json:"distCacheHits"`
 	DistCacheMisses int `json:"distCacheMisses"`
-	// DistPlaneHits/Misses split the cache traffic above into the
-	// distance-plane fast path versus sharded-map fall-throughs (the
-	// "distPlaneHits"/"distPlaneMisses" Stats entries).
+	// DistPlaneHits/Misses split out the distance planes' share of the
+	// cache traffic above; the rest of the misses are uncached computations
+	// (the "distPlaneHits"/"distPlaneMisses" Stats entries).
 	DistPlaneHits   int                  `json:"distPlaneHits"`
 	DistPlaneMisses int                  `json:"distPlaneMisses"`
 	Algorithms      map[string]*AlgoStat `json:"algorithms"`

@@ -25,18 +25,24 @@ func JaccardDistance(a, b string, q int) float64 {
 	if a == b {
 		return 0
 	}
+	inter, union := JaccardCounts(a, b, q)
+	if union == 0 {
+		return 0
+	}
+	return 1 - float64(inter)/float64(union)
+}
+
+// JaccardCounts returns |A∩B| and |A∪B| over the q-gram sets of a and b:
+// the two counts JaccardDistance divides. Caches that store the counts
+// reconstruct the distance bit for bit with the same expression.
+func JaccardCounts(a, b string, q int) (inter, union int) {
 	ga, gb := QGrams(a, q), QGrams(b, q)
-	inter := 0
 	for g := range ga {
 		if _, ok := gb[g]; ok {
 			inter++
 		}
 	}
-	union := len(ga) + len(gb) - inter
-	if union == 0 {
-		return 0
-	}
-	return 1 - float64(inter)/float64(union)
+	return inter, len(ga) + len(gb) - inter
 }
 
 // Euclidean returns |a-b| / span, a normalized distance in [0,1] for numeric
