@@ -72,6 +72,7 @@ bench-check:
 alloc-smoke:
 	go test -run 'TestGreedyGrowthSteadyStateAllocs' ./internal/repair/
 	go test -run '^$$' -bench 'BenchmarkGreedyGrowth' -benchtime=1x -benchmem ./internal/repair/
+	go test -run '^$$' -bench 'BenchmarkJointGrowth' -benchtime=1x -benchmem ./internal/repair/
 	go test -run '^$$' -bench 'BenchmarkGraphBuildWorkers' -benchtime=1x -benchmem .
 
 experiments:

@@ -54,6 +54,13 @@ func ReadCSVOpts(r io.Reader, typeSpec string, opts CSVOptions) (*Relation, erro
 		return nil, err
 	}
 	rel := NewRelation(schema)
+	// encoding/csv backs every field of a record with one string, so a
+	// stored cell would keep its whole line alive. Each column keeps one
+	// clone per distinct value instead.
+	seen := make([]map[string]string, len(header))
+	for i := range seen {
+		seen[i] = make(map[string]string)
+	}
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -65,10 +72,16 @@ func ReadCSVOpts(r io.Reader, typeSpec string, opts CSVOptions) (*Relation, erro
 		if len(rec) != len(header) {
 			return nil, fmt.Errorf("dataset: CSV line %d has %d fields, header has %d", line, len(rec), len(header))
 		}
-		if opts.TrimSpace {
-			for i := range rec {
-				rec[i] = strings.TrimSpace(rec[i])
+		for i, v := range rec {
+			if opts.TrimSpace {
+				v = strings.TrimSpace(v)
 			}
+			u, ok := seen[i][v]
+			if !ok {
+				u = strings.Clone(v)
+				seen[i][u] = u
+			}
+			rec[i] = u
 		}
 		if err := rel.Append(Tuple(rec)); err != nil {
 			return nil, fmt.Errorf("dataset: CSV line %d: %w", line, err)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewSchemaValidation(t *testing.T) {
@@ -283,5 +284,51 @@ func TestReadCSVOpts(t *testing.T) {
 	}
 	if rel.Schema.Attr(1).Type != Numeric {
 		t.Fatal("type spec ignored")
+	}
+}
+
+// TestReadCSVSharesEqualCells checks the reader's per-column interning:
+// equal cells of one column share one string's storage, with and without
+// TrimSpace, no cell points into its record's line, and the cell values
+// are what the dialect says they are.
+func TestReadCSVSharesEqualCells(t *testing.T) {
+	long := "abcdefghijklmnopqrst" // 20 bytes: clones are 8-aligned, never 20 apart
+	in := "A,B\nx, y\nx,y \n z,y\nx,w\n" + long + "," + long + "\n"
+	for _, tc := range []struct {
+		trim bool
+		want []Tuple
+		// same lists pairs of cells ({row, col}) that must share storage.
+		same [][2][2]int
+	}{
+		{
+			trim: false,
+			want: []Tuple{{"x", " y"}, {"x", "y "}, {" z", "y"}, {"x", "w"}, {long, long}},
+			same: [][2][2]int{{{0, 0}, {1, 0}}, {{0, 0}, {3, 0}}},
+		},
+		{
+			trim: true,
+			want: []Tuple{{"x", "y"}, {"x", "y"}, {"z", "y"}, {"x", "w"}, {long, long}},
+			same: [][2][2]int{{{0, 0}, {1, 0}}, {{0, 0}, {3, 0}}, {{0, 1}, {1, 1}}, {{0, 1}, {2, 1}}},
+		},
+	} {
+		rel, err := ReadCSVOpts(strings.NewReader(in), "", CSVOptions{TrimSpace: tc.trim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rel.Tuples, tc.want) {
+			t.Fatalf("trim=%v: cells %q, want %q", tc.trim, rel.Tuples, tc.want)
+		}
+		for _, p := range tc.same {
+			a, b := rel.Tuples[p[0][0]][p[0][1]], rel.Tuples[p[1][0]][p[1][1]]
+			if unsafe.StringData(a) != unsafe.StringData(b) {
+				t.Errorf("trim=%v: cells %v and %v (%q) do not share storage", tc.trim, p[0], p[1], a)
+			}
+		}
+		// encoding/csv lays a record's fields out back to back in one
+		// string, so a cell pointing there would keep the line alive.
+		a, b := rel.Tuples[4][0], rel.Tuples[4][1]
+		if unsafe.Pointer(unsafe.StringData(b)) == unsafe.Add(unsafe.Pointer(unsafe.StringData(a)), len(a)) {
+			t.Errorf("trim=%v: the cells of line 6 still point into the record's line", tc.trim)
+		}
 	}
 }

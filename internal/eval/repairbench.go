@@ -11,9 +11,10 @@ import (
 // RepairBench times the repair-phase hot paths on generated HOSP/Tax
 // instances: Algorithm-2 greedy growth at N/4, N/2 and N on both the naive
 // full-rescan reference and the indexed-heap path, exact branch-and-bound
-// over MIS combinations at several worker counts, and multi-FD plan
-// evaluation (target-tree build + nearest searches) at several worker
-// counts. ns/op is per growth, per ExactM run and per plan evaluation.
+// over MIS combinations at several worker counts, Algorithm-4 joint growth
+// on the heap path, and multi-FD plan evaluation (target-tree build +
+// nearest searches) at several worker counts. ns/op is per growth, per
+// ExactM run and per plan evaluation.
 func RepairBench(c BenchConfig) (*BenchDoc, error) {
 	r := newBenchRun("repair", c)
 	procs := r.doc.GOMAXPROCS
@@ -131,12 +132,42 @@ func RepairBench(c BenchConfig) (*BenchDoc, error) {
 		}
 	}
 
-	// Plan-evaluation throughput over the full FD set at N: one target-tree
-	// build plus a nearest-target search per repairing tuple group.
+	// Joint growth and plan evaluation run on the largest multi-FD
+	// component of the full FD set at N.
 	full, err := Prepare(Setup{Workload: c.Workload, N: c.N, ErrorRate: 0.04, Seed: c.Seed})
 	if err != nil {
 		return nil, err
 	}
+	// Joint growth (GreedyM's §4.4 selection, heap path): the graphs are
+	// built once, so each iteration times one growth.
+	graphs, err := repair.ComponentGraphs(full.Dirty, full.Set, full.Cfg)
+	if err != nil {
+		return nil, err
+	}
+	var sets [][]int
+	e, err := r.time(fmt.Sprintf("joint/%dfds", len(graphs)), 0, 1, func(int) error {
+		sets = repair.GrowJoint(full.Dirty, graphs, false)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if e != nil {
+		var vertices, edges, chosen int
+		for i, g := range graphs {
+			vertices += len(g.Vertices)
+			edges += g.NumEdges()
+			chosen += len(sets[i])
+		}
+		e.Counters = map[string]float64{
+			"vertices": float64(vertices),
+			"edges":    float64(edges),
+			"setSize":  float64(chosen),
+		}
+	}
+
+	// Plan-evaluation throughput: one target-tree build plus a
+	// nearest-target search per repairing tuple group.
 	pb, err := repair.NewPlanBench(full.Dirty, full.Set, full.Cfg, false)
 	if err != nil {
 		return nil, err

@@ -40,9 +40,9 @@ func GrowGreedyInto(g *vgraph.Graph, naive bool, dst []int) []int {
 // naive full-rescan reference or indexed-heap path.
 func GrowJoint(rel *dataset.Relation, graphs []*vgraph.Graph, naive bool) [][]int {
 	if naive {
-		return jointGreedySetsNaive(rel, graphs, nil)
+		return jointGreedySetsNaive(rel, graphs, nil).sets
 	}
-	return jointGreedySets(rel, graphs, nil)
+	return jointGreedySets(rel, graphs, nil).sets
 }
 
 // PlanBench times repair-plan evaluation — one target-tree build plus a
@@ -62,10 +62,11 @@ type PlanBench struct {
 	Explored, Nodes int
 }
 
-// NewPlanBench prepares a plan evaluation over the largest multi-FD
-// component of the set (plan evaluation is only interesting when targets
-// join across FDs). It errors when every component is a single FD.
-func NewPlanBench(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, disableTree bool) (*PlanBench, error) {
+// ComponentGraphs builds the violation graphs of the largest multi-FD
+// component of the set, the component the plan-evaluation and joint-growth
+// benchmarks run on (both are only interesting when FDs interact). It
+// errors when every component is a single FD.
+func ComponentGraphs(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig) ([]*vgraph.Graph, error) {
 	var comp []int
 	for _, c := range set.Components() {
 		if len(c) >= 2 && len(c) > len(comp) {
@@ -73,20 +74,30 @@ func NewPlanBench(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, disabl
 		}
 	}
 	if comp == nil {
-		return nil, fmt.Errorf("repair: no multi-FD component to benchmark plan evaluation on")
+		return nil, fmt.Errorf("repair: no multi-FD component to benchmark")
 	}
-	sub := set.Subset(comp)
-	graphs := buildGraphs(rel, sub, cfg, Options{})
+	return buildGraphs(rel, set.Subset(comp), cfg, Options{}), nil
+}
+
+// NewPlanBench prepares a plan evaluation over the largest multi-FD
+// component of the set (see ComponentGraphs).
+func NewPlanBench(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, disableTree bool) (*PlanBench, error) {
+	graphs, err := ComponentGraphs(rel, set, cfg)
+	if err != nil {
+		return nil, err
+	}
 	sets := make([][]int, len(graphs))
+	fds := make([]*fd.FD, len(graphs))
 	for i, g := range graphs {
 		sets[i] = greedySet(g, nil)
+		fds[i] = g.FD
 	}
-	groups := groupTuples(rel, unionAttrs(sub.FDs))
+	groups := groupTuples(rel, unionAttrs(fds))
 	b := &PlanBench{
 		p:      newPlanner(groups, graphs, cfg, disableTree, nil, 0),
 		chosen: chosenBits(graphs, sets),
 		levels: levelsFor(graphs, sets),
-		FDs:    len(sub.FDs),
+		FDs:    len(graphs),
 	}
 	for gi := range groups {
 		if b.p.needsRepair(gi, b.chosen) {

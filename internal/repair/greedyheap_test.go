@@ -1,11 +1,14 @@
 package repair
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"ftrepair/internal/dataset"
 	"ftrepair/internal/fd"
+	"ftrepair/internal/gen"
 	"ftrepair/internal/vgraph"
 )
 
@@ -167,8 +170,8 @@ func TestJointGreedySetsMatchNaive(t *testing.T) {
 		rel := noisyTripleRelation(t, rng, rows, 0.15+0.3*float64(trial%3))
 		cfg := fd.DefaultDistConfig(rel)
 		graphs := jointGraphs(t, rel, cfg)
-		naive := jointGreedySetsNaive(rel, graphs, nil)
-		fast := jointGreedySets(rel, graphs, nil)
+		naive := jointGreedySetsNaive(rel, graphs, nil).sets
+		fast := jointGreedySets(rel, graphs, nil).sets
 		if len(naive) != len(fast) {
 			t.Fatalf("trial %d: set count %d != %d", trial, len(fast), len(naive))
 		}
@@ -188,13 +191,13 @@ func TestJointGreedySetsCancelParity(t *testing.T) {
 	rel := noisyTripleRelation(t, rng, 160, 0.35)
 	cfg := fd.DefaultDistConfig(rel)
 	graphs := jointGraphs(t, rel, cfg)
-	full := jointGreedySetsNaive(rel, graphs, nil)
+	full := jointGreedySetsNaive(rel, graphs, nil).sets
 	added := len(full[0]) + len(full[1])
 	if added < 3 {
 		t.Fatalf("degenerate instance: only %d joint additions", added)
 	}
 	defer func() { greedyStepHook = nil }()
-	grow := func(k int, f func(*dataset.Relation, []*vgraph.Graph, <-chan struct{}) [][]int) [][]int {
+	grow := func(k int, f func(*dataset.Relation, []*vgraph.Graph, <-chan struct{}) *jointState) [][]int {
 		cancel := make(chan struct{})
 		fired := false
 		greedyStepHook = func(n int) {
@@ -203,7 +206,7 @@ func TestJointGreedySetsCancelParity(t *testing.T) {
 				close(cancel)
 			}
 		}
-		return f(rel, graphs, cancel)
+		return f(rel, graphs, cancel).sets
 	}
 	for k := 0; k <= added; k++ {
 		naive := grow(k, jointGreedySetsNaive)
@@ -212,6 +215,76 @@ func TestJointGreedySetsCancelParity(t *testing.T) {
 			if !sameIntSlice(naive[i], fast[i]) {
 				t.Fatalf("cancel after %d additions, FD %d: heap partial %v != naive partial %v",
 					k, i, fast[i], naive[i])
+			}
+		}
+	}
+}
+
+// TestJointSyncMemoMatchesLiteral is the score-level check of the heap
+// path's Eq-12 shortcuts (the single-target skip and the syncDelta memo):
+// on the HOSP 7-FD component and the Tax 9-FD set, every candidate's
+// initial tupleCost must equal the literal rule's bit for bit, both
+// shortcuts must fire, and the grown sets must equal the naive
+// reference's. Set equality alone would miss a wrong memo key, because
+// the sync term only moves scores; the 3-column relation of
+// TestJointGreedySetsMatchNaive rarely gives one doomed pattern rows that
+// disagree on the overlapping FD's columns.
+func TestJointSyncMemoMatchesLiteral(t *testing.T) {
+	for _, workload := range []string{"hosp", "tax"} {
+		for seed := int64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("%s-%d", workload, seed)
+			var clean *dataset.Relation
+			var fds []*fd.FD
+			if workload == "hosp" {
+				clean = gen.HOSP{Seed: seed}.Generate(400)
+				fds = gen.HOSPFDs(clean.Schema)
+			} else {
+				clean = gen.Tax{Seed: seed}.Generate(400)
+				fds = gen.TaxFDs(clean.Schema)
+			}
+			rel, _ := gen.Inject(clean, fds, 0.1, seed+1)
+			set, err := fd.NewSet(fds, 0.3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := fd.NewDistConfig(rel, 0.7, 0.3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs, err := ComponentGraphs(rel, set, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			memo := newJointState(rel, graphs, true)
+			literal := newJointState(rel, graphs, false)
+			scores, differ := 0, 0
+			for i, g := range graphs {
+				for v := range g.Vertices {
+					a, b := memo.tupleCost(i, v), literal.tupleCost(i, v)
+					scores++
+					if math.Float64bits(a) != math.Float64bits(b) {
+						differ++
+						if differ <= 3 {
+							t.Errorf("%s: FD %d vertex %d: memoized score %v != literal %v", name, i, v, a, b)
+						}
+					}
+				}
+			}
+			if differ > 0 {
+				t.Fatalf("%s: %d of %d initial scores differ", name, differ, scores)
+			}
+			if memo.syncEvals == 0 || memo.singleTarget == 0 {
+				t.Fatalf("%s: %d FDs, %d scores: %d memo fills, %d single-target skips; want both branches taken",
+					name, len(graphs), scores, memo.syncEvals, memo.singleTarget)
+			}
+			t.Logf("%s: %d FDs, %d scores, %d memo fills, %d single-target skips",
+				name, len(graphs), scores, memo.syncEvals, memo.singleTarget)
+			naive := jointGreedySetsNaive(rel, graphs, nil).sets
+			fast := jointGreedySets(rel, graphs, nil).sets
+			for i := range naive {
+				if !sameIntSlice(naive[i], fast[i]) {
+					t.Fatalf("%s FD %d: heap set %v != naive set %v", name, i, fast[i], naive[i])
+				}
 			}
 		}
 	}

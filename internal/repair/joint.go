@@ -8,16 +8,13 @@ import (
 	"ftrepair/internal/vgraph"
 )
 
-// jointTraceHook, when set (tests only), observes every Eq-12 candidate
-// score computation of the joint greedy growth (both the naive and the
-// heap path evaluate each (FD, vertex) candidate through tupleCost).
-var jointTraceHook func(fdIndex, vertex int, cost float64)
-
 // jointState is the shared growth state of Algorithm 4 (§4.4): one
 // independent set per FD growing interleaved, plus the Eq-12 cost model
 // with its cross-FD synchronization term. The naive rescan
-// (jointGreedySetsNaive) and the heap path (jointGreedySets) drive the
-// same state, so their candidate scores are bitwise equal by construction.
+// (jointGreedySetsNaive) evaluates Eq. 12 literally; the heap path
+// (jointGreedySets) skips the sync term where a doomed pattern has a single
+// admissible target and memoizes it elsewhere. Both shortcuts are exact, so
+// their candidate scores are bitwise equal.
 type jointState struct {
 	rel    *dataset.Relation
 	graphs []*vgraph.Graph
@@ -30,16 +27,28 @@ type jointState struct {
 	// violCache memoizes ViolatorCount per FD by projection key, since
 	// hypothetical repairs repeatedly produce the same patterns.
 	violCache []map[string]int
-	scratch   dataset.Tuple
+	// syncMemo[i] memoizes syncDelta for FD i by row<<32 | target for the
+	// whole growth: the term reads the relation, the graphs and violCache,
+	// never the growing sets. nil on the literal (naive) state.
+	syncMemo []map[uint64]int32
+	scratch  dataset.Tuple
 	// minOmega[i][v]: the floor of v's repair cost in FD i if excluded,
 	// under the same multiplicity restriction bestRepairCost applies
 	// (falling back to the overall cheapest edge when no neighbor is
 	// frequent enough).
 	minOmega [][]float64
 	added    int
+	// syncEvals counts syncMemo fills, violatorSearches the violCache
+	// misses that ran the q-gram search (projection not a vertex), and
+	// singleTarget the doomed-pattern evaluations that skipped the sync
+	// term.
+	syncEvals, violatorSearches, singleTarget int
 }
 
-func newJointState(rel *dataset.Relation, graphs []*vgraph.Graph) *jointState {
+// newJointState prepares the growth state; memo selects the heap path's
+// exact shortcuts (single-target skip, syncDelta memo) over the literal
+// Eq-12 rule.
+func newJointState(rel *dataset.Relation, graphs []*vgraph.Graph, memo bool) *jointState {
 	n := len(graphs)
 	js := &jointState{
 		rel:       rel,
@@ -52,10 +61,16 @@ func newJointState(rel *dataset.Relation, graphs []*vgraph.Graph) *jointState {
 		scratch:   make(dataset.Tuple, rel.Schema.Len()),
 		minOmega:  make([][]float64, n),
 	}
+	if memo {
+		js.syncMemo = make([]map[uint64]int32, n)
+	}
 	for i, g := range graphs {
 		js.inSet[i] = make([]bool, len(g.Vertices))
 		js.blocked[i] = make([]bool, len(g.Vertices))
 		js.violCache[i] = make(map[string]int)
+		if memo {
+			js.syncMemo[i] = make(map[uint64]int32)
+		}
 		for j := range graphs {
 			if i != j && g.FD.SharesAttrs(graphs[j].FD) {
 				js.overlaps[i] = append(js.overlaps[i], j)
@@ -88,11 +103,15 @@ func newJointState(rel *dataset.Relation, graphs []*vgraph.Graph) *jointState {
 func (js *jointState) valid(i, v int) bool { return !js.inSet[i][v] && !js.blocked[i][v] }
 
 func (js *jointState) violators(j int, t dataset.Tuple) int {
-	k := t.Key(js.graphs[j].FD.Attrs())
+	g := js.graphs[j]
+	k := t.Key(g.FD.Attrs())
 	if c, ok := js.violCache[j][k]; ok {
 		return c
 	}
-	c := js.graphs[j].ViolatorCount(t)
+	if _, ok := g.Lookup(t); !ok {
+		js.violatorSearches++
+	}
+	c := g.ViolatorCount(t)
 	js.violCache[j][k] = c
 	return c
 }
@@ -147,6 +166,22 @@ func (js *jointState) syncDelta(i, row, w int) int {
 	return delta
 }
 
+// sync is syncDelta(i, row, w), read through syncMemo when the state has
+// one.
+func (js *jointState) sync(i, row, w int) int {
+	if js.syncMemo == nil {
+		return js.syncDelta(i, row, w)
+	}
+	k := uint64(row)<<32 | uint64(w)
+	if s, ok := js.syncMemo[i][k]; ok {
+		return int(s)
+	}
+	s := js.syncDelta(i, row, w)
+	js.syncMemo[i][k] = int32(s)
+	js.syncEvals++
+	return s
+}
+
 // bestRepairCost picks, per row of doomed vertex u (FD i), the target
 // w minimizing (syncDelta, weight) among the allowed targets — the
 // candidate v itself, members of the set, or vertices not in conflict
@@ -199,11 +234,21 @@ func (js *jointState) bestRepairCost(i, u, v int) float64 {
 		return float64(uMult) * best
 	}
 	var total float64
-	for _, row := range g.Vertices[u].Rows {
+	rows := g.Vertices[u].Rows
+	if len(allowed) == 1 && js.syncMemo != nil {
+		// Every row takes the only target whatever its sync term. Summing
+		// per row keeps the float bits of the literal rule.
+		js.singleTarget++
+		for range rows {
+			total += allowed[0].wt
+		}
+		return total
+	}
+	for _, row := range rows {
 		bestWt := math.Inf(1)
 		bestSync := 1 << 30
 		for _, c := range allowed {
-			s := js.syncDelta(i, row, c.w)
+			s := js.sync(i, row, c.w)
 			if s < bestSync || (s == bestSync && c.wt < bestWt) {
 				bestSync, bestWt = s, c.wt
 			}
@@ -226,9 +271,6 @@ func (js *jointState) tupleCost(i, v int) float64 {
 		}
 	}
 	total -= float64(g.Vertices[v].Mult()) * js.minOmega[i][v]
-	if jointTraceHook != nil {
-		jointTraceHook(i, v, total)
-	}
 	return total
 }
 
@@ -283,9 +325,10 @@ func (js *jointState) add(i, v int, mark func(fdIdx, u int)) {
 // broken by repair weight). This is what lets the same doomed pattern
 // repair differently in different tuples — (Boston, NY) becomes
 // (New York, NY) in t5 but (Boston, MA) in t10 of the running example.
-// Output is bit-identical to jointGreedySetsNaive on any input.
-func jointGreedySets(rel *dataset.Relation, graphs []*vgraph.Graph, cancel <-chan struct{}) [][]int {
-	js := newJointState(rel, graphs)
+// Output is bit-identical to jointGreedySetsNaive on any input. The
+// returned state holds the sets and the growth's counters.
+func jointGreedySets(rel *dataset.Relation, graphs []*vgraph.Graph, cancel <-chan struct{}) *jointState {
+	js := newJointState(rel, graphs, true)
 	ver := make([][]uint32, len(graphs))
 	total := 0
 	for i, g := range graphs {
@@ -356,16 +399,18 @@ func jointGreedySets(rel *dataset.Relation, graphs []*vgraph.Graph, cancel <-cha
 		round++
 		js.add(bestI, bestV, rescore)
 	}
-	return js.sets
+	return js
 }
 
 // jointGreedySetsNaive is the retained reference implementation of the
 // joint greedy growth: every round rescans every unchosen candidate of
 // every FD, caching Eq-12 costs and recomputing only those within three
-// hops of the previous addition. It anchors the heap path's equivalence
-// tests and the repairbench speedup series.
-func jointGreedySetsNaive(rel *dataset.Relation, graphs []*vgraph.Graph, cancel <-chan struct{}) [][]int {
-	js := newJointState(rel, graphs)
+// hops of the previous addition. Each cost follows the literal Eq-12 rule:
+// every row of a doomed pattern, every admissible target, syncDelta
+// recomputed each time. It anchors the heap path's equivalence tests and
+// the repairbench speedup series.
+func jointGreedySetsNaive(rel *dataset.Relation, graphs []*vgraph.Graph, cancel <-chan struct{}) *jointState {
+	js := newJointState(rel, graphs, false)
 	cost := make([][]float64, len(graphs))
 	dirty := make([][]bool, len(graphs))
 	for i, g := range graphs {
@@ -404,5 +449,5 @@ func jointGreedySetsNaive(rel *dataset.Relation, graphs []*vgraph.Graph, cancel 
 		}
 		js.add(bestI, bestV, mark)
 	}
-	return js.sets
+	return js
 }

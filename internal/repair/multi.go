@@ -317,14 +317,16 @@ func approComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig,
 func greedyComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
 	graphs := buildGraphs(rel, sub, cfg, opts)
 	sp := obs.Begin(opts.Trace, obs.PhaseGreedyGrow)
-	sets := jointGreedySets(rel, graphs, opts.Cancel)
+	js := jointGreedySets(rel, graphs, opts.Cancel)
+	sp.Add("syncEvals", int64(js.syncEvals))
+	sp.Add("violatorSearches", int64(js.violatorSearches))
 	sp.End()
 	if canceled(opts.Cancel) {
 		// The joint growth stopped early; leave this component untouched
 		// rather than applying a half-grown plan.
 		return ErrCanceled
 	}
-	return applyJoinedSets(rel, out, sub, cfg, opts, stats, graphs, sets, ev)
+	return applyJoinedSets(rel, out, sub, cfg, opts, stats, graphs, js.sets, ev)
 }
 
 // applyJoinedSets joins per-FD independent sets into targets and repairs

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ftrepair/internal/dataset"
 	"ftrepair/internal/fd"
+	"ftrepair/internal/gen"
 	"ftrepair/internal/obs"
 	"ftrepair/internal/vgraph"
 )
@@ -139,7 +141,9 @@ func TestExactSTraceClosesOnCancel(t *testing.T) {
 
 // TestTraceDoesNotChangeOutput is the read-only guarantee: the same input
 // repaired with and without a trace attached produces bit-identical
-// relations, costs, and stats.
+// relations, costs, and stats. The greedygrow span's counters are serial
+// counts of the joint growth, so traced runs at any GOMAXPROCS must report
+// them identically.
 func TestTraceDoesNotChangeOutput(t *testing.T) {
 	rel, set := twoFDInstance(t)
 	cfg := fd.DefaultDistConfig(rel)
@@ -161,6 +165,45 @@ func TestTraceDoesNotChangeOutput(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain.Stats, traced.Stats) {
 		t.Fatalf("tracing changed stats: %v != %v", plain.Stats, traced.Stats)
+	}
+
+	// The pair above runs no violator search, so the counters are checked
+	// on a HOSP draw, where both are nonzero.
+	clean := gen.HOSP{Seed: 1}.Generate(200)
+	fds := gen.HOSPFDs(clean.Schema)
+	hosp, _ := gen.Inject(clean, fds, 0.1, 2)
+	hset, err := fd.NewSet(fds, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var first map[string]int64
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1, 2} {
+		runtime.GOMAXPROCS(procs)
+		hcfg, err := fd.NewDistConfig(hosp, 0.7, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTrace("t")
+		if _, err := GreedyM(hosp, hset, hcfg, Options{Trace: tr}); err != nil {
+			t.Fatal(err)
+		}
+		grow := make(map[string]int64)
+		for _, s := range tr.Summaries() {
+			if s.Phase == obs.PhaseGreedyGrow {
+				for _, a := range s.Attrs {
+					grow[a.Key] += a.Value
+				}
+			}
+		}
+		if first == nil {
+			if grow["syncEvals"] == 0 || grow["violatorSearches"] == 0 {
+				t.Fatalf("greedygrow counters %v: want nonzero syncEvals and violatorSearches", grow)
+			}
+			first = grow
+		} else if !reflect.DeepEqual(first, grow) {
+			t.Fatalf("greedygrow counters %v at GOMAXPROCS=%d differ from the first run's %v", grow, procs, first)
+		}
 	}
 }
 
