@@ -405,14 +405,18 @@ func BenchmarkTargetTreeSearch(b *testing.B) {
 	dirty, _ := gen.Citizens()
 	cfg := fd.DefaultDistConfig(dirty)
 	t4 := dirty.Tuples[3]
+	score := func(id int32) float64 {
+		col, v := tr.Value(id)
+		return cfg.AttrDist(col, t4[col], v)
+	}
 	b.Run("Nearest", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tr.Nearest(t4, cfg.AttrDist, nil)
+			tr.Nearest(score, nil)
 		}
 	})
 	b.Run("NearestScan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tr.NearestScan(t4, cfg.AttrDist, nil)
+			tr.NearestScan(score, nil)
 		}
 	})
 }

@@ -26,7 +26,10 @@ import (
 // recomputation that upgrades a lower bound, or one that lost the fill race
 // to a concurrent worker) counts a hit, and an uncached computation counts
 // a miss. Plane misses therefore equal the cells filled, and hits + misses
-// equal the string lookups made, at any worker count.
+// equal the string lookups made, at any worker count. A RepairScorer
+// tallies its lookups' outcomes in plain fields and adds them in Release,
+// so a target search writes no shared counter per lookup; the totals are
+// the same sums.
 //
 // A DistCache must not be copied after first use.
 type DistCache struct {
@@ -35,10 +38,28 @@ type DistCache struct {
 	// AttachPlanes before concurrent use.
 	planes      []*distPlane
 	planeFlavor EditFlavor
-	planeHits   atomic.Uint64
-	planeMisses atomic.Uint64
-	uncached    atomic.Uint64
+	// counts holds the cumulative lookups by outcome.
+	counts [numLookups]atomic.Uint64
 }
+
+// lookup is the outcome of one string-distance lookup, as the counters
+// see it.
+type lookup uint8
+
+const (
+	// planeHit: a plane answered, or the lookup computed its pair without
+	// filling an empty cell (a bound upgrade, a lost fill race).
+	planeHit lookup = iota
+	// planeMiss: the lookup computed its pair and filled an empty cell.
+	planeMiss
+	// uncachedMiss: no plane could hold the pair; it computed uncached.
+	uncachedMiss
+	numLookups
+)
+
+// tally counts lookups in plain fields, for one goroutine; DistCache.add
+// folds it into the shared counters in one step.
+type tally [numLookups]uint64
 
 // NewDistCache returns an empty cache ready for concurrent use.
 func NewDistCache() *DistCache {
@@ -67,14 +88,21 @@ func (c *DistCache) AttachPlanes(dicts []*dataset.Dict, flavor EditFlavor) {
 	}
 }
 
+// plane returns the plane answering col's pairs under flavor, or nil.
+func (c *DistCache) plane(col int, flavor EditFlavor) *distPlane {
+	if flavor != c.planeFlavor || col >= len(c.planes) {
+		return nil
+	}
+	return c.planes[col]
+}
+
 // interned resolves a string pair to col's distance plane and the values'
 // codes; ok is false unless a plane is attached for the flavor and its
 // dictionary holds both values.
 func (c *DistCache) interned(col int, flavor EditFlavor, a, b string) (p *distPlane, ca, cb int32, ok bool) {
-	if flavor != c.planeFlavor || col >= len(c.planes) || c.planes[col] == nil {
+	if p = c.plane(col, flavor); p == nil {
 		return nil, 0, 0, false
 	}
-	p = c.planes[col]
 	if ca, ok = p.dict.Code(a); !ok {
 		return nil, 0, 0, false
 	}
@@ -82,20 +110,31 @@ func (c *DistCache) interned(col int, flavor EditFlavor, a, b string) (p *distPl
 	return p, ca, cb, ok
 }
 
-// countStore records a plane query that computed its pair: a miss when its
-// store filled the empty cell, a hit otherwise.
-func (c *DistCache) countStore(filled bool) {
+// stored is the outcome of a plane query that computed its pair: a miss
+// when its store filled the empty cell, a hit otherwise.
+func stored(filled bool) lookup {
 	if filled {
-		c.planeMisses.Add(1)
-	} else {
-		c.planeHits.Add(1)
+		return planeMiss
+	}
+	return planeHit
+}
+
+// count records one lookup.
+func (c *DistCache) count(o lookup) { c.counts[o].Add(1) }
+
+// add folds a goroutine's tally into the counters.
+func (c *DistCache) add(t *tally) {
+	for o, n := range t {
+		if n != 0 {
+			c.counts[o].Add(n)
+		}
 	}
 }
 
 // Counters returns the cumulative hit and miss counts: plane traffic plus
 // one miss per uncached computation.
 func (c *DistCache) Counters() (hits, misses uint64) {
-	return c.planeHits.Load(), c.planeMisses.Load() + c.uncached.Load()
+	return c.counts[planeHit].Load(), c.counts[planeMiss].Load() + c.counts[uncachedMiss].Load()
 }
 
 // PlaneCounters returns the cumulative plane-only hit and miss counts: how
@@ -104,7 +143,7 @@ func (c *DistCache) Counters() (hits, misses uint64) {
 // this accessor splits them out so per-run deltas can attribute cache
 // traffic to the planes rather than to uncached computation.
 func (c *DistCache) PlaneCounters() (hits, misses uint64) {
-	return c.planeHits.Load(), c.planeMisses.Load()
+	return c.counts[planeHit].Load(), c.counts[planeMiss].Load()
 }
 
 // Len returns the number of memoized entries currently held: the occupied

@@ -197,18 +197,37 @@ func (cfg *DistConfig) attrDist(col int, a, b string, mt *strsim.Matcher) float6
 	}
 	if cfg.Cache != nil {
 		if p, ca, cb, ok := cfg.Cache.interned(col, cfg.Edit, a, b); ok {
-			return cfg.planeDist(p, ca, cb, a, b, mt)
+			d, o := cfg.planeDist(p, ca, cb, a, b, mt)
+			cfg.Cache.count(o)
+			return d
 		}
-		cfg.Cache.uncached.Add(1)
+		cfg.Cache.count(uncachedMiss)
 	}
 	return cfg.stringDist(a, b, mt)
 }
 
+// ValueCode returns v's code in the distance plane that answers column
+// col's pairs under the config's edit flavor, or -1 when no plane holds v
+// (no cache, no plane for the column or flavor, or v not interned). Code
+// pairs from it feed RepairScorer.Score.
+func (cfg *DistConfig) ValueCode(col int, v string) int32 {
+	if cfg.Cache == nil {
+		return -1
+	}
+	if p := cfg.Cache.plane(col, cfg.Edit); p != nil {
+		if c, ok := p.dict.Code(v); ok {
+			return c
+		}
+	}
+	return -1
+}
+
 // planeDist answers an unbounded per-attribute query from the column's
-// distance plane. The normalized result is float64(k)/float64(m) — the
-// exact expression NormalizedEdit/NormalizedOSA evaluate — so a plane hit
-// is bitwise equal to recomputation.
-func (cfg *DistConfig) planeDist(p *distPlane, ca, cb int32, a, b string, mt *strsim.Matcher) float64 {
+// distance plane and reports the lookup's outcome for the caller to count.
+// The normalized result is float64(k)/float64(m) — the exact expression
+// NormalizedEdit/NormalizedOSA evaluate — so a plane hit is bitwise equal
+// to recomputation.
+func (cfg *DistConfig) planeDist(p *distPlane, ca, cb int32, a, b string, mt *strsim.Matcher) (float64, lookup) {
 	if cfg.Edit == EditJaccard {
 		return cfg.planeJaccard(p, ca, cb, a, b)
 	}
@@ -217,8 +236,7 @@ func (cfg *DistConfig) planeDist(p *distPlane, ca, cb int32, a, b string, mt *st
 		m = l
 	}
 	if v := p.load(ca, cb); v&planeExactBit != 0 {
-		cfg.Cache.planeHits.Add(1)
-		return float64(v&^planeExactBit) / float64(m)
+		return float64(v&^planeExactBit) / float64(m), planeHit
 	}
 	var k int
 	switch {
@@ -229,29 +247,29 @@ func (cfg *DistConfig) planeDist(p *distPlane, ca, cb int32, a, b string, mt *st
 	default:
 		k = strsim.Levenshtein(a, b)
 	}
-	cfg.Cache.countStore(p.storeExact(ca, cb, planeExactBit|uint32(k)))
-	return float64(k) / float64(m)
+	return float64(k) / float64(m), stored(p.storeExact(ca, cb, planeExactBit|uint32(k)))
 }
 
 // planeJaccard answers a Jaccard query from the column's distance plane,
-// which stores the pair's 2-gram intersection and union counts; the result
-// is JaccardDistance's own 1 - inter/union, so a hit is bitwise equal to
-// recomputation. Pairs whose counts overflow a cell compute uncached.
-func (cfg *DistConfig) planeJaccard(p *distPlane, ca, cb int32, a, b string) float64 {
+// which stores the pair's 2-gram intersection and union counts, and reports
+// the lookup's outcome; the result is JaccardDistance's own
+// 1 - inter/union, so a hit is bitwise equal to recomputation. Pairs whose
+// counts overflow a cell compute uncached.
+func (cfg *DistConfig) planeJaccard(p *distPlane, ca, cb int32, a, b string) (float64, lookup) {
 	var inter, union int
+	o := planeHit
 	if v := p.load(ca, cb); v&planeExactBit != 0 {
-		cfg.Cache.planeHits.Add(1)
 		inter, union = int(v>>jaccardUnionBits&jaccardMaxInter), int(v&jaccardMaxUnion)
 	} else {
 		inter, union = strsim.JaccardCounts(a, b, 2)
 		if inter <= jaccardMaxInter && union <= jaccardMaxUnion {
-			cfg.Cache.countStore(p.storeExact(ca, cb, planeExactBit|uint32(inter)<<jaccardUnionBits|uint32(union)))
+			o = stored(p.storeExact(ca, cb, planeExactBit|uint32(inter)<<jaccardUnionBits|uint32(union)))
 		} else {
-			cfg.Cache.uncached.Add(1)
+			o = uncachedMiss
 		}
 	}
 	// Distinct values each yield at least one gram, so union >= 1.
-	return 1 - float64(inter)/float64(union)
+	return 1 - float64(inter)/float64(union), o
 }
 
 // stringDist is StringDist with an optional prebuilt matcher for a
@@ -373,7 +391,7 @@ func (cfg *DistConfig) stringDistWithinCached(col int, a, b string, t float64, m
 		if p, ca, cb, ok := cfg.Cache.interned(col, cfg.Edit, a, b); ok {
 			return cfg.planeDistWithin(p, ca, cb, a, b, t, mt)
 		}
-		cfg.Cache.uncached.Add(1)
+		cfg.Cache.count(uncachedMiss)
 	}
 	return cfg.stringDistWithin(a, b, t, mt)
 }
@@ -387,7 +405,9 @@ func (cfg *DistConfig) stringDistWithinCached(col int, a, b string, t float64, m
 // StringDistWithin does.
 func (cfg *DistConfig) planeDistWithin(p *distPlane, ca, cb int32, a, b string, t float64, mt *strsim.Matcher) (float64, bool) {
 	if cfg.Edit == EditJaccard {
-		if d := cfg.planeJaccard(p, ca, cb, a, b); d <= t {
+		d, o := cfg.planeJaccard(p, ca, cb, a, b)
+		cfg.Cache.count(o)
+		if d <= t {
 			return d, true
 		}
 		return 0, false
@@ -403,7 +423,7 @@ func (cfg *DistConfig) planeDistWithin(p *distPlane, ca, cb int32, a, b string, 
 	maxDist := int(t * float64(m))
 	v := p.load(ca, cb)
 	if v&planeExactBit != 0 {
-		cfg.Cache.planeHits.Add(1)
+		cfg.Cache.count(planeHit)
 		nd := float64(v&^planeExactBit) / float64(m)
 		if nd > t {
 			return 0, false
@@ -411,7 +431,7 @@ func (cfg *DistConfig) planeDistWithin(p *distPlane, ca, cb int32, a, b string, 
 		return nd, true
 	}
 	if v != 0 && maxDist <= int(v)-1 {
-		cfg.Cache.planeHits.Add(1)
+		cfg.Cache.count(planeHit)
 		return 0, false
 	}
 	var k int
@@ -425,10 +445,10 @@ func (cfg *DistConfig) planeDistWithin(p *distPlane, ca, cb int32, a, b string, 
 		k, ok = strsim.LevenshteinBounded(a, b, maxDist)
 	}
 	if !ok {
-		cfg.Cache.countStore(p.storeBound(ca, cb, maxDist))
+		cfg.Cache.count(stored(p.storeBound(ca, cb, maxDist)))
 		return 0, false
 	}
-	cfg.Cache.countStore(p.storeExact(ca, cb, planeExactBit|uint32(k)))
+	cfg.Cache.count(stored(p.storeExact(ca, cb, planeExactBit|uint32(k))))
 	nd := float64(k) / float64(m)
 	if nd > t {
 		return 0, false

@@ -114,21 +114,32 @@ func (pm *PairMatcher) attrDist(col int, t2 dataset.Tuple) float64 {
 	return pm.cfg.attrDist(col, a, b, mt)
 }
 
-// RepairScorer evaluates per-attribute repair costs of one fixed tuple
-// against streamed repair candidates — the target-tree nearest scans, which
-// call a distance function column by column with the repaired tuple's value
-// always on the left. Wrapping RepairDist, it reuses the fixed side's
-// bit-parallel tables on cache misses and falls back to the plain path
-// whenever the left value is not the fixed tuple's (interior tree nodes
-// probe representative values too). Results are identical to RepairDist.
+// RepairScorer evaluates the per-attribute repair costs of one fixed tuple
+// against a stream of candidate values: a target search scores every tree
+// value it reaches against the tuple being repaired. Candidates arrive with
+// their distance-plane codes (DistConfig.ValueCode, resolved once per tree
+// by the caller); the scorer resolves its own tuple's codes once per
+// column, so a plane hit costs no string-map probe, and it reuses the
+// tuple's bit-parallel tables when a pair must be computed. Results are
+// bitwise equal to DistConfig.RepairDist with the fixed value on the left.
 //
-// Not safe for concurrent use; acquire one per scan and release it after.
+// The scorer tallies its lookups in plain fields and adds them to the
+// cache's counters once, in Release: a search's per-lookup work then
+// writes no memory another goroutine reads, and the totals are the same.
+//
+// Not safe for concurrent use; acquire one per search and release it after.
 type RepairScorer struct {
 	cfg *DistConfig
 	t   dataset.Tuple
 	use bool
 	mts []*strsim.Matcher
+	// codes[col] is t[col]'s plane code (-1: none), or codeUnresolved.
+	codes []int32
+	tally tally
 }
+
+// codeUnresolved marks a column whose code the scorer has not looked up.
+const codeUnresolved = -2
 
 var repairScorerPool = sync.Pool{New: func() any { return new(RepairScorer) }}
 
@@ -138,16 +149,26 @@ func (cfg *DistConfig) AcquireRepairScorer(t dataset.Tuple) *RepairScorer {
 	rs.cfg = cfg
 	rs.t = t
 	rs.use = cfg.Edit == EditLevenshtein
-	if n := cfg.Schema.Len(); cap(rs.mts) < n {
+	n := cfg.Schema.Len()
+	if cap(rs.mts) < n {
 		rs.mts = make([]*strsim.Matcher, n)
+		rs.codes = make([]int32, n)
 	} else {
-		rs.mts = rs.mts[:n]
+		rs.mts, rs.codes = rs.mts[:n], rs.codes[:n]
+	}
+	for i := range rs.codes {
+		rs.codes[i] = codeUnresolved
 	}
 	return rs
 }
 
-// Release returns the scorer and its column matchers to their pools.
+// Release adds the scorer's lookup tally to the cache's counters and
+// returns the scorer and its column matchers to their pools.
 func (rs *RepairScorer) Release() {
+	if rs.cfg.Cache != nil {
+		rs.cfg.Cache.add(&rs.tally)
+	}
+	rs.tally = tally{}
 	for i, mt := range rs.mts {
 		if mt != nil {
 			mt.Release()
@@ -159,20 +180,52 @@ func (rs *RepairScorer) Release() {
 	repairScorerPool.Put(rs)
 }
 
-// RepairDist is DistConfig.RepairDist with the fixed tuple's prebuilt
-// tables; it has the tree scans' DistFunc shape.
-func (rs *RepairScorer) RepairDist(col int, a, b string) float64 {
+// Score is DistConfig.RepairDist(col, t[col], b) for the fixed tuple t and
+// a candidate value b whose code is DistConfig.ValueCode(col, b).
+func (rs *RepairScorer) Score(col int, code int32, b string) float64 {
+	var d float64
+	if a := rs.t[col]; a != b {
+		d = rs.attrDist(col, code, a, b)
+	}
+	if rs.cfg.Conf != nil {
+		d *= rs.cfg.Conf[col]
+	}
+	return d
+}
+
+// attrDist is DistConfig.attrDist for a != b with the pair's codes in hand:
+// the same numeric parse path, the same plane arithmetic, and the same
+// uncached fallback, counted into the tally.
+func (rs *RepairScorer) attrDist(col int, cb int32, a, b string) float64 {
+	cfg := rs.cfg
+	numeric := cfg.Schema.Attr(col).Type == dataset.Numeric
+	if numeric {
+		av, errA := dataset.ParseFloat(a)
+		bv, errB := dataset.ParseFloat(b)
+		if errA == nil && errB == nil {
+			return strsim.Euclidean(av, bv, cfg.Spans[col])
+		}
+	}
 	var mt *strsim.Matcher
-	if rs.use && a != b && a == rs.t[col] && rs.cfg.Schema.Attr(col).Type != dataset.Numeric {
-		mt = rs.mts[col]
-		if mt == nil {
+	if rs.use && !numeric {
+		if mt = rs.mts[col]; mt == nil {
 			mt = strsim.AcquireMatcher(a)
 			rs.mts[col] = mt
 		}
 	}
-	d := rs.cfg.attrDist(col, a, b, mt)
-	if rs.cfg.Conf != nil {
-		d *= rs.cfg.Conf[col]
+	if cfg.Cache == nil {
+		return cfg.stringDist(a, b, mt)
 	}
+	ca := rs.codes[col]
+	if ca == codeUnresolved {
+		ca = cfg.ValueCode(col, a)
+		rs.codes[col] = ca
+	}
+	if ca < 0 || cb < 0 {
+		rs.tally[uncachedMiss]++
+		return cfg.stringDist(a, b, mt)
+	}
+	d, o := cfg.planeDist(cfg.Cache.planes[col], ca, cb, a, b, mt)
+	rs.tally[o]++
 	return d
 }

@@ -119,9 +119,9 @@ func TestPairMatcherAgrees(t *testing.T) {
 	}
 }
 
-// TestRepairScorerAgrees checks the scorer against RepairDist for fixed-side,
-// swapped, and foreign left values (tree scans probe all three shapes), with
-// confidences set so the scaling path is covered too.
+// TestRepairScorerAgrees checks the scorer's code-addressed Score against
+// RepairDist with the fixed tuple's value on the left, with confidences set
+// so the scaling path is covered too.
 func TestRepairScorerAgrees(t *testing.T) {
 	dirty, _ := gen.Citizens()
 	cfg := fd.DefaultDistConfig(dirty)
@@ -135,11 +135,8 @@ func TestRepairScorerAgrees(t *testing.T) {
 		for trial := 0; trial < 30; trial++ {
 			other := dirty.Tuples[rng.Intn(len(dirty.Tuples))]
 			for col := range tu {
-				if got, want := rs.RepairDist(col, tu[col], other[col]), ref.RepairDist(col, tu[col], other[col]); got != want {
-					t.Fatalf("fixed-left RepairDist(%d,%q,%q) = %v, want %v", col, tu[col], other[col], got, want)
-				}
-				if got, want := rs.RepairDist(col, other[col], tu[col]), ref.RepairDist(col, other[col], tu[col]); got != want {
-					t.Fatalf("swapped RepairDist(%d,%q,%q) = %v, want %v", col, other[col], tu[col], got, want)
+				if got, want := rs.Score(col, cfg.ValueCode(col, other[col]), other[col]), ref.RepairDist(col, tu[col], other[col]); got != want {
+					t.Fatalf("Score(%d,%q) for %q = %v, want RepairDist %v", col, other[col], tu[col], got, want)
 				}
 			}
 		}

@@ -44,6 +44,8 @@ type incComponent struct {
 	tree      *targettree.Tree
 	treeDirty bool
 	treeBuilt int
+	// codes are the tree values' distance-plane codes (valueCodes).
+	codes []int32
 	// treeBuilds counts Build calls (observability for the memoization).
 	treeBuilds int
 }
@@ -170,15 +172,13 @@ func (c *incComponent) nearestTarget(set *fd.Set, cfg *fd.DistConfig, t dataset.
 		return c.nearestSingle(set, cfg, t)
 	}
 	if c.treeDirty {
-		tree, err := c.buildTree(set)
-		if err != nil {
+		if err := c.buildTree(set, cfg); err != nil {
 			return targettree.Target{}, err
 		}
-		c.tree = tree
 		c.treeDirty = false
 	}
 	rs := cfg.AcquireRepairScorer(t)
-	tg, _, _ := c.tree.Nearest(t, rs.RepairDist, nil)
+	tg, _, _ := c.tree.Nearest(scoreByCode(c.tree, c.codes, rs), nil)
 	rs.Release()
 	return tg, nil
 }
@@ -189,11 +189,9 @@ func (c *incComponent) nearestTarget(set *fd.Set, cfg *fd.DistConfig, t dataset.
 // from the earlier-accepted one.
 func (c *incComponent) nearestSingle(set *fd.Set, cfg *fd.DistConfig, t dataset.Tuple) (targettree.Target, error) {
 	if len(c.patterns[0])-c.treeBuilt > incFreshFold {
-		tree, err := c.buildTree(set)
-		if err != nil {
+		if err := c.buildTree(set, cfg); err != nil {
 			return targettree.Target{}, err
 		}
-		c.tree = tree
 		c.treeBuilt = len(c.patterns[0])
 		c.treeDirty = false
 	}
@@ -203,13 +201,13 @@ func (c *incComponent) nearestSingle(set *fd.Set, cfg *fd.DistConfig, t dataset.
 	var best targettree.Target
 	bestDist := -1.0
 	if c.treeBuilt > 0 {
-		tg, d, _ := c.tree.Nearest(t, rs.RepairDist, nil)
+		tg, d, _ := c.tree.Nearest(scoreByCode(c.tree, c.codes, rs), nil)
 		best, bestDist = tg, d
 	}
 	for _, p := range c.patterns[0][c.treeBuilt:] {
 		var d float64
 		for _, col := range attrs {
-			d += rs.RepairDist(col, t[col], p[col])
+			d += rs.Score(col, cfg.ValueCode(col, p[col]), p[col])
 		}
 		if bestDist < 0 || d < bestDist {
 			best = targettree.Target{Cols: attrs, Vals: p.Project(attrs)}
@@ -219,7 +217,9 @@ func (c *incComponent) nearestSingle(set *fd.Set, cfg *fd.DistConfig, t dataset.
 	return best, nil
 }
 
-func (c *incComponent) buildTree(set *fd.Set) (*targettree.Tree, error) {
+// buildTree rebuilds the tree over every accepted pattern, with its
+// values' plane codes.
+func (c *incComponent) buildTree(set *fd.Set, cfg *fd.DistConfig) error {
 	c.treeBuilds++
 	levels := make([]targettree.Level, len(c.fdIdx))
 	for f, i := range c.fdIdx {
@@ -230,7 +230,12 @@ func (c *incComponent) buildTree(set *fd.Set) (*targettree.Tree, error) {
 		}
 		levels[f] = l
 	}
-	return targettree.Build(levels)
+	tree, err := targettree.Build(levels)
+	if err != nil {
+		return err
+	}
+	c.tree, c.codes = tree, valueCodes(tree, cfg)
+	return nil
 }
 
 // Relation returns the maintained relation (base plus accepted tuples).

@@ -273,8 +273,9 @@ func exactComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig,
 	stats["combinations"] += combos
 
 	groups := groupTuples(rel, unionAttrs(sub.FDs))
-	p := newPlanner(groups, graphs, cfg, opts.DisableTargetTree, opts.Cancel,
-		planWorkers(opts.Parallel >= 2 && combos > 1))
+	// One worker per plan: the combination workers are ExactM's
+	// parallelism, and pruning aborts a plan between groups.
+	p := newPlanner(groups, graphs, cfg, opts.DisableTargetTree, opts.Cancel, 1)
 	ts := obs.Begin(opts.Trace, obs.PhaseTargetSearch)
 	bestTargets, visited, updates, err := searchCombos(groups, graphs, families, combos, opts, p)
 	ts.Add("treeVisited", int64(visited))
@@ -341,7 +342,7 @@ func applyJoinedSets(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig
 		return nil
 	}
 	groups := groupTuples(rel, unionAttrs(sub.FDs))
-	p := newPlanner(groups, graphs, cfg, opts.DisableTargetTree, opts.Cancel, planWorkers(false))
+	p := newPlanner(groups, graphs, cfg, opts.DisableTargetTree, opts.Cancel, runtime.GOMAXPROCS(0))
 	ts := obs.Begin(opts.Trace, obs.PhaseTargetSearch)
 	p.span = ts
 	targets, _, visited, ok := p.costs(chosenBits(graphs, sets), levelsFor(graphs, sets), nil)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ftrepair/internal/dataset"
@@ -224,9 +225,13 @@ func twoFDInstance(t *testing.T) (*dataset.Relation, *fd.Set) {
 }
 
 // TestCacheStatsScheduleIndependent repairs the same input with fresh
-// configs under eight concurrent graph-build workers: the distance-cache
-// counters in Stats must not depend on which worker reaches a value pair
-// first, so every run reports the same map.
+// configs under eight concurrent graph-build workers, then HOSP draws at
+// GOMAXPROCS 1, 2 and 4: the distance-cache counters in Stats must not
+// depend on which worker reaches a value pair first, nor on how many
+// goroutines search targets, so every run reports the same map. GreedyM's
+// plan has more than 2×4 repairing groups, so its target searches fan out
+// on 2 and 4 workers; ExactM at Parallel 0 evaluates each combination's
+// plan on one goroutine, whatever GOMAXPROCS is.
 func TestCacheStatsScheduleIndependent(t *testing.T) {
 	rel, set := twoFDInstance(t)
 	var first map[string]int
@@ -241,6 +246,72 @@ func TestCacheStatsScheduleIndependent(t *testing.T) {
 			t.Fatalf("run %d stats %v differ from run 0 %v", run, res.Stats, first)
 		}
 	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		name string
+		run  func(*dataset.Relation, *fd.Set, *fd.DistConfig, Options) (*Result, error)
+		n    int
+		fds  int // 0: all nine
+		rate float64
+	}{
+		{"GreedyM", GreedyM, 400, 0, 0.06},
+		{"ExactM", ExactM, 120, 4, 0.03},
+	} {
+		clean := gen.HOSP{Seed: 17}.Generate(c.n)
+		fds := gen.HOSPFDs(clean.Schema)
+		if c.fds > 0 {
+			fds = fds[:c.fds]
+		}
+		dirty, _ := gen.Inject(clean, fds, c.rate, 18)
+		hset, err := fd.NewSet(fds, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first map[string]int
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			cfg, err := fd.NewDistConfig(dirty, 0.7, 0.3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.run(dirty, hset, cfg, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = res.Stats
+				if c.name == "GreedyM" {
+					if n := repairedGroups(dirty, hset, res); n < 2*4 {
+						t.Fatalf("GreedyM repaired %d tuple groups of its largest component; the planner needs 8 to search on 4 workers", n)
+					}
+				}
+			} else if !reflect.DeepEqual(first, res.Stats) {
+				t.Fatalf("%s at GOMAXPROCS=%d: stats %v differ from GOMAXPROCS=1 %v", c.name, procs, res.Stats, first)
+			}
+		}
+	}
+}
+
+// repairedGroups counts the tuple groups of the set's largest component
+// (rows sharing a projection over its attributes) that res changed: each
+// one needed a target search, so the count bounds the planner's repairing
+// groups from below.
+func repairedGroups(rel *dataset.Relation, set *fd.Set, res *Result) int {
+	var comp []int
+	for _, c := range set.Components() {
+		if len(c) > len(comp) {
+			comp = c
+		}
+	}
+	attrs := unionAttrs(set.Subset(comp).FDs)
+	groups := make(map[string]bool)
+	for _, c := range res.Changed {
+		if slices.Contains(attrs, c.Col) {
+			groups[rel.Tuples[c.Row].Key(attrs)] = true
+		}
+	}
+	return len(groups)
 }
 
 // TestMetricsFlowFromRepair checks the registry view: one greedy run must

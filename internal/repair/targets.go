@@ -1,9 +1,9 @@
 package repair
 
 import (
-	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ftrepair/internal/bitset"
 	"ftrepair/internal/dataset"
@@ -97,17 +97,6 @@ func chosenBits(graphs []*vgraph.Graph, sets [][]int) []bitset.Set {
 	return chosen
 }
 
-// planWorkers picks the tuple-group fan-out for one plan evaluation: the
-// machine width when the caller is not already evaluating plans
-// concurrently, 1 otherwise (exactComponent's combination workers own the
-// cores then, and nesting the fan-outs would only oversubscribe them).
-func planWorkers(parallelPlans bool) int {
-	if parallelPlans {
-		return 1
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // planner evaluates repair plans — per-FD independent sets joined into a
 // target tree — over a fixed grouping of the relation's rows. The group
 // Nearest searches of one plan are independent, so costs fans them across
@@ -115,8 +104,9 @@ func planWorkers(parallelPlans bool) int {
 // totals are bitwise identical at any worker count.
 //
 // costs may be called from many goroutines over one planner (ExactM's
-// combination workers share it), so all per-evaluation scratch comes from
-// a sync.Pool rather than planner fields.
+// combination workers share it, each evaluating its plans on one
+// goroutine), so all per-evaluation scratch comes from a sync.Pool rather
+// than planner fields.
 type planner struct {
 	groups      []tupleGroup
 	graphs      []*vgraph.Graph
@@ -198,16 +188,18 @@ type groupResult struct {
 // per group (nil for groups that keep their values). abortAbove, when
 // non-nil, supplies the incumbent cost to prune against: evaluation stops
 // with ok=false as soon as the accumulated (group-ordered) cost exceeds
-// it. It is re-read as the fold advances, so a concurrently improving
+// it. It is re-read after every group, so a concurrently improving
 // incumbent (exactComponent's watermark) tightens pruning mid-plan; since
 // the incumbent never rises and the fold order is fixed, a plan at least
-// as cheap as the final incumbent is never aborted. A fired cancel channel
-// also stops evaluation with ok=false.
+// as cheap as the final incumbent is never aborted. Pruning needs the
+// sequential path, so callers that pass abortAbove use one worker. A fired
+// cancel channel also stops evaluation with ok=false.
 func (p *planner) costs(chosen []bitset.Set, levels []targettree.Level, abortAbove func() float64) (targets []*targettree.Target, cost float64, visited int, ok bool) {
 	tree, err := targettree.Build(levels)
 	if err != nil {
 		return nil, 0, 0, false
 	}
+	codes := valueCodes(tree, p.cfg)
 	if p.span != nil {
 		// The remainder of the evaluation is the distance-dominated nearest
 		// searches; the child span makes that share visible under the
@@ -228,14 +220,14 @@ func (p *planner) costs(chosen []bitset.Set, levels []targettree.Level, abortAbo
 	}
 	sc.needs = needs
 	if p.workers >= 2 && len(needs) >= 2*p.workers {
-		return p.costsParallel(tree, targets, needs, sc, abortAbove)
+		return p.costsParallel(tree, codes, targets, needs, sc)
 	}
 	for _, gi := range needs {
 		if canceled(p.cancel) {
 			return nil, cost, visited, false
 		}
 		g := &p.groups[gi]
-		res := p.nearest(tree, g.rep)
+		res := p.nearest(tree, codes, g.rep)
 		visited += res.visited
 		targets[gi] = &res.tg
 		cost += float64(len(g.rows)) * res.cost
@@ -246,65 +238,77 @@ func (p *planner) costs(chosen []bitset.Set, levels []targettree.Level, abortAbo
 	return targets, cost, visited, true
 }
 
-// costsParallel is the fan-out path of costs: chunks of groups are
-// searched concurrently (strided across workers), then folded
-// sequentially in group order so cost accumulation and abort decisions are
-// independent of scheduling. Pruning happens at chunk granularity — a
-// chunk is searched in full before its fold can abort — trading a bounded
-// amount of wasted search for determinism. The result buffer is pooled
-// scratch, so each accepted target is copied out before the fold moves on.
-func (p *planner) costsParallel(tree *targettree.Tree, targets []*targettree.Target, needs []int, sc *planScratch, abortAbove func() float64) (_ []*targettree.Target, cost float64, visited int, ok bool) {
+// costsParallel is the fan-out path of costs: workers claim groups by
+// index and search them, then the results fold sequentially in group order,
+// so the cost accumulation is independent of scheduling. It takes no abort
+// threshold, so every group is searched; workers poll cancel per group. The
+// result buffer is pooled scratch, so each target is copied out in the
+// fold.
+func (p *planner) costsParallel(tree *targettree.Tree, codes []int32, targets []*targettree.Target, needs []int, sc *planScratch) (_ []*targettree.Target, cost float64, visited int, ok bool) {
 	if cap(sc.res) < len(needs) {
 		sc.res = make([]groupResult, len(needs))
 	}
 	res := sc.res[:len(needs)]
-	chunk := p.workers * 8
-	for base := 0; base < len(needs); base += chunk {
-		end := base + chunk
-		if end > len(needs) {
-			end = len(needs)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < p.workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for k := base + w; k < end; k += p.workers {
-					if canceled(p.cancel) {
-						return
-					}
-					res[k] = p.nearest(tree, p.groups[needs[k]].rep)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < p.workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1) - 1)
+				if k >= len(needs) || canceled(p.cancel) {
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
-		if canceled(p.cancel) {
-			return nil, cost, visited, false
-		}
-		for k := base; k < end; k++ {
-			gi := needs[k]
-			visited += res[k].visited
-			tg := res[k].tg
-			targets[gi] = &tg
-			cost += float64(len(p.groups[gi].rows)) * res[k].cost
-			if abortAbove != nil && cost > abortAbove() {
-				return nil, cost, visited, false
+				res[k] = p.nearest(tree, codes, p.groups[needs[k]].rep)
 			}
-		}
+		}()
+	}
+	wg.Wait()
+	if canceled(p.cancel) {
+		return nil, 0, 0, false
+	}
+	for k, gi := range needs {
+		visited += res[k].visited
+		tg := res[k].tg
+		targets[gi] = &tg
+		cost += float64(len(p.groups[gi].rows)) * res[k].cost
 	}
 	return targets, cost, visited, true
 }
 
+// valueCodes resolves every tree value's distance-plane code once per tree
+// (-1 where no plane holds the value), the table the searches' scorers
+// read.
+func valueCodes(tree *targettree.Tree, cfg *fd.DistConfig) []int32 {
+	codes := make([]int32, tree.NumValues())
+	for id := range codes {
+		col, v := tree.Value(int32(id))
+		codes[id] = cfg.ValueCode(col, v)
+	}
+	return codes
+}
+
+// scoreByCode scores tree values for rs's tuple by their plane codes.
+func scoreByCode(tree *targettree.Tree, codes []int32, rs *fd.RepairScorer) targettree.Scorer {
+	return func(id int32) float64 {
+		col, v := tree.Value(id)
+		return rs.Score(col, codes[id], v)
+	}
+}
+
 // nearest runs one group's target search through the configured strategy.
-// The group's representative is held fixed in a RepairScorer so its
-// bit-parallel tables are shared across every candidate the search visits.
-func (p *planner) nearest(tree *targettree.Tree, rep dataset.Tuple) groupResult {
+// The group's representative is held fixed in a RepairScorer, which scores
+// the tree's values by their plane codes and shares its bit-parallel
+// tables across every candidate the search visits.
+func (p *planner) nearest(tree *targettree.Tree, codes []int32, rep dataset.Tuple) groupResult {
 	var r groupResult
 	rs := p.cfg.AcquireRepairScorer(rep)
+	score := scoreByCode(tree, codes, rs)
 	if p.disableTree {
-		r.tg, r.cost, r.visited = tree.NearestScan(rep, rs.RepairDist, p.cancel)
+		r.tg, r.cost, r.visited = tree.NearestScan(score, p.cancel)
 	} else {
-		r.tg, r.cost, r.visited = tree.Nearest(rep, rs.RepairDist, p.cancel)
+		r.tg, r.cost, r.visited = tree.Nearest(score, p.cancel)
 	}
 	rs.Release()
 	return r

@@ -214,7 +214,7 @@ type refKey struct {
 
 type refMemo struct {
 	t    dataset.Tuple
-	dist targettree.DistFunc
+	dist distFunc
 	m    map[refKey]float64
 }
 
@@ -228,7 +228,7 @@ func (dm *refMemo) at(col int, v string) float64 {
 	return d
 }
 
-func (t *refTree) nearest(tu dataset.Tuple, dist targettree.DistFunc) (targettree.Target, float64, int) {
+func (t *refTree) nearest(tu dataset.Tuple, dist distFunc) (targettree.Target, float64, int) {
 	dm := &refMemo{t: tu, dist: dist, m: make(map[refKey]float64)}
 	q := refPQ{{nd: t.root}}
 	heap.Init(&q)

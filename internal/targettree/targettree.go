@@ -14,8 +14,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-
-	"ftrepair/internal/dataset"
 )
 
 // Level is the input for one FD: the attribute columns its patterns cover
@@ -25,9 +23,11 @@ type Level struct {
 	Patterns [][]string
 }
 
-// DistFunc scores one attribute repair: the distance between the tuple's
-// current value a and a candidate target value b at schema column col.
-type DistFunc func(col int, a, b string) float64
+// Scorer scores one attribute repair of the query tuple: the cost of
+// changing its value at the column of tree value id to that value
+// (Tree.Value names both). Nearest calls it at most once per id;
+// NearestScan calls it for every value of every target it scores.
+type Scorer func(id int32) float64
 
 // node is one kept node. Values are dense ids: id i stands for the value
 // vals[i] of column cols[vcol[i]], and ids order by column, then by value.
@@ -312,6 +312,16 @@ type Target struct {
 	Vals []string
 }
 
+// pathIDs writes the value ids on the path from the root to leaf into ids,
+// one per column of cols.
+func (tr *Tree) pathIDs(leaf int32, ids []int32) {
+	for n := leaf; n != int32(len(tr.nodes)-1); n = tr.nodes[n].parent {
+		for _, id := range tr.nodes[n].ids {
+			ids[tr.vcol[id]] = id
+		}
+	}
+}
+
 // target assembles the assignment on the path from the root to leaf.
 func (tr *Tree) target(leaf int32) Target {
 	out := Target{Cols: tr.cols, Vals: make([]string, len(tr.cols))}
@@ -374,8 +384,7 @@ func (q *pq) pop() pqItem {
 // starting a call is one increment.
 type memo struct {
 	tr    *Tree
-	t     dataset.Tuple
-	dist  DistFunc
+	score Scorer
 	gen   uint32
 	slots []memoSlot
 	q     pq
@@ -388,9 +397,9 @@ type memoSlot struct {
 
 var memos = sync.Pool{New: func() any { return new(memo) }}
 
-func acquireMemo(tr *Tree, t dataset.Tuple, dist DistFunc) *memo {
+func acquireMemo(tr *Tree, score Scorer) *memo {
 	m := memos.Get().(*memo)
-	m.tr, m.t, m.dist = tr, t, dist
+	m.tr, m.score = tr, score
 	if len(m.slots) < len(tr.vals) {
 		m.slots = make([]memoSlot, len(tr.vals))
 	}
@@ -402,15 +411,14 @@ func acquireMemo(tr *Tree, t dataset.Tuple, dist DistFunc) *memo {
 }
 
 func (m *memo) release() {
-	m.tr, m.t, m.dist, m.q = nil, nil, nil, m.q[:0]
+	m.tr, m.score, m.q = nil, nil, m.q[:0]
 	memos.Put(m)
 }
 
 func (m *memo) at(id int32) float64 {
 	s := &m.slots[id]
 	if s.gen != m.gen {
-		col := m.tr.cols[m.tr.vcol[id]]
-		s.gen, s.d = m.gen, m.dist(col, m.t[col], m.tr.vals[id])
+		s.gen, s.d = m.gen, m.score(id)
 	}
 	return s.d
 }
@@ -435,14 +443,15 @@ func (m *memo) edist(nd *node) float64 {
 	return sum
 }
 
-// Nearest finds the target minimizing the summed attribute distance to t
-// (Algorithm 5: best-first search with RDIST/EDIST pruning). It returns the
-// target and its cost. Visited counts dequeued nodes, for the ablation
-// benchmarks. The search polls cancel (nil = never) every few dozen nodes
-// and, once it fires, returns the best incumbent found so far — callers
-// that need the exact optimum must check cancellation themselves.
-func (tr *Tree) Nearest(t dataset.Tuple, dist DistFunc, cancel <-chan struct{}) (Target, float64, int) {
-	m := acquireMemo(tr, t, dist)
+// Nearest finds the target minimizing the summed attribute repair cost
+// that score assigns (Algorithm 5: best-first search with RDIST/EDIST
+// pruning). It returns the target and its cost. Visited counts dequeued
+// nodes, for the ablation benchmarks. The search polls cancel (nil =
+// never) every few dozen nodes and, once it fires, returns the best
+// incumbent found so far — callers that need the exact optimum must check
+// cancellation themselves.
+func (tr *Tree) Nearest(score Scorer, cancel <-chan struct{}) (Target, float64, int) {
+	m := acquireMemo(tr, score)
 	defer m.release()
 	m.q.push(pqItem{nd: int32(len(tr.nodes) - 1)})
 	bestCost := math.Inf(1)
@@ -484,33 +493,38 @@ func (tr *Tree) Nearest(t dataset.Tuple, dist DistFunc, cancel <-chan struct{}) 
 	return tr.target(bestLeaf), bestCost, visited
 }
 
-// NearestScan is the linear-scan baseline: it materializes and scores every
-// target. Used for tests and the target-tree ablation. Like Nearest, it
+// NearestScan is the linear-scan baseline: it scores every target, leaves
+// in tree order, summing its values' scores in column order, without a
+// memo. Used for tests and the target-tree ablation. Like Nearest, it
 // stops at the best incumbent when cancel fires; the visited count reflects
 // only the targets actually scored, not the full target list.
-func (tr *Tree) NearestScan(t dataset.Tuple, dist DistFunc, cancel <-chan struct{}) (Target, float64, int) {
-	targets := tr.All()
+func (tr *Tree) NearestScan(score Scorer, cancel <-chan struct{}) (Target, float64, int) {
+	ids := make([]int32, len(tr.cols))
 	bestCost := math.Inf(1)
-	best := -1
+	best := int32(-1)
 	visited := 0
-	for i, tg := range targets {
-		if i&63 == 0 && canceled(cancel) {
+	for i := range tr.nodes {
+		if nd := &tr.nodes[i]; nd.kidLo != nd.kidHi {
+			continue
+		}
+		if visited&63 == 0 && canceled(cancel) {
 			break
 		}
 		visited++
+		tr.pathIDs(int32(i), ids)
 		var c float64
-		for j, col := range tg.Cols {
-			c += dist(col, t[col], tg.Vals[j])
+		for _, id := range ids {
+			c += score(id)
 		}
 		if c < bestCost {
 			bestCost = c
-			best = i
+			best = int32(i)
 		}
 	}
 	if best < 0 {
 		return Target{}, math.Inf(1), visited
 	}
-	return targets[best], bestCost, visited
+	return tr.target(best), bestCost, visited
 }
 
 // canceled reports whether the cancel channel has fired; a nil channel
@@ -538,3 +552,12 @@ func (tr *Tree) All() []Target {
 
 // Cols returns the sorted union of attribute columns covered by the tree.
 func (tr *Tree) Cols() []int { return tr.cols }
+
+// NumValues returns the number of value ids: ids run from 0 to
+// NumValues()-1.
+func (tr *Tree) NumValues() int { return len(tr.vals) }
+
+// Value returns the schema column and the value that id stands for.
+func (tr *Tree) Value(id int32) (col int, val string) {
+	return tr.cols[tr.vcol[id]], tr.vals[id]
+}

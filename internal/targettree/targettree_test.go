@@ -40,7 +40,20 @@ func paperLevels() []targettree.Level {
 	}
 }
 
-func citizensDist() targettree.DistFunc {
+// distFunc scores one attribute repair from strings: the distance between
+// the query's value a and a candidate value b at schema column col.
+type distFunc func(col int, a, b string) float64
+
+// scorer adapts a string distance to the search's per-value scorer for the
+// query t.
+func scorer(tr *targettree.Tree, t dataset.Tuple, dist distFunc) targettree.Scorer {
+	return func(id int32) float64 {
+		col, v := tr.Value(id)
+		return dist(col, t[col], v)
+	}
+}
+
+func citizensDist() distFunc {
 	dirty, _ := gen.Citizens()
 	cfg := fd.DefaultDistConfig(dirty)
 	return cfg.AttrDist
@@ -88,7 +101,7 @@ func TestNearestExample14(t *testing.T) {
 	dirty, _ := gen.Citizens()
 	dist := citizensDist()
 	t4 := dirty.Tuples[3]
-	tg, cost, visited := tr.Nearest(t4, dist, nil)
+	tg, cost, visited := tr.Nearest(scorer(tr, t4, dist), nil)
 	if tg.Vals[0] != "New York" || tg.Vals[1] != "Western" || tg.Vals[2] != "Queens" || tg.Vals[3] != "NY" {
 		t.Fatalf("nearest = %v", tg.Vals)
 	}
@@ -102,7 +115,7 @@ func TestNearestExample14(t *testing.T) {
 	// t5 = (Boston, Main, Manhattan, NY) resolves to the Manhattan target:
 	// repairing City is cheapest and fixes both FDs (Example 3).
 	t5 := dirty.Tuples[4]
-	tg5, _, _ := tr.Nearest(t5, dist, nil)
+	tg5, _, _ := tr.Nearest(scorer(tr, t5, dist), nil)
 	if tg5.Vals[0] != "New York" || tg5.Vals[2] != "Manhattan" {
 		t.Fatalf("t5 nearest = %v", tg5.Vals)
 	}
@@ -157,8 +170,8 @@ func TestNearestMatchesScan(t *testing.T) {
 			vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))],
 			vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))],
 		}
-		tgFast, costFast, visitedFast := tr.Nearest(tuple, dist, nil)
-		tgSlow, costSlow, scanned := tr.NearestScan(tuple, dist, nil)
+		tgFast, costFast, visitedFast := tr.Nearest(scorer(tr, tuple, dist), nil)
+		tgSlow, costSlow, scanned := tr.NearestScan(scorer(tr, tuple, dist), nil)
 		if math.Abs(costFast-costSlow) > 1e-9 {
 			t.Fatalf("trial %d: Nearest = %v (%v), scan = %v (%v)", trial, costFast, tgFast.Vals, costSlow, tgSlow.Vals)
 		}
@@ -214,7 +227,7 @@ func TestDeadBranchPruned(t *testing.T) {
 		}
 		return 1
 	}
-	_, cost, _ := tr.Nearest(dataset.Tuple{"a", "1", "x"}, dist, nil)
+	_, cost, _ := tr.Nearest(scorer(tr, dataset.Tuple{"a", "1", "x"}, dist), nil)
 	if cost != 0 {
 		t.Fatalf("cost = %v", cost)
 	}
@@ -237,7 +250,7 @@ func TestSingleLevelTree(t *testing.T) {
 		}
 		return 1
 	}
-	tg, cost, _ := tr.Nearest(dataset.Tuple{"", "", "r", "", "", "zzz"}, dist, nil)
+	tg, cost, _ := tr.Nearest(scorer(tr, dataset.Tuple{"", "", "r", "", "", "zzz"}, dist), nil)
 	if tg.Vals[0] != "r" || cost != 1 {
 		t.Fatalf("nearest = %v cost %v", tg.Vals, cost)
 	}
@@ -254,10 +267,10 @@ func TestNearestCanceled(t *testing.T) {
 	close(cancel)
 	// A fired channel stops the search before any node is dequeued, so no
 	// incumbent exists and the cost is +Inf.
-	if _, cost, _ := tr.Nearest(dirty.Tuples[3], dist, cancel); !math.IsInf(cost, 1) {
+	if _, cost, _ := tr.Nearest(scorer(tr, dirty.Tuples[3], dist), cancel); !math.IsInf(cost, 1) {
 		t.Fatalf("canceled Nearest returned cost %v, want +Inf", cost)
 	}
-	if _, cost, _ := tr.NearestScan(dirty.Tuples[3], dist, cancel); !math.IsInf(cost, 1) {
+	if _, cost, _ := tr.NearestScan(scorer(tr, dirty.Tuples[3], dist), cancel); !math.IsInf(cost, 1) {
 		t.Fatalf("canceled NearestScan returned cost %v, want +Inf", cost)
 	}
 }
@@ -351,7 +364,7 @@ func TestBuildMatchesNestedLoop(t *testing.T) {
 		if got, want := tr.All(), ref.all(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: All = %v, reference %v", trial, got, want)
 		}
-		dist := targettree.DistFunc(tieDist)
+		dist := distFunc(tieDist)
 		if trial%2 == 1 {
 			dist = fracDist
 		}
@@ -360,7 +373,7 @@ func TestBuildMatchesNestedLoop(t *testing.T) {
 			for c := range tuple {
 				tuple[c] = string("abcde"[rng.Intn(5)])
 			}
-			tg, cost, visited := tr.Nearest(tuple, dist, nil)
+			tg, cost, visited := tr.Nearest(scorer(tr, tuple, dist), nil)
 			rtg, rcost, rvisited := ref.nearest(tuple, dist)
 			if !reflect.DeepEqual(tg, rtg) || math.Float64bits(cost) != math.Float64bits(rcost) || visited != rvisited {
 				t.Fatalf("trial %d query %v: Nearest = %v %v %d, reference %v %v %d",
@@ -387,7 +400,7 @@ func TestNearestConcurrent(t *testing.T) {
 		visited int
 	}
 	ask := func(q dataset.Tuple) answer {
-		tg, cost, visited := tr.Nearest(q, toyDist, nil)
+		tg, cost, visited := tr.Nearest(scorer(tr, q, toyDist), nil)
 		return answer{tg.Vals, math.Float64bits(cost), visited}
 	}
 	want := make([]answer, len(queries))
