@@ -85,6 +85,7 @@ fuzz:
 	go test -fuzz=FuzzLevenshteinBounded -fuzztime=30s ./internal/strsim/
 	go test -fuzz=FuzzOSABounded -fuzztime=30s ./internal/strsim/
 	go test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
+	go test -fuzz=FuzzBuildMatchesNestedLoop -fuzztime=30s ./internal/targettree/
 
 cover:
 	go test -cover ./internal/... .

@@ -58,7 +58,8 @@ type PlanBench struct {
 	// FDs is the number of FDs in the chosen component.
 	FDs int
 	// Explored and Nodes are the prepared levels' target-tree counts: the
-	// partial paths the join tries and the nodes it keeps.
+	// partial paths the join tries in its connected level order and the
+	// nodes the tree keeps.
 	Explored, Nodes int
 }
 

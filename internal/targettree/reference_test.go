@@ -11,11 +11,14 @@ import (
 )
 
 // This file keeps the straightforward target tree as a reference for the
-// differential tests: a breadth-first nested-loop join that materializes
-// every partial path, a bottom-up prune of the paths that die before full
-// depth, per-node value sets built from maps, and a Nearest whose per-call
-// memo is a (column, value) map. Build and Nearest must agree with it
-// exactly: same errors, targets, costs to the bit and visit counts.
+// differential tests: a breadth-first nested-loop join in §5.1 order that
+// materializes every partial path, a bottom-up prune of the paths that die
+// before full depth, per-node value sets built from maps, and a Nearest
+// whose per-call memo is a (column, value) map. Build and Nearest must
+// agree with it exactly: same errors, targets, costs to the bit and visit
+// counts. Build's Explored and its MaxNodes cap count the partial paths of
+// a join in connected order, which refCount counts with nested loops over
+// maps; the breadth-first tree itself is not capped, so keep inputs small.
 
 type refNode struct {
 	parent   *refNode
@@ -51,6 +54,13 @@ func refBuild(levels []targettree.Level) (*refTree, error) {
 		if len(l.Attrs) == 0 {
 			return nil, fmt.Errorf("targettree: level with no attributes")
 		}
+		seen := make(map[int]bool)
+		for _, c := range l.Attrs {
+			if seen[c] {
+				return nil, fmt.Errorf("targettree: level names column %d twice", c)
+			}
+			seen[c] = true
+		}
 		for _, p := range l.Patterns {
 			if len(p) != len(l.Attrs) {
 				return nil, fmt.Errorf("targettree: pattern arity %d != %d attributes", len(p), len(l.Attrs))
@@ -66,9 +76,12 @@ func refBuild(levels []targettree.Level) (*refTree, error) {
 	}
 	sort.Ints(cols)
 
-	t := &refTree{root: &refNode{}, cols: cols, levels: ls}
+	explored := 1 + refCount(refJoinOrder(ls), map[int]string{})
+	if explored > targettree.MaxNodes {
+		return nil, fmt.Errorf("targettree: join exceeds %d nodes; fall back to per-constraint repair", targettree.MaxNodes)
+	}
+	t := &refTree{root: &refNode{}, cols: cols, levels: ls, explored: explored}
 	frontier := []*refNode{t.root}
-	nodes := 1
 	for _, l := range ls {
 		var next []*refNode
 		for _, nd := range frontier {
@@ -76,10 +89,6 @@ func refBuild(levels []targettree.Level) (*refTree, error) {
 			for _, p := range l.Patterns {
 				if !refCompatible(bound, l.Attrs, p) {
 					continue
-				}
-				nodes++
-				if nodes > targettree.MaxNodes {
-					return nil, fmt.Errorf("targettree: join exceeds %d nodes; fall back to per-constraint repair", targettree.MaxNodes)
 				}
 				child := &refNode{parent: nd}
 				for i, c := range l.Attrs {
@@ -98,10 +107,64 @@ func refBuild(levels []targettree.Level) (*refTree, error) {
 		frontier = next
 	}
 	t.targets = len(frontier)
-	t.explored = nodes
 	t.prune()
 	t.fillValueSets(t.root)
 	return t, nil
+}
+
+// refJoinOrder orders the §5.1-sorted levels as Build joins them: the
+// first level, then always the remaining level that shares the most
+// columns the chosen ones bind, the earliest on a tie.
+func refJoinOrder(ls []targettree.Level) []targettree.Level {
+	left := append([]targettree.Level(nil), ls...)
+	bound := make(map[int]bool)
+	var out []targettree.Level
+	for len(left) > 0 {
+		best, most := 0, -1
+		for i, l := range left {
+			shared := 0
+			for _, c := range l.Attrs {
+				if bound[c] {
+					shared++
+				}
+			}
+			if shared > most {
+				best, most = i, shared
+			}
+		}
+		for _, c := range left[best].Attrs {
+			bound[c] = true
+		}
+		out = append(out, left[best])
+		left = append(left[:best], left[best+1:]...)
+	}
+	return out
+}
+
+// refCount counts the partial paths that nested loops over levels try
+// below the bindings bound; it stops once the count passes MaxNodes.
+func refCount(levels []targettree.Level, bound map[int]string) int {
+	if len(levels) == 0 {
+		return 0
+	}
+	n := 0
+	l := levels[0]
+	for _, p := range l.Patterns {
+		if !refCompatible(bound, l.Attrs, p) {
+			continue
+		}
+		next := make(map[int]string, len(bound)+len(l.Attrs))
+		for c, v := range bound {
+			next[c] = v
+		}
+		for i, c := range l.Attrs {
+			next[c] = p[i]
+		}
+		if n += 1 + refCount(levels[1:], next); n > targettree.MaxNodes {
+			break
+		}
+	}
+	return n
 }
 
 func refPathBindings(nd *refNode) map[int]string {

@@ -57,8 +57,9 @@ type Tree struct {
 	vals []string
 	// Targets counts root-to-leaf paths (valid targets).
 	Targets int
-	// Explored counts the partial paths the join tried, the empty root
-	// path included: the figure MaxNodes bounds.
+	// Explored counts the partial paths the join tried in its connected
+	// level order (see Build), the empty root path included: the figure
+	// MaxNodes bounds.
 	Explored int
 	// Nodes counts the nodes kept, root included.
 	Nodes int
@@ -67,22 +68,22 @@ type Tree struct {
 // MaxNodes bounds the partial paths Build explores: the join can try up to
 // the product of the level sizes (§5.1), which explodes when the
 // independent sets keep many variants per join key (low thresholds on
-// dirty data). Build keeps only paths that reach full depth, so memory
+// dirty data). Build stores only the targets the join finds, so memory
 // follows the live tree while time follows the paths tried. Build returns
 // an error at the cap; callers fall back to per-FD repair.
 const MaxNodes = 1 << 21
 
-// joinLevel is one level prepared for the join. A position of Attrs is a
-// key when a level above binds its column — the same for every partial
-// path — and new otherwise.
+// joinLevel is one level prepared for the join and the tree. A position of
+// Attrs is a key when a level earlier in the join order binds its column —
+// the same for every partial path — and new when no level above it in the
+// tree (§5.1 order) binds its column.
 type joinLevel struct {
 	Level
 	// slot[pos] is Attrs[pos]'s index in the tree's cols.
 	slot []int
 	// key and fresh are the key and new positions of Attrs.
 	key, fresh []int
-	// order lists the pattern indices sorted by key, ties by index; nil
-	// when the level has no key, as every pattern then joins.
+	// order lists the pattern indices sorted by key, ties by index.
 	order []int32
 	// ids[i*len(fresh)+j] is pattern i's value id at fresh[j]; the first
 	// is unnumbered (-1) until a kept node uses the pattern.
@@ -100,21 +101,28 @@ func (l *joinLevel) keyCmp(i int32, bind []string) int {
 	return 0
 }
 
-// builder holds the depth-first join's state.
+// builder holds the join's and the layout's state.
 type builder struct {
-	t      *Tree
+	t *Tree
+	// levels are in §5.1 order; seq lists them in join order.
 	levels []joinLevel
+	seq    []int
 	// bind holds the current path's value per slot of cols.
 	bind []string
-	// stack holds the kept children of the nodes being grown.
+	// path holds the current path's pattern index per level; found holds
+	// every target's path, len(levels) indices each.
+	path, found []int32
+	// stack holds the kept children of the nodes being laid out.
 	stack []int32
 }
 
 // Build constructs the tree. Levels are sorted by |Patterns| ascending so
 // the root has small fan-out (§5.1). The join runs depth first over one
-// binding array, probing each level's patterns by key, and keeps a node
-// only when its subtree reaches full depth. It returns an error when no
-// valid target exists or the join explores more than MaxNodes paths.
+// binding array in a connected order: each next level is the one sharing
+// the most columns already bound, ties in §5.1 order, and its patterns
+// are probed by key. Each target is recorded as its pattern indices; the
+// tree is their trie in §5.1 order. It returns an error when no valid
+// target exists or the join explores more than MaxNodes paths.
 func Build(levels []Level) (*Tree, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("targettree: no levels")
@@ -129,6 +137,11 @@ func Build(levels []Level) (*Tree, error) {
 	for _, l := range ls {
 		if len(l.Attrs) == 0 {
 			return nil, fmt.Errorf("targettree: level with no attributes")
+		}
+		for j, c := range l.Attrs {
+			if slices.Contains(l.Attrs[:j], c) {
+				return nil, fmt.Errorf("targettree: level names column %d twice", c)
+			}
 		}
 		for _, p := range l.Patterns {
 			if len(p) != len(l.Attrs) {
@@ -147,36 +160,16 @@ func Build(levels []Level) (*Tree, error) {
 	for d := range ls {
 		l := &ls[d]
 		n := len(l.Attrs)
-		buf := make([]int, 2*n)
-		l.slot, l.key = buf[:n], buf[n:n]
+		buf := make([]int, 3*n)
+		l.slot, l.key, l.fresh = buf[:n], buf[n:n], buf[2*n:2*n]
 		for pos, c := range l.Attrs {
 			s, _ := slices.BinarySearch(cols, c)
 			if l.slot[pos] = s; boundAt[s] < 0 {
 				boundAt[s] = d
 			}
-			if boundAt[s] < d {
-				l.key = append(l.key, pos)
-			}
-		}
-		l.fresh = l.key[len(l.key):]
-		for pos, s := range l.slot {
 			if boundAt[s] == d {
 				l.fresh = append(l.fresh, pos)
 			}
-		}
-		if len(l.key) > 0 {
-			l.order = make([]int32, len(l.Patterns))
-			for i := range l.order {
-				l.order[i] = int32(i)
-			}
-			slices.SortFunc(l.order, func(a, b int32) int {
-				for _, pos := range l.key {
-					if c := strings.Compare(l.Patterns[a][pos], l.Patterns[b][pos]); c != 0 {
-						return c
-					}
-				}
-				return cmp.Compare(a, b)
-			})
 		}
 		l.ids = make([]int32, len(l.Patterns)*len(l.fresh))
 		for i := 0; i < len(l.ids); i += len(l.fresh) {
@@ -184,62 +177,125 @@ func Build(levels []Level) (*Tree, error) {
 		}
 	}
 
-	b := &builder{t: &Tree{cols: cols, Explored: 1}, levels: ls, bind: make([]string, len(cols))}
-	if err := b.grow(0); err != nil {
+	// The join order: the §5.1 root level first, then always the remaining
+	// level that shares the most bound columns, ties in §5.1 order.
+	seq, bound := make([]int, 0, len(ls)), make([]bool, len(cols))
+	for len(seq) < len(ls) {
+		next, most := -1, -1
+		for d := range ls {
+			shared := 0
+			for _, s := range ls[d].slot {
+				if bound[s] {
+					shared++
+				}
+			}
+			if shared > most && !slices.Contains(seq, d) {
+				next, most = d, shared
+			}
+		}
+		l := &ls[next]
+		for pos, s := range l.slot {
+			if bound[s] {
+				l.key = append(l.key, pos)
+			}
+			bound[s] = true
+		}
+		l.order = make([]int32, len(l.Patterns))
+		for i := range l.order {
+			l.order[i] = int32(i)
+		}
+		slices.SortFunc(l.order, func(a, b int32) int {
+			for _, pos := range l.key {
+				if c := strings.Compare(l.Patterns[a][pos], l.Patterns[b][pos]); c != 0 {
+					return c
+				}
+			}
+			return cmp.Compare(a, b)
+		})
+		seq = append(seq, next)
+	}
+
+	// found starts with room for one target per pattern of the largest
+	// level, about what a join of independent sets keeps.
+	b := &builder{t: &Tree{cols: cols, Explored: 1}, levels: ls, seq: seq,
+		bind: make([]string, len(cols)), path: make([]int32, len(ls)),
+		found: make([]int32, 0, len(ls)*len(ls[len(ls)-1].Patterns))}
+	if err := b.join(0); err != nil {
 		return nil, err
 	}
-	if len(b.stack) == 0 {
+	if len(b.found) == 0 {
 		return nil, fmt.Errorf("targettree: join is empty (incompatible independent sets)")
 	}
-	b.keep(nil, 0)
+	b.layout()
 	b.number(boundAt)
 	b.t.fillSubs()
 	b.t.Nodes = len(b.t.nodes)
 	return b.t, nil
 }
 
-// grow tries every pattern of level d that agrees with the bound keys,
-// binds its new values and recurses; patterns whose subtree reaches full
-// depth become nodes, pushed on the stack in pattern order.
-func (b *builder) grow(d int) error {
+// join tries every pattern of the k-th level in join order that agrees
+// with the bound keys, binds its values and recurses; each path that
+// reaches full depth is a target, appended to found.
+func (b *builder) join(k int) error {
+	d := b.seq[k]
 	l := &b.levels[d]
-	k := 0
-	if l.order != nil {
-		k, _ = slices.BinarySearchFunc(l.order, b.bind, l.keyCmp)
-	}
-	for ; k < len(l.Patterns); k++ {
-		i := int32(k)
-		if l.order != nil {
-			if i = l.order[k]; l.keyCmp(i, b.bind) != 0 {
-				break
-			}
-		}
+	j, _ := slices.BinarySearchFunc(l.order, b.bind, l.keyCmp)
+	for ; j < len(l.order) && l.keyCmp(l.order[j], b.bind) == 0; j++ {
+		i := l.order[j]
 		if b.t.Explored++; b.t.Explored > MaxNodes {
 			return fmt.Errorf("targettree: join exceeds %d nodes; fall back to per-constraint repair", MaxNodes)
 		}
-		p := l.Patterns[i]
-		for _, pos := range l.fresh {
-			b.bind[l.slot[pos]] = p[pos]
+		for pos, s := range l.slot {
+			b.bind[s] = l.Patterns[i][pos]
 		}
-		mark := len(b.stack)
-		if d+1 < len(b.levels) {
-			if err := b.grow(d + 1); err != nil {
+		b.path[d] = i
+		if k+1 < len(b.seq) {
+			if err := b.join(k + 1); err != nil {
 				return err
 			}
-			if len(b.stack) == mark {
-				continue // dead branch: no path reaches full depth
-			}
 		} else {
-			b.t.Targets++
+			b.found = append(b.found, b.path...)
 		}
-		n := len(l.fresh)
-		ids := l.ids[int(i)*n : int(i+1)*n]
-		if n > 0 {
-			ids[0] = 0 // numbered once the join is done
-		}
-		b.keep(ids, mark)
 	}
 	return nil
+}
+
+// layout sorts the targets' paths, which orders each node's children by
+// pattern index, and keeps their trie in post-order: a path's nodes below
+// its common prefix with the next path close when that path starts, and a
+// final nil path closes the rest.
+func (b *builder) layout() {
+	n := len(b.levels)
+	paths := make([][]int32, 0, len(b.found)/n+1)
+	for i := 0; i < len(b.found); i += n {
+		paths = append(paths, b.found[i:i+n])
+	}
+	slices.SortFunc(paths, slices.Compare)
+	b.t.Targets = len(paths)
+	// Each path index opens at most one node, each non-root node is a kid.
+	b.t.nodes, b.t.kids = make([]node, 0, len(b.found)+1), make([]int32, 0, len(b.found))
+	mark := make([]int, n)
+	var prev []int32
+	for _, p := range append(paths, nil) {
+		d := 0
+		for prev != nil && p != nil && p[d] == prev[d] {
+			d++
+		}
+		for e := len(prev) - 1; e >= d; e-- {
+			l := &b.levels[e]
+			w := len(l.fresh)
+			ids := l.ids[int(prev[e])*w : int(prev[e]+1)*w]
+			if w > 0 {
+				ids[0] = 0 // numbered once the layout is done
+			}
+			b.keep(ids, mark[e])
+		}
+		for e := d; e < len(p); e++ {
+			mark[e] = len(b.stack)
+		}
+		prev = p
+	}
+	b.keep(nil, 0)
 }
 
 // keep appends a node that adopts the children stacked from mark on and

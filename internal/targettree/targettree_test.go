@@ -191,6 +191,10 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := targettree.Build([]targettree.Level{{Attrs: []int{0}, Patterns: [][]string{{"a", "b"}}}}); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
+	// The pattern binds column 0 to both "a" and "b": no target can hold it.
+	if _, err := targettree.Build([]targettree.Level{{Attrs: []int{0, 0}, Patterns: [][]string{{"a", "b"}}}}); err == nil {
+		t.Fatal("repeated column accepted")
+	}
 	// Incompatible levels: shared column with disjoint values.
 	_, err := targettree.Build([]targettree.Level{
 		{Attrs: []int{0}, Patterns: [][]string{{"x"}}},
@@ -339,51 +343,117 @@ func errString(err error) string {
 	return err.Error()
 }
 
+// matchReference holds Build and Nearest to the nested-loop reference
+// (reference_test.go) on one level set: the same error, the same counts
+// and targets in order, and for each query the same target, cost bits and
+// visit count. queries runs only when the levels build; matchReference
+// reports whether they did.
+func matchReference(t *testing.T, name string, levels []targettree.Level, dist distFunc, queries func() []dataset.Tuple) bool {
+	t.Helper()
+	ref, refErr := refBuild(levels)
+	tr, err := targettree.Build(levels)
+	if errString(err) != errString(refErr) {
+		t.Fatalf("%s: Build error %q, reference %q (levels %v)", name, errString(err), errString(refErr), levels)
+	}
+	if err != nil {
+		return false
+	}
+	if tr.Targets != ref.targets || tr.Explored != ref.explored || tr.Nodes != ref.nodes {
+		t.Fatalf("%s: targets/explored/nodes = %d/%d/%d, reference %d/%d/%d",
+			name, tr.Targets, tr.Explored, tr.Nodes, ref.targets, ref.explored, ref.nodes)
+	}
+	if got, want := tr.All(), ref.all(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: All = %v, reference %v", name, got, want)
+	}
+	for _, tuple := range queries() {
+		tg, cost, visited := tr.Nearest(scorer(tr, tuple, dist), nil)
+		rtg, rcost, rvisited := ref.nearest(tuple, dist)
+		if !reflect.DeepEqual(tg, rtg) || math.Float64bits(cost) != math.Float64bits(rcost) || visited != rvisited {
+			t.Fatalf("%s query %v: Nearest = %v %v %d, reference %v %v %d",
+				name, tuple, tg.Vals, cost, visited, rtg.Vals, rcost, rvisited)
+		}
+	}
+	return true
+}
+
 // TestBuildMatchesNestedLoop pins Build and Nearest to the nested-loop
-// reference (reference_test.go) on random level sets: the same error, the
-// same counts and targets in order, and for random queries the same target,
-// cost bits and visit count.
+// reference on random level sets, five random queries each.
 func TestBuildMatchesNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	built := 0
 	for trial := 0; trial < 3000; trial++ {
-		levels := randomLevels(rng)
-		ref, refErr := refBuild(levels)
-		tr, err := targettree.Build(levels)
-		if errString(err) != errString(refErr) {
-			t.Fatalf("trial %d: Build error %q, reference %q (levels %v)", trial, errString(err), errString(refErr), levels)
-		}
-		if err != nil {
-			continue
-		}
-		built++
-		if tr.Targets != ref.targets || tr.Explored != ref.explored || tr.Nodes != ref.nodes {
-			t.Fatalf("trial %d: targets/explored/nodes = %d/%d/%d, reference %d/%d/%d",
-				trial, tr.Targets, tr.Explored, tr.Nodes, ref.targets, ref.explored, ref.nodes)
-		}
-		if got, want := tr.All(), ref.all(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: All = %v, reference %v", trial, got, want)
-		}
 		dist := distFunc(tieDist)
 		if trial%2 == 1 {
 			dist = fracDist
 		}
-		for q := 0; q < 5; q++ {
-			tuple := make(dataset.Tuple, 6)
-			for c := range tuple {
-				tuple[c] = string("abcde"[rng.Intn(5)])
+		queries := func() []dataset.Tuple {
+			out := make([]dataset.Tuple, 5)
+			for q := range out {
+				out[q] = make(dataset.Tuple, 6)
+				for c := range out[q] {
+					out[q][c] = string("abcde"[rng.Intn(5)])
+				}
 			}
-			tg, cost, visited := tr.Nearest(scorer(tr, tuple, dist), nil)
-			rtg, rcost, rvisited := ref.nearest(tuple, dist)
-			if !reflect.DeepEqual(tg, rtg) || math.Float64bits(cost) != math.Float64bits(rcost) || visited != rvisited {
-				t.Fatalf("trial %d query %v: Nearest = %v %v %d, reference %v %v %d",
-					trial, tuple, tg.Vals, cost, visited, rtg.Vals, rcost, rvisited)
-			}
+			return out
+		}
+		if matchReference(t, fmt.Sprintf("trial %d", trial), randomLevels(rng), dist, queries) {
+			built++
 		}
 	}
 	if built < 500 {
 		t.Fatalf("only %d of 3000 random level sets built; the generator no longer exercises Nearest", built)
 	}
+}
+
+// FuzzBuildMatchesNestedLoop decodes its input into up to 6 levels of up to
+// 6 patterns over up to 6 columns and a 2–4-letter alphabet, so shared
+// columns, duplicate patterns, dead branches, empty joins and repeated
+// columns all arise, and holds Build and Nearest to the reference as
+// TestBuildMatchesNestedLoop does, for one query taken from the input.
+func FuzzBuildMatchesNestedLoop(f *testing.F) {
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 8; i++ {
+		seed := make([]byte, 16+8*i)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		h := next()
+		ncols, letters := 1+h%6, 2+h/6%3
+		levels := make([]targettree.Level, 1+h/18%6)
+		for i := range levels {
+			h := next()
+			attrs := make([]int, 1+h%3)
+			for j := range attrs {
+				attrs[j] = next() % ncols
+			}
+			levels[i].Attrs = attrs
+			for n := h / 3 % 7; n > 0; n-- {
+				p := make([]string, len(attrs))
+				for j := range p {
+					p[j] = string(rune('a' + next()%letters))
+				}
+				levels[i].Patterns = append(levels[i].Patterns, p)
+			}
+		}
+		dist := distFunc(tieDist)
+		if next()%2 == 1 {
+			dist = fracDist
+		}
+		query := make(dataset.Tuple, 6)
+		for c := range query {
+			query[c] = string(rune('a' + next()%5))
+		}
+		matchReference(t, "input", levels, dist, func() []dataset.Tuple { return []dataset.Tuple{query} })
+	})
 }
 
 // TestNearestConcurrent checks that goroutines sharing one tree, and the
@@ -424,20 +494,23 @@ func TestNearestConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBuildCapCountsExploredPaths: two unshared levels of 1,500 patterns
-// give 2.25 M partial paths, over MaxNodes, and a third level matches none
-// of them. The cap counts paths tried, not kept, so Build still fails — and
-// keeps none of those paths in memory on the way.
+// TestBuildCapCountsExploredPaths joins a triangle A(x,y)·B(y,z)·C(z,x) of
+// 1,500-pattern levels with no target: A and B share their single y, and
+// every C pattern agrees with A on x or with B on z but never both. Any
+// two of the levels join into 2.25 M partial paths, over MaxNodes, so the
+// join reaches the cap in whatever order it takes them. The cap counts
+// paths tried, not kept, so Build fails — and keeps none of those paths
+// in memory on the way.
 func TestBuildCapCountsExploredPaths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tries 2.1 M partial paths")
 	}
 	const n = 1500
-	levels := []targettree.Level{{Attrs: []int{0}}, {Attrs: []int{1}}, {Attrs: []int{0, 2}}}
+	levels := []targettree.Level{{Attrs: []int{0, 1}}, {Attrs: []int{1, 2}}, {Attrs: []int{2, 0}}}
 	for i := 0; i < n; i++ {
-		levels[0].Patterns = append(levels[0].Patterns, []string{fmt.Sprintf("a%d", i)})
-		levels[1].Patterns = append(levels[1].Patterns, []string{fmt.Sprintf("b%d", i)})
-		levels[2].Patterns = append(levels[2].Patterns, []string{fmt.Sprintf("x%d", i), "c"})
+		levels[0].Patterns = append(levels[0].Patterns, []string{"x", "y"})
+		levels[1].Patterns = append(levels[1].Patterns, []string{"y", "z"})
+		levels[2].Patterns = append(levels[2].Patterns, []string{"z", "x'"}, []string{"z'", "x"})
 	}
 	if 1+n+n*n <= targettree.MaxNodes {
 		t.Fatalf("%d partial paths no longer exceed MaxNodes = %d", 1+n+n*n, targettree.MaxNodes)
