@@ -405,9 +405,10 @@ func BenchmarkTargetTreeSearch(b *testing.B) {
 	dirty, _ := gen.Citizens()
 	cfg := fd.DefaultDistConfig(dirty)
 	t4 := dirty.Tuples[3]
-	score := func(id int32) float64 {
-		col, v := tr.Value(id)
-		return cfg.AttrDist(col, t4[col], v)
+	score := make([]float64, tr.NumValues())
+	for id := range score {
+		col, v := tr.Value(int32(id))
+		score[id] = cfg.AttrDist(col, t4[col], v)
 	}
 	b.Run("Nearest", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

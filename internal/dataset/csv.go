@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -21,8 +22,8 @@ type CSVOptions struct {
 // ReadCSV loads a relation from CSV data. The first record is the header.
 // Attribute types are given by typeSpec, a comma-separated list aligned with
 // the header such as "string,string,numeric"; an empty typeSpec makes every
-// attribute a string. Numeric cells must parse as float64 (empty cells are
-// nulls and allowed).
+// attribute a string. Numeric cells must parse as finite float64 values
+// (empty cells are nulls and allowed).
 func ReadCSV(r io.Reader, typeSpec string) (*Relation, error) {
 	return ReadCSVOpts(r, typeSpec, CSVOptions{})
 }
@@ -128,7 +129,12 @@ func WriteCSV(w io.Writer, r *Relation) error {
 }
 
 // ParseFloat parses a numeric cell. It is the single parsing point used by
-// distance code so behaviour stays consistent.
+// the relation and the distance code so behaviour stays consistent. NaN
+// and ±Inf are refused: no span or distance can be taken from them.
 func ParseFloat(v string) (float64, error) {
-	return strconv.ParseFloat(strings.TrimSpace(v), 64)
+	f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		return 0, fmt.Errorf("dataset: %q is not a finite number", v)
+	}
+	return f, err
 }

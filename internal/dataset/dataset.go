@@ -11,7 +11,6 @@ package dataset
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -230,7 +229,7 @@ func (r *Relation) Append(t Tuple) error {
 		if r.Schema.Attr(i).Type == Numeric && v != "" {
 			// Empty cells are nulls and allowed in numeric columns; the
 			// distance layer compares them as strings.
-			if _, err := strconv.ParseFloat(v, 64); err != nil {
+			if _, err := ParseFloat(v); err != nil {
 				return fmt.Errorf("dataset: attribute %q: %q is not numeric", r.Schema.Attr(i).Name, v)
 			}
 		}
@@ -273,26 +272,28 @@ func (r *Relation) ActiveDomain(col int) []string {
 	return out
 }
 
-// NumericRange returns the min and max of a numeric attribute, for
-// normalizing Euclidean distances into [0,1]. It returns ok=false when the
-// relation is empty or the attribute is not numeric.
+// NumericRange returns the min and max of a numeric attribute's values
+// that ParseFloat accepts, for normalizing Euclidean distances into [0,1];
+// nulls and other cells it refuses do not count. It returns ok=false when
+// the attribute is not numeric or no cell parses.
 func (r *Relation) NumericRange(col int) (min, max float64, ok bool) {
-	if r.Schema.Attr(col).Type != Numeric || len(r.Tuples) == 0 {
+	if r.Schema.Attr(col).Type != Numeric {
 		return 0, 0, false
 	}
-	for i, t := range r.Tuples {
-		v, err := strconv.ParseFloat(t[col], 64)
+	for _, t := range r.Tuples {
+		v, err := ParseFloat(t[col])
 		if err != nil {
 			continue
 		}
-		if i == 0 || v < min {
+		if !ok || v < min {
 			min = v
 		}
-		if i == 0 || v > max {
+		if !ok || v > max {
 			max = v
 		}
+		ok = true
 	}
-	return min, max, true
+	return min, max, ok
 }
 
 // Diff returns the cells at which a and b differ, in row-major order. The

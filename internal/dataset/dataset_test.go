@@ -154,6 +154,51 @@ func TestNumericRange(t *testing.T) {
 	}
 }
 
+// TestNumericRangeSkipsNullsAndNonFinite ranges over the cells that parse
+// to finite numbers only: a leading null must not pin min or max at 0, and
+// NaN or ±Inf cannot enter a relation or a span.
+func TestNumericRangeSkipsNullsAndNonFinite(t *testing.T) {
+	s := MustSchema(Attribute{Name: "N", Type: Numeric})
+	for _, tc := range []struct {
+		cells    []string
+		min, max float64
+		ok       bool
+	}{
+		{[]string{"", "5", "7"}, 5, 7, true},
+		{[]string{"", "-5", "-7"}, -7, -5, true},
+		{[]string{"5", "", "7"}, 5, 7, true},
+		{[]string{"", ""}, 0, 0, false},
+		{nil, 0, 0, false},
+	} {
+		r := NewRelation(s)
+		for _, c := range tc.cells {
+			if err := r.Append(Tuple{c}); err != nil {
+				t.Fatalf("%q: %v", tc.cells, err)
+			}
+		}
+		if min, max, ok := r.NumericRange(0); min != tc.min || max != tc.max || ok != tc.ok {
+			t.Fatalf("%q: NumericRange = %v, %v, %v; want %v, %v, %v", tc.cells, min, max, ok, tc.min, tc.max, tc.ok)
+		}
+	}
+	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "1e400"} {
+		if err := NewRelation(s).Append(Tuple{v}); err == nil {
+			t.Errorf("Append accepted %q in a numeric column", v)
+		}
+		if f, err := ParseFloat(" " + v); err == nil {
+			t.Errorf("ParseFloat(%q) = %v, want an error", v, f)
+		}
+	}
+	// A non-finite cell written past Append does not reach the span.
+	if _, err := FromRows(s, [][]string{{"NaN"}, {"2"}, {"+Inf"}, {"4"}}); err == nil {
+		t.Fatal("FromRows accepted non-finite cells")
+	}
+	r := NewRelation(s)
+	r.Tuples = []Tuple{{"NaN"}, {"2"}, {"+Inf"}, {"4"}}
+	if min, max, ok := r.NumericRange(0); min != 2 || max != 4 || !ok {
+		t.Fatalf("NumericRange over NaN and Inf cells = %v, %v, %v; want 2, 4, true", min, max, ok)
+	}
+}
+
 func TestCloneAndCells(t *testing.T) {
 	r, err := FromRows(Strings("A", "B"), [][]string{{"1", "2"}, {"3", "4"}})
 	if err != nil {

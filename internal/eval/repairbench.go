@@ -101,14 +101,18 @@ func RepairBench(c BenchConfig) (*BenchDoc, error) {
 		break
 	}
 	// exactInst == nil means every rung overflowed: leave the exact entries
-	// out rather than fail the greedy/plan measurements.
+	// out rather than fail the greedy/plan measurements. A run takes about
+	// a third of a second on HOSP, so MinTime would time two or three runs
+	// and one slow run would move the entry by half; each entry times a
+	// fixed exactIters runs instead.
+	const exactIters = 8
 	if exactInst != nil {
 		for _, workers := range []int{1, 2, procs} {
 			if r.canceled() {
 				return nil, repair.ErrCanceled
 			}
 			var res *repair.Result
-			e, err := r.time(fmt.Sprintf("exact/w%d", workers), 0, 1, func(int) error {
+			e, err := r.time(fmt.Sprintf("exact/w%d", workers), exactIters, 1, func(int) error {
 				var err error
 				res, err = repair.ExactM(exactInst.Dirty, exactInst.Set, exactInst.Cfg,
 					repair.Options{Parallel: workers, Cancel: c.Cancel})

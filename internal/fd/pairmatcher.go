@@ -122,6 +122,8 @@ func (pm *PairMatcher) attrDist(col int, t2 dataset.Tuple) float64 {
 // column, so a plane hit costs no string-map probe, and it reuses the
 // tuple's bit-parallel tables when a pair must be computed. Results are
 // bitwise equal to DistConfig.RepairDist with the fixed value on the left.
+// Score(col, ...) reads only t[col], so the repair planner scores a column
+// value once for every tuple that carries it; the sharing relies on that.
 //
 // The scorer tallies its lookups in plain fields and adds them to the
 // cache's counters once, in Release: a search's per-lookup work then

@@ -31,7 +31,7 @@ type watermark struct {
 	updates atomic.Int64  // accepted offers (incumbent improvements)
 	mu      sync.Mutex
 	idx     int
-	targets []*targettree.Target
+	plan    []*groupResult
 	has     bool
 }
 
@@ -49,7 +49,7 @@ func (w *watermark) cost() float64 { return math.Float64frombits(w.bits.Load()) 
 // combination index (the deterministic tie-break; sequential evaluation
 // kept the first — lowest — index, and this reproduces that at any worker
 // count).
-func (w *watermark) offer(cost float64, idx int, targets []*targettree.Target) {
+func (w *watermark) offer(cost float64, idx int, plan []*groupResult) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	cur := math.Float64frombits(w.bits.Load())
@@ -58,7 +58,7 @@ func (w *watermark) offer(cost float64, idx int, targets []*targettree.Target) {
 	}
 	if cost < cur || idx < w.idx || !w.has {
 		w.idx = idx
-		w.targets = targets
+		w.plan = plan
 		w.has = true
 		w.bits.Store(math.Float64bits(cost))
 		w.updates.Add(1)
@@ -69,12 +69,12 @@ func (w *watermark) offer(cost float64, idx int, targets []*targettree.Target) {
 // family members (families[i] holds FD i's enumerated maximal independent
 // sets). Combination index idx decodes mixed-radix with the last FD
 // varying fastest — the same order the sequential loop used. It returns
-// the winning plan's targets (nil when no combination joins into targets),
+// the winning plan (nil when no combination joins into targets),
 // the total target-tree visit count, the number of incumbent-watermark
 // updates, and ErrCanceled if the search was cut short. The update count
 // is observability only — it depends on worker scheduling (how offers
 // interleave), unlike the winning plan, which is deterministic.
-func searchCombos(groups []tupleGroup, graphs []*vgraph.Graph, families [][][]int, combos int, opts Options, p *planner) (bestTargets []*targettree.Target, visited, updates int, err error) {
+func searchCombos(graphs []*vgraph.Graph, families [][][]int, combos int, opts Options, p *planner) (best []*groupResult, visited, updates int, err error) {
 	n := len(families)
 	levelCache := make([][]targettree.Level, n)
 	memberCache := make([][]bitset.Set, n)
@@ -114,10 +114,10 @@ func searchCombos(groups []tupleGroup, graphs []*vgraph.Graph, families [][][]in
 				levels[i] = levelCache[i][j]
 				chosen[i] = memberCache[i][j]
 			}
-			targets, cost, v, ok := p.costs(chosen, levels, w.cost)
+			plan, cost, v, ok := p.costs(chosen, levels, w.cost)
 			visitedTotal.Add(int64(v))
 			if ok {
-				w.offer(cost, idx, targets)
+				w.offer(cost, idx, plan)
 			}
 		}
 	}
@@ -137,5 +137,5 @@ func searchCombos(groups []tupleGroup, graphs []*vgraph.Graph, families [][][]in
 	if err != nil {
 		return nil, int(visitedTotal.Load()), int(w.updates.Load()), err
 	}
-	return w.targets, int(visitedTotal.Load()), int(w.updates.Load()), nil
+	return w.plan, int(visitedTotal.Load()), int(w.updates.Load()), nil
 }

@@ -44,8 +44,10 @@ type incComponent struct {
 	tree      *targettree.Tree
 	treeDirty bool
 	treeBuilt int
-	// codes are the tree values' distance-plane codes (valueCodes).
-	codes []int32
+	// codes are the tree values' distance-plane codes (valueCodes);
+	// scores is the search's dense score vector, reused across tuples.
+	codes  []int32
+	scores []float64
 	// treeBuilds counts Build calls (observability for the memoization).
 	treeBuilds int
 }
@@ -178,8 +180,9 @@ func (c *incComponent) nearestTarget(set *fd.Set, cfg *fd.DistConfig, t dataset.
 		c.treeDirty = false
 	}
 	rs := cfg.AcquireRepairScorer(t)
-	tg, _, _ := c.tree.Nearest(scoreByCode(c.tree, c.codes, rs), nil)
+	c.scores = scoreValues(c.tree, c.codes, rs, c.scores)
 	rs.Release()
+	tg, _, _ := c.tree.Nearest(c.scores, nil)
 	return tg, nil
 }
 
@@ -201,7 +204,8 @@ func (c *incComponent) nearestSingle(set *fd.Set, cfg *fd.DistConfig, t dataset.
 	var best targettree.Target
 	bestDist := -1.0
 	if c.treeBuilt > 0 {
-		tg, d, _ := c.tree.Nearest(scoreByCode(c.tree, c.codes, rs), nil)
+		c.scores = scoreValues(c.tree, c.codes, rs, c.scores)
+		tg, d, _ := c.tree.Nearest(c.scores, nil)
 		best, bestDist = tg, d
 	}
 	for _, p := range c.patterns[0][c.treeBuilt:] {

@@ -39,9 +39,10 @@ type jointState struct {
 	minOmega [][]float64
 	added    int
 	// syncEvals counts syncMemo fills, violatorSearches the violCache
-	// misses that ran the q-gram search (projection not a vertex), and
-	// singleTarget the doomed-pattern evaluations that skipped the sync
-	// term.
+	// misses on projections that are not vertices (ViolatorCount verifies
+	// the candidates the build's kept q-gram matches name, and runs no
+	// search for a probe value the build searched), and singleTarget the
+	// doomed-pattern evaluations that skipped the sync term.
 	syncEvals, violatorSearches, singleTarget int
 }
 

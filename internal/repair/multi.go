@@ -277,7 +277,7 @@ func exactComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig,
 	// parallelism, and pruning aborts a plan between groups.
 	p := newPlanner(groups, graphs, cfg, opts.DisableTargetTree, opts.Cancel, 1)
 	ts := obs.Begin(opts.Trace, obs.PhaseTargetSearch)
-	bestTargets, visited, updates, err := searchCombos(groups, graphs, families, combos, opts, p)
+	best, visited, updates, err := searchCombos(graphs, families, combos, opts, p)
 	ts.Add("treeVisited", int64(visited))
 	ts.Add("incumbents", int64(updates))
 	ts.End()
@@ -286,14 +286,14 @@ func exactComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig,
 	if err != nil {
 		return err
 	}
-	if bestTargets == nil {
+	if best == nil {
 		return fmt.Errorf("repair: no feasible combination of independent sets joins into targets")
 	}
 	if ev != nil {
 		ev.fdLabel = fdSetLabel(sub)
 	}
 	ap := obs.Begin(opts.Trace, obs.PhaseApply)
-	applyPlan(out, groups, bestTargets, cfg, ev)
+	applyPlan(out, groups, best, cfg, ev)
 	ap.End()
 	return nil
 }
@@ -345,7 +345,7 @@ func applyJoinedSets(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig
 	p := newPlanner(groups, graphs, cfg, opts.DisableTargetTree, opts.Cancel, runtime.GOMAXPROCS(0))
 	ts := obs.Begin(opts.Trace, obs.PhaseTargetSearch)
 	p.span = ts
-	targets, _, visited, ok := p.costs(chosenBits(graphs, sets), levelsFor(graphs, sets), nil)
+	plan, _, visited, ok := p.costs(chosenBits(graphs, sets), levelsFor(graphs, sets), nil)
 	ts.Add("treeVisited", int64(visited))
 	ts.End()
 	stats["treeVisited"] += visited
@@ -360,7 +360,7 @@ func applyJoinedSets(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig
 		ev.fdLabel = fdSetLabel(sub)
 	}
 	ap := obs.Begin(opts.Trace, obs.PhaseApply)
-	applyPlan(out, groups, targets, cfg, ev)
+	applyPlan(out, groups, plan, cfg, ev)
 	ap.End()
 	return nil
 }

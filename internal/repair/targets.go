@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -103,6 +104,11 @@ func chosenBits(graphs []*vgraph.Graph, sets [][]int) []bitset.Set {
 // workers goroutines; the cost reduction always folds in group order, so
 // totals are bitwise identical at any worker count.
 //
+// RepairScorer.Score reads only the tuple's value in the scored column, so
+// costs scores each (column, value) that a repairing group carries once per
+// tree, into a score unit, and each search copies its units into a dense
+// vector over the tree's value ids.
+//
 // costs may be called from many goroutines over one planner (ExactM's
 // combination workers share it, each evaluating its plans on one
 // goroutine), so all per-evaluation scratch comes from a sync.Pool rather
@@ -121,16 +127,23 @@ type planner struct {
 	// always repairs). Precomputed once, it turns the per-combination
 	// needs-repair test into a bitset probe — no key strings, no map hits.
 	vertexOf [][]int32
+	// cols are the component's attributes, sorted: every plan's tree
+	// columns. keyOf[gi*len(cols)+c] numbers group gi's value in cols[c]
+	// among the groups' distinct values, column after column (keys in all).
+	cols  []int
+	keyOf []int32
+	keys  int
 	// span, when non-nil, is the parent span under which costs opens a
-	// distance child covering the nearest-target searches. Only the
-	// single-evaluation callers (applyJoinedSets) set it: ExactM calls costs
-	// once per combination and a per-combination child span would swamp the
-	// trace.
+	// distance child covering the score fills and nearest-target searches.
+	// Only the single-evaluation callers (applyJoinedSets) set it: ExactM
+	// calls costs once per combination and a per-combination child span
+	// would swamp the trace.
 	span *obs.Span
 }
 
 // newPlanner builds a planner over a fixed grouping, precomputing the
-// group-to-vertex resolution per graph.
+// group-to-vertex resolution per graph and the groups' value keys per
+// column.
 func newPlanner(groups []tupleGroup, graphs []*vgraph.Graph, cfg *fd.DistConfig, disableTree bool, cancel <-chan struct{}, workers int) *planner {
 	p := &planner{
 		groups:      groups,
@@ -141,7 +154,9 @@ func newPlanner(groups []tupleGroup, graphs []*vgraph.Graph, cfg *fd.DistConfig,
 		workers:     workers,
 	}
 	p.vertexOf = make([][]int32, len(graphs))
+	fds := make([]*fd.FD, len(graphs))
 	for i, g := range graphs {
+		fds[i] = g.FD
 		col := make([]int32, len(groups))
 		for gi := range groups {
 			if v, ok := g.Lookup(groups[gi].rep); ok {
@@ -151,6 +166,21 @@ func newPlanner(groups []tupleGroup, graphs []*vgraph.Graph, cfg *fd.DistConfig,
 			}
 		}
 		p.vertexOf[i] = col
+	}
+	p.cols = unionAttrs(fds)
+	p.keyOf = make([]int32, len(groups)*len(p.cols))
+	for c, col := range p.cols {
+		keys := make(map[string]int32)
+		for gi := range groups {
+			v := groups[gi].rep[col]
+			k, ok := keys[v]
+			if !ok {
+				k = int32(p.keys)
+				keys[v] = k
+				p.keys++
+			}
+			p.keyOf[gi*len(p.cols)+c] = k
+		}
 	}
 	return p
 }
@@ -167,11 +197,25 @@ func (p *planner) needsRepair(gi int, chosen []bitset.Set) bool {
 	return false
 }
 
+// scoreUnit is one plan's scores of one column value against the column's
+// tree values: slab[off:off+n], n the column's id count. src is the first
+// repairing group carrying the value.
+type scoreUnit struct {
+	col, src int32
+	off      int
+	filled   bool
+}
+
 // planScratch is the pooled per-evaluation scratch of planner.costs: the
-// repairing-group index list and the parallel path's result buffer.
+// repairing-group index list, the score units (unit[key] is a value key's
+// unit, or -1) with their slab, one score vector per worker, and the
+// parallel path's result buffer.
 type planScratch struct {
-	needs []int
-	res   []groupResult
+	needs      []int
+	unit       []int32
+	units      []scoreUnit
+	slab, vecs []float64
+	res        []groupResult
 }
 
 var planScratchPool = sync.Pool{New: func() any { return new(planScratch) }}
@@ -183,8 +227,61 @@ type groupResult struct {
 	visited int
 }
 
+// layout gives every value key a repairing group carries one unit, in the
+// order the groups first carry them, and sizes the slab.
+func (sc *planScratch) layout(p *planner, tree *targettree.Tree) {
+	sc.unit = slices.Grow(sc.unit[:0], p.keys)[:p.keys]
+	for k := range sc.unit {
+		sc.unit[k] = -1
+	}
+	sc.units = sc.units[:0]
+	size, nc := 0, len(p.cols)
+	for _, gi := range sc.needs {
+		for c, k := range p.keyOf[gi*nc : (gi+1)*nc] {
+			if sc.unit[k] < 0 {
+				sc.unit[k] = int32(len(sc.units))
+				lo, hi := tree.ColumnIDs(c)
+				sc.units = append(sc.units, scoreUnit{col: int32(c), src: int32(gi), off: size})
+				size += int(hi - lo)
+			}
+		}
+	}
+	sc.slab = slices.Grow(sc.slab[:0], size)[:size]
+}
+
+// fill scores unit u's value, which rs's tuple holds, against its column's
+// tree values.
+func (p *planner) fill(tree *targettree.Tree, codes []int32, sc *planScratch, u *scoreUnit, rs *fd.RepairScorer) {
+	col := p.cols[u.col]
+	lo, hi := tree.ColumnIDs(int(u.col))
+	for id := lo; id < hi; id++ {
+		_, v := tree.Value(id)
+		sc.slab[u.off+int(id-lo)] = rs.Score(col, codes[id], v)
+	}
+	u.filled = true
+}
+
+// search runs group gi's target search over the dense vector that its
+// units, filled by now, copy into worker w's part of vecs.
+func (p *planner) search(tree *targettree.Tree, sc *planScratch, w, gi int) groupResult {
+	n, nc := tree.NumValues(), len(p.cols)
+	vec := sc.vecs[w*n : (w+1)*n]
+	for c, k := range p.keyOf[gi*nc : (gi+1)*nc] {
+		lo, hi := tree.ColumnIDs(c)
+		off := sc.units[sc.unit[k]].off
+		copy(vec[lo:hi], sc.slab[off:])
+	}
+	var r groupResult
+	if p.disableTree {
+		r.tg, r.cost, r.visited = tree.NearestScan(vec, p.cancel)
+	} else {
+		r.tg, r.cost, r.visited = tree.Nearest(vec, p.cancel)
+	}
+	return r
+}
+
 // costs evaluates the total cost of repairing the relation with the given
-// chosen-set keys and target-tree levels, also returning the chosen target
+// chosen-set keys and target-tree levels, also returning the chosen plan
 // per group (nil for groups that keep their values). abortAbove, when
 // non-nil, supplies the incumbent cost to prune against: evaluation stops
 // with ok=false as soon as the accumulated (group-ordered) cost exceeds
@@ -192,63 +289,107 @@ type groupResult struct {
 // incumbent (exactComponent's watermark) tightens pruning mid-plan; since
 // the incumbent never rises and the fold order is fixed, a plan at least
 // as cheap as the final incumbent is never aborted. Pruning needs the
-// sequential path, so callers that pass abortAbove use one worker. A fired
-// cancel channel also stops evaluation with ok=false.
-func (p *planner) costs(chosen []bitset.Set, levels []targettree.Level, abortAbove func() float64) (targets []*targettree.Target, cost float64, visited int, ok bool) {
+// sequential path, so callers that pass abortAbove use one worker; that
+// path fills a group's missing units just before its search, so an aborted
+// plan scores nothing past its abort point. A fired cancel channel also
+// stops evaluation with ok=false.
+func (p *planner) costs(chosen []bitset.Set, levels []targettree.Level, abortAbove func() float64) (plan []*groupResult, cost float64, visited int, ok bool) {
 	tree, err := targettree.Build(levels)
 	if err != nil {
 		return nil, 0, 0, false
 	}
 	codes := valueCodes(tree, p.cfg)
 	if p.span != nil {
-		// The remainder of the evaluation is the distance-dominated nearest
-		// searches; the child span makes that share visible under the
-		// parent targetsearch phase.
+		// The remainder of the evaluation is the distance-dominated score
+		// fills and nearest searches; the child span makes that share
+		// visible under the parent targetsearch phase.
 		ds := p.span.Child(obs.PhaseDistance)
 		defer ds.End()
 	}
 	sc := planScratchPool.Get().(*planScratch)
 	defer planScratchPool.Put(sc)
-	targets = make([]*targettree.Target, len(p.groups))
+	plan = make([]*groupResult, len(p.groups))
 	// needs collects the indices of groups that actually repair; the
 	// nearest-target searches below only run for those.
-	needs := sc.needs[:0]
+	sc.needs = sc.needs[:0]
 	for gi := range p.groups {
 		if p.needsRepair(gi, chosen) {
-			needs = append(needs, gi)
+			sc.needs = append(sc.needs, gi)
 		}
 	}
-	sc.needs = needs
-	if p.workers >= 2 && len(needs) >= 2*p.workers {
-		return p.costsParallel(tree, codes, targets, needs, sc)
+	sc.layout(p, tree)
+	workers := 1
+	if p.workers >= 2 && len(sc.needs) >= 2*p.workers {
+		workers = p.workers
 	}
-	for _, gi := range needs {
+	n := workers * tree.NumValues()
+	sc.vecs = slices.Grow(sc.vecs[:0], n)[:n]
+	if workers > 1 {
+		return p.costsParallel(tree, codes, plan, sc)
+	}
+	nc := len(p.cols)
+	for _, gi := range sc.needs {
 		if canceled(p.cancel) {
 			return nil, cost, visited, false
 		}
-		g := &p.groups[gi]
-		res := p.nearest(tree, codes, g.rep)
-		visited += res.visited
-		targets[gi] = &res.tg
-		cost += float64(len(g.rows)) * res.cost
+		// The group's unfilled units are those it carries first.
+		rs := p.cfg.AcquireRepairScorer(p.groups[gi].rep)
+		for _, k := range p.keyOf[gi*nc : (gi+1)*nc] {
+			if u := &sc.units[sc.unit[k]]; !u.filled {
+				p.fill(tree, codes, sc, u, rs)
+			}
+		}
+		rs.Release()
+		r := p.search(tree, sc, 0, gi)
+		visited += r.visited
+		plan[gi] = &r
+		cost += float64(len(p.groups[gi].rows)) * r.cost
 		if abortAbove != nil && cost > abortAbove() {
 			return nil, cost, visited, false
 		}
 	}
-	return targets, cost, visited, true
+	return plan, cost, visited, true
 }
 
-// costsParallel is the fan-out path of costs: workers claim groups by
-// index and search them, then the results fold sequentially in group order,
-// so the cost accumulation is independent of scheduling. It takes no abort
-// threshold, so every group is searched; workers poll cancel per group. The
-// result buffer is pooled scratch, so each target is copied out in the
-// fold.
-func (p *planner) costsParallel(tree *targettree.Tree, codes []int32, targets []*targettree.Target, needs []int, sc *planScratch) (_ []*targettree.Target, cost float64, visited int, ok bool) {
+// costsParallel is the fan-out path of costs. Workers first claim score
+// units by index and fill them, each unit written by one goroutine; once
+// every unit is filled they claim groups and search them. The results then
+// fold sequentially in group order, so the cost accumulation is
+// independent of scheduling. It takes no abort threshold, so every group is
+// searched; workers poll cancel per unit and per group. The result buffer
+// is pooled scratch, so each result is copied out in the fold.
+func (p *planner) costsParallel(tree *targettree.Tree, codes []int32, plan []*groupResult, sc *planScratch) (_ []*groupResult, cost float64, visited int, ok bool) {
+	needs := sc.needs
 	if cap(sc.res) < len(needs) {
 		sc.res = make([]groupResult, len(needs))
 	}
 	res := sc.res[:len(needs)]
+	p.fanOut(len(sc.units), func(_, k int) {
+		u := &sc.units[k]
+		rs := p.cfg.AcquireRepairScorer(p.groups[u.src].rep)
+		p.fill(tree, codes, sc, u, rs)
+		rs.Release()
+	})
+	if canceled(p.cancel) {
+		return nil, 0, 0, false
+	}
+	p.fanOut(len(needs), func(w, k int) { res[k] = p.search(tree, sc, w, needs[k]) })
+	if canceled(p.cancel) {
+		return nil, 0, 0, false
+	}
+	for k, gi := range needs {
+		visited += res[k].visited
+		r := res[k]
+		plan[gi] = &r
+		cost += float64(len(p.groups[gi].rows)) * r.cost
+	}
+	return plan, cost, visited, true
+}
+
+// fanOut runs do(w, k) for every k below n on p.workers goroutines, worker
+// w claiming the next k by atomic index until none is left or cancel
+// fires.
+func (p *planner) fanOut(n int, do func(w, k int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < p.workers; w++ {
@@ -257,29 +398,18 @@ func (p *planner) costsParallel(tree *targettree.Tree, codes []int32, targets []
 			defer wg.Done()
 			for {
 				k := int(next.Add(1) - 1)
-				if k >= len(needs) || canceled(p.cancel) {
+				if k >= n || canceled(p.cancel) {
 					return
 				}
-				res[k] = p.nearest(tree, codes, p.groups[needs[k]].rep)
+				do(w, k)
 			}
 		}()
 	}
 	wg.Wait()
-	if canceled(p.cancel) {
-		return nil, 0, 0, false
-	}
-	for k, gi := range needs {
-		visited += res[k].visited
-		tg := res[k].tg
-		targets[gi] = &tg
-		cost += float64(len(p.groups[gi].rows)) * res[k].cost
-	}
-	return targets, cost, visited, true
 }
 
 // valueCodes resolves every tree value's distance-plane code once per tree
-// (-1 where no plane holds the value), the table the searches' scorers
-// read.
+// (-1 where no plane holds the value), the table the scorers read.
 func valueCodes(tree *targettree.Tree, cfg *fd.DistConfig) []int32 {
 	codes := make([]int32, tree.NumValues())
 	for id := range codes {
@@ -289,29 +419,15 @@ func valueCodes(tree *targettree.Tree, cfg *fd.DistConfig) []int32 {
 	return codes
 }
 
-// scoreByCode scores tree values for rs's tuple by their plane codes.
-func scoreByCode(tree *targettree.Tree, codes []int32, rs *fd.RepairScorer) targettree.Scorer {
-	return func(id int32) float64 {
-		col, v := tree.Value(id)
-		return rs.Score(col, codes[id], v)
+// scoreValues writes rs's score of every tree value, by the values' plane
+// codes, into dst (grown to the tree's value count) and returns it.
+func scoreValues(tree *targettree.Tree, codes []int32, rs *fd.RepairScorer, dst []float64) []float64 {
+	dst = slices.Grow(dst[:0], tree.NumValues())[:tree.NumValues()]
+	for id := range dst {
+		col, v := tree.Value(int32(id))
+		dst[id] = rs.Score(col, codes[id], v)
 	}
-}
-
-// nearest runs one group's target search through the configured strategy.
-// The group's representative is held fixed in a RepairScorer, which scores
-// the tree's values by their plane codes and shares its bit-parallel
-// tables across every candidate the search visits.
-func (p *planner) nearest(tree *targettree.Tree, codes []int32, rep dataset.Tuple) groupResult {
-	var r groupResult
-	rs := p.cfg.AcquireRepairScorer(rep)
-	score := scoreByCode(tree, codes, rs)
-	if p.disableTree {
-		r.tg, r.cost, r.visited = tree.NearestScan(score, p.cancel)
-	} else {
-		r.tg, r.cost, r.visited = tree.Nearest(score, p.cancel)
-	}
-	rs.Release()
-	return r
+	return dst
 }
 
 // applyPlan writes the chosen targets into out. When ev is non-nil, every
@@ -319,11 +435,12 @@ func (p *planner) nearest(tree *targettree.Tree, codes []int32, rep dataset.Tupl
 // justification (the target's columns and values plus the component's FD
 // label, set by the caller on ev.fdLabel — plan repairs span every FD of
 // the component, so no single violation edge applies).
-func applyPlan(out *dataset.Relation, groups []tupleGroup, targets []*targettree.Target, cfg *fd.DistConfig, ev *eventBuf) {
-	for gi, tg := range targets {
-		if tg == nil {
+func applyPlan(out *dataset.Relation, groups []tupleGroup, plan []*groupResult, cfg *fd.DistConfig, ev *eventBuf) {
+	for gi, r := range plan {
+		if r == nil {
 			continue
 		}
+		tg := &r.tg
 		var tmpl ledger.RepairEvent
 		if ev != nil {
 			tmpl = ledger.RepairEvent{

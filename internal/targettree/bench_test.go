@@ -109,15 +109,15 @@ func BenchmarkNearest(b *testing.B) {
 		b.Fatal(err)
 	}
 	queries := hospQueries(tr, 64)
-	scorers := make([]targettree.Scorer, len(queries))
+	vecs := make([][]float64, len(queries))
 	for i, q := range queries {
-		scorers[i] = scorer(tr, q, toyDist)
+		vecs[i] = scores(tr, q, toyDist)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	visited := 0
 	for i := 0; i < b.N; i++ {
-		_, _, v := tr.Nearest(scorers[i%len(scorers)], nil)
+		_, _, v := tr.Nearest(vecs[i%len(vecs)], nil)
 		visited += v
 	}
 	b.ReportMetric(float64(visited)/float64(b.N), "visited/op")

@@ -23,12 +23,6 @@ type Level struct {
 	Patterns [][]string
 }
 
-// Scorer scores one attribute repair of the query tuple: the cost of
-// changing its value at the column of tree value id to that value
-// (Tree.Value names both). Nearest calls it at most once per id;
-// NearestScan calls it for every value of every target it scores.
-type Scorer func(id int32) float64
-
 // node is one kept node. Values are dense ids: id i stands for the value
 // vals[i] of column cols[vcol[i]], and ids order by column, then by value.
 type node struct {
@@ -51,10 +45,12 @@ type Tree struct {
 	nodes []node
 	kids  []int32
 	subs  []int32
-	// cols is the union of all level attributes, sorted.
-	cols []int
-	vcol []int32
-	vals []string
+	// cols is the union of all level attributes, sorted; the ids of
+	// cols[s]'s values run from colIDs[s] to colIDs[s+1].
+	cols   []int
+	colIDs []int32
+	vcol   []int32
+	vals   []string
 	// Targets counts root-to-leaf paths (valid targets).
 	Targets int
 	// Explored counts the partial paths the join tried in its connected
@@ -313,14 +309,16 @@ func (b *builder) keep(ids []int32, mark int) {
 }
 
 // number gives each distinct (column, value) pair of the kept nodes a dense
-// id, ordered by column and then by value, and writes the ids into the
-// level tables the nodes' id slices view.
+// id, ordered by column and then by value, records each column's id range,
+// and writes the ids into the level tables the nodes' id slices view.
 func (b *builder) number(boundAt []int) {
 	t := b.t
+	t.colIDs = make([]int32, len(boundAt)+1)
 	for s, d := range boundAt {
 		l := &b.levels[d]
 		n := len(l.fresh)
 		base := len(t.vals)
+		t.colIDs[s] = int32(base)
 		for i, p := range l.Patterns {
 			for _, pos := range l.fresh {
 				if l.ids[i*n] >= 0 && l.slot[pos] == s {
@@ -343,6 +341,7 @@ func (b *builder) number(boundAt []int) {
 			}
 		}
 	}
+	t.colIDs[len(boundAt)] = int32(len(t.vals))
 }
 
 // fillSubs computes each node's subtree id list from its children's, which
@@ -432,66 +431,21 @@ func (q *pq) pop() pqItem {
 	return h[n]
 }
 
-// memo caches one query's attribute distances by value id: sibling
-// subtrees share most of their values, so each distinct (column, value)
-// pair is scored once per Nearest call instead of once per node that
-// carries it. Memos are pooled across calls and trees; a slot holds a
-// distance only when its stamp is the current call's generation, so
-// starting a call is one increment.
-type memo struct {
-	tr    *Tree
-	score Scorer
-	gen   uint32
-	slots []memoSlot
-	q     pq
-}
-
-type memoSlot struct {
-	gen uint32
-	d   float64
-}
-
-var memos = sync.Pool{New: func() any { return new(memo) }}
-
-func acquireMemo(tr *Tree, score Scorer) *memo {
-	m := memos.Get().(*memo)
-	m.tr, m.score = tr, score
-	if len(m.slots) < len(tr.vals) {
-		m.slots = make([]memoSlot, len(tr.vals))
-	}
-	if m.gen++; m.gen == 0 {
-		clear(m.slots)
-		m.gen = 1
-	}
-	return m
-}
-
-func (m *memo) release() {
-	m.tr, m.score, m.q = nil, nil, m.q[:0]
-	memos.Put(m)
-}
-
-func (m *memo) at(id int32) float64 {
-	s := &m.slots[id]
-	if s.gen != m.gen {
-		s.gen, s.d = m.gen, m.score(id)
-	}
-	return s.d
-}
+// queues pools the search heaps across calls and trees.
+var queues = sync.Pool{New: func() any { return new(pq) }}
 
 // edist is the lower bound for the columns bound strictly below nd: per
-// column, the minimum distance from the query's value to any value
-// occurring in the subtree.
-func (m *memo) edist(nd *node) float64 {
-	sub, vcol := m.tr.subs[nd.subLo:nd.subHi], m.tr.vcol
+// column, the minimum score of any value occurring in the subtree.
+func (tr *Tree) edist(nd *node, scores []float64) float64 {
+	sub, vcol := tr.subs[nd.subLo:nd.subHi], tr.vcol
 	var sum float64
 	for i := 0; i < len(sub); {
 		col, best := vcol[sub[i]], math.Inf(1)
 		for ; i < len(sub) && vcol[sub[i]] == col; i++ {
-			// Distances are non-negative; the per-column minimum cannot
+			// Scores are non-negative; the per-column minimum cannot
 			// improve past zero.
 			if best > 0 {
-				best = min(best, m.at(sub[i]))
+				best = min(best, scores[sub[i]])
 			}
 		}
 		sum += best
@@ -499,25 +453,29 @@ func (m *memo) edist(nd *node) float64 {
 	return sum
 }
 
-// Nearest finds the target minimizing the summed attribute repair cost
-// that score assigns (Algorithm 5: best-first search with RDIST/EDIST
-// pruning). It returns the target and its cost. Visited counts dequeued
-// nodes, for the ablation benchmarks. The search polls cancel (nil =
-// never) every few dozen nodes and, once it fires, returns the best
-// incumbent found so far — callers that need the exact optimum must check
-// cancellation themselves.
-func (tr *Tree) Nearest(score Scorer, cancel <-chan struct{}) (Target, float64, int) {
-	m := acquireMemo(tr, score)
-	defer m.release()
-	m.q.push(pqItem{nd: int32(len(tr.nodes) - 1)})
+// Nearest finds the target minimizing the summed attribute repair cost,
+// where scores[id] is the query's cost of taking tree value id (Tree.Value
+// names its column and value); it has one entry per value id (Algorithm 5:
+// best-first search with RDIST/EDIST pruning). It returns the target and
+// its cost. Visited counts dequeued nodes, for the ablation benchmarks.
+// The search polls cancel (nil = never) every few dozen nodes and, once it
+// fires, returns the best incumbent found so far — callers that need the
+// exact optimum must check cancellation themselves.
+func (tr *Tree) Nearest(scores []float64, cancel <-chan struct{}) (Target, float64, int) {
+	q := queues.Get().(*pq)
+	defer func() {
+		*q = (*q)[:0]
+		queues.Put(q)
+	}()
+	q.push(pqItem{nd: int32(len(tr.nodes) - 1)})
 	bestCost := math.Inf(1)
 	bestLeaf := int32(-1)
 	visited := 0
-	for len(m.q) > 0 {
+	for len(*q) > 0 {
 		if visited&63 == 0 && canceled(cancel) {
 			break
 		}
-		it := m.q.pop()
+		it := q.pop()
 		visited++
 		if it.f >= bestCost {
 			continue // lower bound can't beat the incumbent
@@ -535,11 +493,11 @@ func (tr *Tree) Nearest(score Scorer, cancel <-chan struct{}) (Target, float64, 
 			kid := &tr.nodes[c]
 			r := it.rdist
 			for _, id := range kid.ids {
-				r += m.at(id)
+				r += scores[id]
 			}
-			f := r + m.edist(kid)
+			f := r + tr.edist(kid, scores)
 			if f < bestCost {
-				m.q.push(pqItem{nd: c, f: f, rdist: r})
+				q.push(pqItem{nd: c, f: f, rdist: r})
 			}
 		}
 	}
@@ -550,11 +508,11 @@ func (tr *Tree) Nearest(score Scorer, cancel <-chan struct{}) (Target, float64, 
 }
 
 // NearestScan is the linear-scan baseline: it scores every target, leaves
-// in tree order, summing its values' scores in column order, without a
-// memo. Used for tests and the target-tree ablation. Like Nearest, it
-// stops at the best incumbent when cancel fires; the visited count reflects
-// only the targets actually scored, not the full target list.
-func (tr *Tree) NearestScan(score Scorer, cancel <-chan struct{}) (Target, float64, int) {
+// in tree order, summing its values' scores in column order. Used for
+// tests and the target-tree ablation. Like Nearest, it stops at the best
+// incumbent when cancel fires; the visited count reflects only the targets
+// actually scored, not the full target list.
+func (tr *Tree) NearestScan(scores []float64, cancel <-chan struct{}) (Target, float64, int) {
 	ids := make([]int32, len(tr.cols))
 	bestCost := math.Inf(1)
 	best := int32(-1)
@@ -570,7 +528,7 @@ func (tr *Tree) NearestScan(score Scorer, cancel <-chan struct{}) (Target, float
 		tr.pathIDs(int32(i), ids)
 		var c float64
 		for _, id := range ids {
-			c += score(id)
+			c += scores[id]
 		}
 		if c < bestCost {
 			bestCost = c
@@ -616,4 +574,10 @@ func (tr *Tree) NumValues() int { return len(tr.vals) }
 // Value returns the schema column and the value that id stands for.
 func (tr *Tree) Value(id int32) (col int, val string) {
 	return tr.cols[tr.vcol[id]], tr.vals[id]
+}
+
+// ColumnIDs returns the range [lo, hi) of the ids of Cols()[i]'s values:
+// ids run column by column.
+func (tr *Tree) ColumnIDs(i int) (lo, hi int32) {
+	return tr.colIDs[i], tr.colIDs[i+1]
 }

@@ -44,13 +44,15 @@ func paperLevels() []targettree.Level {
 // the query's value a and a candidate value b at schema column col.
 type distFunc func(col int, a, b string) float64
 
-// scorer adapts a string distance to the search's per-value scorer for the
-// query t.
-func scorer(tr *targettree.Tree, t dataset.Tuple, dist distFunc) targettree.Scorer {
-	return func(id int32) float64 {
-		col, v := tr.Value(id)
-		return dist(col, t[col], v)
+// scores adapts a string distance to the search's dense score vector for
+// the query t: one entry per tree value id.
+func scores(tr *targettree.Tree, t dataset.Tuple, dist distFunc) []float64 {
+	out := make([]float64, tr.NumValues())
+	for id := range out {
+		col, v := tr.Value(int32(id))
+		out[id] = dist(col, t[col], v)
 	}
+	return out
 }
 
 func citizensDist() distFunc {
@@ -101,7 +103,7 @@ func TestNearestExample14(t *testing.T) {
 	dirty, _ := gen.Citizens()
 	dist := citizensDist()
 	t4 := dirty.Tuples[3]
-	tg, cost, visited := tr.Nearest(scorer(tr, t4, dist), nil)
+	tg, cost, visited := tr.Nearest(scores(tr, t4, dist), nil)
 	if tg.Vals[0] != "New York" || tg.Vals[1] != "Western" || tg.Vals[2] != "Queens" || tg.Vals[3] != "NY" {
 		t.Fatalf("nearest = %v", tg.Vals)
 	}
@@ -115,7 +117,7 @@ func TestNearestExample14(t *testing.T) {
 	// t5 = (Boston, Main, Manhattan, NY) resolves to the Manhattan target:
 	// repairing City is cheapest and fixes both FDs (Example 3).
 	t5 := dirty.Tuples[4]
-	tg5, _, _ := tr.Nearest(scorer(tr, t5, dist), nil)
+	tg5, _, _ := tr.Nearest(scores(tr, t5, dist), nil)
 	if tg5.Vals[0] != "New York" || tg5.Vals[2] != "Manhattan" {
 		t.Fatalf("t5 nearest = %v", tg5.Vals)
 	}
@@ -170,8 +172,8 @@ func TestNearestMatchesScan(t *testing.T) {
 			vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))],
 			vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))],
 		}
-		tgFast, costFast, visitedFast := tr.Nearest(scorer(tr, tuple, dist), nil)
-		tgSlow, costSlow, scanned := tr.NearestScan(scorer(tr, tuple, dist), nil)
+		tgFast, costFast, visitedFast := tr.Nearest(scores(tr, tuple, dist), nil)
+		tgSlow, costSlow, scanned := tr.NearestScan(scores(tr, tuple, dist), nil)
 		if math.Abs(costFast-costSlow) > 1e-9 {
 			t.Fatalf("trial %d: Nearest = %v (%v), scan = %v (%v)", trial, costFast, tgFast.Vals, costSlow, tgSlow.Vals)
 		}
@@ -231,7 +233,7 @@ func TestDeadBranchPruned(t *testing.T) {
 		}
 		return 1
 	}
-	_, cost, _ := tr.Nearest(scorer(tr, dataset.Tuple{"a", "1", "x"}, dist), nil)
+	_, cost, _ := tr.Nearest(scores(tr, dataset.Tuple{"a", "1", "x"}, dist), nil)
 	if cost != 0 {
 		t.Fatalf("cost = %v", cost)
 	}
@@ -254,7 +256,7 @@ func TestSingleLevelTree(t *testing.T) {
 		}
 		return 1
 	}
-	tg, cost, _ := tr.Nearest(scorer(tr, dataset.Tuple{"", "", "r", "", "", "zzz"}, dist), nil)
+	tg, cost, _ := tr.Nearest(scores(tr, dataset.Tuple{"", "", "r", "", "", "zzz"}, dist), nil)
 	if tg.Vals[0] != "r" || cost != 1 {
 		t.Fatalf("nearest = %v cost %v", tg.Vals, cost)
 	}
@@ -271,10 +273,10 @@ func TestNearestCanceled(t *testing.T) {
 	close(cancel)
 	// A fired channel stops the search before any node is dequeued, so no
 	// incumbent exists and the cost is +Inf.
-	if _, cost, _ := tr.Nearest(scorer(tr, dirty.Tuples[3], dist), cancel); !math.IsInf(cost, 1) {
+	if _, cost, _ := tr.Nearest(scores(tr, dirty.Tuples[3], dist), cancel); !math.IsInf(cost, 1) {
 		t.Fatalf("canceled Nearest returned cost %v, want +Inf", cost)
 	}
-	if _, cost, _ := tr.NearestScan(scorer(tr, dirty.Tuples[3], dist), cancel); !math.IsInf(cost, 1) {
+	if _, cost, _ := tr.NearestScan(scores(tr, dirty.Tuples[3], dist), cancel); !math.IsInf(cost, 1) {
 		t.Fatalf("canceled NearestScan returned cost %v, want +Inf", cost)
 	}
 }
@@ -346,7 +348,7 @@ func errString(err error) string {
 // matchReference holds Build and Nearest to the nested-loop reference
 // (reference_test.go) on one level set: the same error, the same counts
 // and targets in order, and for each query the same target, cost bits and
-// visit count. queries runs only when the levels build; matchReference
+// visit count. It also checks that ColumnIDs tiles the value ids. queries runs only when the levels build; matchReference
 // reports whether they did.
 func matchReference(t *testing.T, name string, levels []targettree.Level, dist distFunc, queries func() []dataset.Tuple) bool {
 	t.Helper()
@@ -365,8 +367,25 @@ func matchReference(t *testing.T, name string, levels []targettree.Level, dist d
 	if got, want := tr.All(), ref.all(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: All = %v, reference %v", name, got, want)
 	}
+	// The column id ranges tile the ids in column order.
+	next := int32(0)
+	for i, col := range tr.Cols() {
+		lo, hi := tr.ColumnIDs(i)
+		if lo != next || hi <= lo {
+			t.Fatalf("%s: column %d ids [%d, %d), want a non-empty range from %d", name, col, lo, hi, next)
+		}
+		for id := lo; id < hi; id++ {
+			if c, _ := tr.Value(id); c != col {
+				t.Fatalf("%s: id %d in column %d's range is a value of column %d", name, id, col, c)
+			}
+		}
+		next = hi
+	}
+	if int(next) != tr.NumValues() {
+		t.Fatalf("%s: column ranges end at %d of %d ids", name, next, tr.NumValues())
+	}
 	for _, tuple := range queries() {
-		tg, cost, visited := tr.Nearest(scorer(tr, tuple, dist), nil)
+		tg, cost, visited := tr.Nearest(scores(tr, tuple, dist), nil)
 		rtg, rcost, rvisited := ref.nearest(tuple, dist)
 		if !reflect.DeepEqual(tg, rtg) || math.Float64bits(cost) != math.Float64bits(rcost) || visited != rvisited {
 			t.Fatalf("%s query %v: Nearest = %v %v %d, reference %v %v %d",
@@ -456,8 +475,9 @@ func FuzzBuildMatchesNestedLoop(f *testing.F) {
 	})
 }
 
-// TestNearestConcurrent checks that goroutines sharing one tree, and the
-// pooled distance memos, get the answers a sequential caller gets.
+// TestNearestConcurrent checks that goroutines sharing one tree, one
+// query's score vector and the pooled search heaps get the answers a
+// sequential caller gets.
 func TestNearestConcurrent(t *testing.T) {
 	tr, err := targettree.Build(hospLevels(40))
 	if err != nil {
@@ -469,13 +489,17 @@ func TestNearestConcurrent(t *testing.T) {
 		cost    uint64
 		visited int
 	}
-	ask := func(q dataset.Tuple) answer {
-		tg, cost, visited := tr.Nearest(scorer(tr, q, toyDist), nil)
+	vecs := make([][]float64, len(queries))
+	for i, q := range queries {
+		vecs[i] = scores(tr, q, toyDist)
+	}
+	ask := func(i int) answer {
+		tg, cost, visited := tr.Nearest(vecs[i], nil)
 		return answer{tg.Vals, math.Float64bits(cost), visited}
 	}
 	want := make([]answer, len(queries))
-	for i, q := range queries {
-		want[i] = ask(q)
+	for i := range queries {
+		want[i] = ask(i)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -484,7 +508,7 @@ func TestNearestConcurrent(t *testing.T) {
 			defer wg.Done()
 			for k := range queries {
 				i := (k + 8*g) % len(queries)
-				if got := ask(queries[i]); !reflect.DeepEqual(got, want[i]) {
+				if got := ask(i); !reflect.DeepEqual(got, want[i]) {
 					t.Errorf("goroutine %d query %d: %v, sequential %v", g, i, got, want[i])
 					return
 				}

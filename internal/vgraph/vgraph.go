@@ -86,8 +86,13 @@ type Graph struct {
 	probe   int
 	attrTau float64
 	ix      *strsim.Index
-	vals    []string // distinct probe values in index-id order
-	byVal   [][]int  // probe value id -> vertex indices carrying it
+	vals    []string       // distinct probe values in index-id order
+	valID   map[string]int // probe value -> index id
+	byVal   [][]int        // probe value id -> vertex indices carrying it
+	// matches[id] keeps the build's q-gram matches of vals[id] at attrTau,
+	// written by the worker that owns id; nil where a canceled build never
+	// searched the value.
+	matches [][]strsim.NormMatch
 }
 
 // Options tunes graph construction.
@@ -248,18 +253,19 @@ func (g *Graph) indexProbe(probe int) {
 	g.probe = probe
 	g.attrTau = g.Tau / w
 	g.ix = strsim.NewIndex(2)
-	valID := make(map[string]int, len(g.Vertices))
+	g.valID = make(map[string]int, len(g.Vertices))
 	for vi := range g.Vertices {
 		val := g.Vertices[vi].Rep[probe]
-		id, ok := valID[val]
+		id, ok := g.valID[val]
 		if !ok {
 			id = g.ix.Add(val)
-			valID[val] = id
+			g.valID[val] = id
 			g.vals = append(g.vals, val)
 			g.byVal = append(g.byVal, nil)
 		}
 		g.byVal[id] = append(g.byVal[id], vi)
 	}
+	g.matches = make([][]strsim.NormMatch, len(g.vals))
 }
 
 // distWithin evaluates the FD distance with early exit once the running sum
@@ -456,9 +462,9 @@ func (g *Graph) allPairsRange(recs []edgeRec, start, stride int, cancel <-chan s
 }
 
 // indexedRange runs the q-gram candidate generation for every probe value
-// id congruent to start modulo stride. Each distinct value *pair* is
-// handled exactly once (by the lower id), so the emitted edges partition
-// across workers.
+// id congruent to start modulo stride, and keeps each value's matches for
+// ViolatorCount. Each distinct value *pair* is handled exactly once (by the
+// lower id), so the emitted edges partition across workers.
 // The vi loop is hoisted outside the match loop so one PairMatcher serves
 // vertex vi against every candidate; the emitted pair set is identical (the
 // (m, vi, vj) guards are order-independent), and the merge sorts per-vertex
@@ -470,6 +476,7 @@ func (g *Graph) indexedRange(recs []edgeRec, start, stride int, cancel <-chan st
 			return recs
 		}
 		matches := g.ix.SearchNormalized(g.vals[id], g.attrTau)
+		g.matches[id] = matches
 		for _, vi := range g.byVal[id] {
 			pm := g.Cfg.AcquirePairMatcher(g.FD, g.Vertices[vi].Rep)
 			for _, m := range matches {
@@ -596,10 +603,12 @@ func (g *Graph) Lookup(t dataset.Tuple) (int, bool) {
 // this also scores hypothetical repairs (the "triggered violations" of
 // §4.4).
 //
-// For unseen tuples of an indexed graph, the retained q-gram probe index
-// narrows the scan: any vertex within total distance τ is within τ/w on the
-// probe attribute, so probing at attrTau loses no candidates and the O(V)
-// scan drops to the candidates sharing q-grams with t's probe value.
+// For unseen tuples of an indexed graph, the q-gram probe index narrows
+// the scan: any vertex within total distance τ is within τ/w on the probe
+// attribute, so the probe value's matches at attrTau lose no candidates
+// and the O(V) scan drops to them. When the probe value is a vertex's, the
+// build already searched it and its kept matches serve; only a value the
+// build never searched runs the q-gram search here.
 func (g *Graph) ViolatorCount(t dataset.Tuple) int {
 	if v, ok := g.Lookup(t); ok {
 		return g.Degree(v)
@@ -608,7 +617,14 @@ func (g *Graph) ViolatorCount(t dataset.Tuple) int {
 	pm := g.Cfg.AcquirePairMatcher(g.FD, t)
 	defer pm.Release()
 	if g.ix != nil {
-		for _, m := range g.ix.SearchNormalized(t[g.probe], g.attrTau) {
+		var matches []strsim.NormMatch
+		if id, ok := g.valID[t[g.probe]]; ok {
+			matches = g.matches[id]
+		}
+		if matches == nil {
+			matches = g.ix.SearchNormalized(t[g.probe], g.attrTau)
+		}
+		for _, m := range matches {
 			for _, u := range g.byVal[m.ID] {
 				if _, ok := pm.DistWithin(g.Tau, g.Vertices[u].Rep); ok {
 					count++

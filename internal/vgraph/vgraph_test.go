@@ -411,16 +411,41 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// recombined returns n tuples that each take one row's City, the probe
+// value, and another row's State, keeping those whose projection is no
+// vertex of g: the hypothetical patterns GreedyM's growth counts.
+func recombined(t *testing.T, rng *rand.Rand, rel *dataset.Relation, g *vgraph.Graph, n int) []dataset.Tuple {
+	t.Helper()
+	var out []dataset.Tuple
+	for tries := 0; len(out) < n && tries < 100*n; tries++ {
+		tup := rel.Tuples[rng.Intn(rel.Len())].Clone()
+		tup[1] = rel.Tuples[rng.Intn(rel.Len())][1]
+		if _, ok := g.Lookup(tup); !ok {
+			out = append(out, tup)
+		}
+	}
+	if len(out) < n {
+		t.Fatalf("only %d of %d recombined tuples are no vertex", len(out), n)
+	}
+	return out
+}
+
 func TestViolatorCountIndexMatchesScan(t *testing.T) {
 	// On unseen tuples, the indexed graph answers ViolatorCount through the
-	// retained q-gram probe index; the all-pairs graph scans every vertex.
-	// The counts must agree exactly.
+	// q-gram probe index: the matches its build kept when the probe value
+	// is a vertex's, a fresh search otherwise. The all-pairs graph scans
+	// every vertex. The counts must agree exactly.
 	rng := rand.New(rand.NewSource(11))
 	rel := randomCityRelation(t, rng, 80)
 	f := fd.MustParse(rel.Schema, "City->State")
 	cfg := fd.DefaultDistConfig(rel)
 	fast := vgraph.Build(rel, f, cfg, 0.3, vgraph.Options{})
 	slow := vgraph.Build(rel, f, cfg, 0.3, vgraph.Options{DisableIndex: true})
+	for i, tup := range recombined(t, rng, rel, fast, 50) {
+		if got, want := fast.ViolatorCount(tup), slow.ViolatorCount(tup); got != want {
+			t.Fatalf("recombined %d %v: indexed count %d, scan count %d", i, tup, got, want)
+		}
+	}
 	for trial := 0; trial < 50; trial++ {
 		tup := rel.Tuples[rng.Intn(rel.Len())].Clone()
 		b := []byte(tup[0])
@@ -467,6 +492,14 @@ func TestBuildCancelReturnsPartialGraph(t *testing.T) {
 	g := vgraph.Build(rel, f, cfg, 0.3, vgraph.Options{Cancel: fired, Workers: 1})
 	if g.NumEdges() != 0 {
 		t.Fatalf("pre-fired cancel still verified %d edges", g.NumEdges())
+	}
+	// It searched no probe value either, so ViolatorCount searches for
+	// itself and still counts like the all-pairs scan.
+	scan := vgraph.Build(rel, f, cfg, 0.3, vgraph.Options{DisableIndex: true})
+	for i, tup := range recombined(t, rng, rel, full, 30) {
+		if got, want := g.ViolatorCount(tup), scan.ViolatorCount(tup); got != want {
+			t.Fatalf("recombined %d %v: canceled indexed build counts %d, scan %d", i, tup, got, want)
+		}
 	}
 }
 
