@@ -86,6 +86,7 @@ fuzz:
 	go test -fuzz=FuzzOSABounded -fuzztime=30s ./internal/strsim/
 	go test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
 	go test -fuzz=FuzzBuildMatchesNestedLoop -fuzztime=30s ./internal/targettree/
+	go test -run='^$$' -fuzz='^FuzzSelfJoin$$' -fuzztime=30s ./internal/strsim/
 
 cover:
 	go test -cover ./internal/... .

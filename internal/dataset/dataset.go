@@ -149,9 +149,10 @@ const (
 )
 
 // escapeKeyPart makes a cell value safe inside a key. The fast path (no
-// NUL, no escape byte) returns the value unchanged.
+// NUL, no escape byte) returns the value unchanged; two byte scans decide
+// it, which is cheaper than strings.ContainsAny's set lookup per byte.
 func escapeKeyPart(v string) string {
-	if !strings.ContainsAny(v, keySep+keyEscape) {
+	if strings.IndexByte(v, keySep[0]) < 0 && strings.IndexByte(v, keyEscape[0]) < 0 {
 		return v
 	}
 	v = strings.ReplaceAll(v, keyEscape, keyEscape+"\x02")

@@ -4,13 +4,15 @@ import (
 	"fmt"
 
 	"ftrepair/internal/fd"
+	"ftrepair/internal/obs"
 	"ftrepair/internal/repair"
 	"ftrepair/internal/vgraph"
 )
 
 // GraphBench times violation-graph construction (all-pairs and indexed, with
-// the distance cache on/off and the worker pool at 1 and GOMAXPROCS) plus
-// end-to-end multi-FD detection on a generated instance; ns/op is per build.
+// the distance cache on/off and the worker pool at 1 and GOMAXPROCS), the
+// full FD set's graphs in one BuildSet call, and end-to-end multi-FD
+// detection on a generated instance; ns/op is per build.
 // Each entry uses a fresh cache that persists across its iterations — the
 // pipeline reality, where the cache built during graph construction keeps
 // serving repair-cost and target-search queries.
@@ -74,13 +76,52 @@ func GraphBench(c BenchConfig) (*BenchDoc, error) {
 		r.ratio(mode+"-combined", mode+"/w1/nocache", parallel)
 	}
 
-	// End-to-end detection over the full FD set: concurrent per-FD builds +
-	// warm cache + Edge.D reuse.
+	// Every graph of the full FD set in one BuildSet call, which encodes
+	// each FD column once and self-joins each probe column once for all the
+	// FDs probing it. joins counts those joins, read off a traced build
+	// (HOSP's 9 FDs probe 4 columns).
 	cfg := *full.Cfg
 	cfg.Cache = fd.NewDistCache()
 	cfg.AttachPlanes()
+	nfds := len(full.Set.FDs)
+	var graphs []*vgraph.Graph
+	e, err := r.time(fmt.Sprintf("buildset/%dfds/cache", nfds), 0, 1, func(int) error {
+		graphs = vgraph.BuildSet(full.Dirty, full.Set.FDs, &cfg, full.Set.Tau, vgraph.Options{Cancel: c.Cancel})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if e != nil {
+		tr := obs.NewTrace("buildset")
+		vgraph.BuildSet(full.Dirty, full.Set.FDs, &cfg, full.Set.Tau, vgraph.Options{Trace: tr})
+		var joins, vertices, edges int
+		for _, s := range tr.Summaries() {
+			for _, a := range s.Attrs {
+				if a.Key == "joins" {
+					joins += int(a.Value)
+				}
+			}
+		}
+		for _, g := range graphs {
+			vertices += len(g.Vertices)
+			edges += g.NumEdges()
+		}
+		e.Counters = map[string]float64{
+			"joins":        float64(joins),
+			"vertices":     float64(vertices),
+			"edges":        float64(edges),
+			"cacheHitRate": hitRate(cfg.Cache),
+		}
+	}
+
+	// End-to-end detection over the full FD set: one BuildSet call + warm
+	// cache + Edge.D reuse.
+	cfg = *full.Cfg
+	cfg.Cache = fd.NewDistCache()
+	cfg.AttachPlanes()
 	var viols []repair.Violation
-	e, err := r.time(fmt.Sprintf("detect/%dfds/cache", len(full.Set.FDs)), 0, 1, func(int) error {
+	e, err = r.time(fmt.Sprintf("detect/%dfds/cache", len(full.Set.FDs)), 0, 1, func(int) error {
 		viols = repair.Detect(full.Dirty, full.Set, &cfg, repair.Options{Cancel: c.Cancel})
 		return nil
 	})

@@ -88,12 +88,10 @@ func NewPlanBench(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, disabl
 		return nil, err
 	}
 	sets := make([][]int, len(graphs))
-	fds := make([]*fd.FD, len(graphs))
 	for i, g := range graphs {
 		sets[i] = greedySet(g, nil)
-		fds[i] = g.FD
 	}
-	groups := groupTuples(rel, unionAttrs(fds))
+	groups := groupTuples(rel, graphs)
 	b := &PlanBench{
 		p:      newPlanner(groups, graphs, cfg, disableTree, nil, 0),
 		chosen: chosenBits(graphs, sets),

@@ -141,10 +141,7 @@ func (js *jointState) syncDelta(i, row, w int) int {
 		if !changed {
 			continue
 		}
-		oldV, ok := gj.Lookup(rowTuple)
-		if !ok {
-			continue // cannot happen: every row has a pattern vertex
-		}
+		oldV := gj.Canon(gj.RowVertex(row))
 		// Did the j-projection actually change?
 		same := true
 		for _, c := range gj.FD.Attrs() {

@@ -178,46 +178,13 @@ func repairComponentsParallel(rel, out *dataset.Relation, set *fd.Set, cfg *fd.D
 	return firstCancel
 }
 
+// buildGraphs builds the component's violation graphs in one vgraph call,
+// which shares the column encoding and probe joins among the FDs and fans
+// the builds out itself. With a fired Cancel it still returns every graph,
+// vertex-only where verification never ran, so callers surface the
+// cancellation themselves.
 func buildGraphs(rel *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options) []*vgraph.Graph {
-	gopts := graphOpts(opts)
-	graphs := make([]*vgraph.Graph, len(sub.FDs))
-	if len(sub.FDs) == 1 {
-		graphs[0] = vgraph.Build(rel, sub.FDs[0], cfg, sub.Tau[0], gopts)
-		return graphs
-	}
-	// Per-FD graphs are independent and Build is deterministic regardless of
-	// scheduling, so the builds always fan out; opts.Parallel only gates
-	// component-repair concurrency, which does commit order-sensitive work.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(sub.FDs) {
-		workers = len(sub.FDs)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, f := range sub.FDs {
-		i, f := i, f
-		// Each concurrent build gets its own 1-based slot label so trace
-		// viewers show per-FD builds on separate tracks.
-		slot := gopts
-		slot.Worker = i + 1
-		if canceled(opts.Cancel) {
-			// Canceled: fill the remaining slots inline. With a fired Cancel
-			// threaded into gopts, Build stops verifying pairs immediately
-			// and returns a vertex-only graph, so no slot is ever nil and
-			// callers surface the cancellation themselves.
-			graphs[i] = vgraph.Build(rel, f, cfg, sub.Tau[i], slot)
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			graphs[i] = vgraph.Build(rel, f, cfg, sub.Tau[i], slot)
-		}()
-	}
-	wg.Wait()
-	return graphs
+	return vgraph.BuildSet(rel, sub.FDs, cfg, sub.Tau, graphOpts(opts))
 }
 
 // exactComponent implements Algorithm 3 for one component.
@@ -272,7 +239,7 @@ func exactComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig,
 	sp.End()
 	stats["combinations"] += combos
 
-	groups := groupTuples(rel, unionAttrs(sub.FDs))
+	groups := groupTuples(rel, graphs)
 	// One worker per plan: the combination workers are ExactM's
 	// parallelism, and pruning aborts a plan between groups.
 	p := newPlanner(groups, graphs, cfg, opts.DisableTargetTree, opts.Cancel, 1)
@@ -341,7 +308,7 @@ func applyJoinedSets(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig
 		ap.End()
 		return nil
 	}
-	groups := groupTuples(rel, unionAttrs(sub.FDs))
+	groups := groupTuples(rel, graphs)
 	p := newPlanner(groups, graphs, cfg, opts.DisableTargetTree, opts.Cancel, runtime.GOMAXPROCS(0))
 	ts := obs.Begin(opts.Trace, obs.PhaseTargetSearch)
 	p.span = ts

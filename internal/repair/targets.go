@@ -58,19 +58,15 @@ type tupleGroup struct {
 	rows []int
 }
 
-// groupTuples groups the relation's rows by their projection over attrs.
-func groupTuples(rel *dataset.Relation, attrs []int) []tupleGroup {
-	byKey := make(map[string]int)
-	var groups []tupleGroup
-	for i, t := range rel.Tuples {
-		k := t.Key(attrs)
-		gi, ok := byKey[k]
-		if !ok {
-			gi = len(groups)
-			byKey[k] = gi
-			groups = append(groups, tupleGroup{rep: t})
-		}
-		groups[gi].rows = append(groups[gi].rows, i)
+// groupTuples groups the rows of rel, the relation the graphs were built
+// over, by their projection over the graphs' attributes: rows whose
+// canonical vertices agree in every graph (vgraph.RowGroups), in
+// first-occurrence row order.
+func groupTuples(rel *dataset.Relation, graphs []*vgraph.Graph) []tupleGroup {
+	rows := vgraph.RowGroups(graphs)
+	groups := make([]tupleGroup, len(rows))
+	for gi, rs := range rows {
+		groups[gi] = tupleGroup{rep: rel.Tuples[rs[0]], rows: rs}
 	}
 	return groups
 }
@@ -123,9 +119,9 @@ type planner struct {
 	// sequentially.
 	workers int
 	// vertexOf[i][gi] is graph i's canonical vertex carrying group gi's
-	// projection, or -1 when the projection has no vertex (then the group
-	// always repairs). Precomputed once, it turns the per-combination
-	// needs-repair test into a bitset probe — no key strings, no map hits.
+	// projection, read off the group's first row. Precomputed once, it
+	// turns the per-combination needs-repair test into a bitset probe — no
+	// key strings, no map hits.
 	vertexOf [][]int32
 	// cols are the component's attributes, sorted: every plan's tree
 	// columns. keyOf[gi*len(cols)+c] numbers group gi's value in cols[c]
@@ -159,11 +155,7 @@ func newPlanner(groups []tupleGroup, graphs []*vgraph.Graph, cfg *fd.DistConfig,
 		fds[i] = g.FD
 		col := make([]int32, len(groups))
 		for gi := range groups {
-			if v, ok := g.Lookup(groups[gi].rep); ok {
-				col[gi] = int32(g.Canon(v))
-			} else {
-				col[gi] = -1
-			}
+			col[gi] = int32(g.Canon(g.RowVertex(groups[gi].rows[0])))
 		}
 		p.vertexOf[i] = col
 	}
@@ -189,8 +181,7 @@ func newPlanner(groups []tupleGroup, graphs []*vgraph.Graph, cfg *fd.DistConfig,
 // outside some FD's chosen set.
 func (p *planner) needsRepair(gi int, chosen []bitset.Set) bool {
 	for i := range chosen {
-		v := p.vertexOf[i][gi]
-		if v < 0 || !chosen[i].Has(int(v)) {
+		if !chosen[i].Has(int(p.vertexOf[i][gi])) {
 			return true
 		}
 	}

@@ -188,7 +188,7 @@ func TestSharedScoresMatchPerGroup(t *testing.T) {
 			for i, g := range graphs {
 				compFDs[i] = g.FD
 			}
-			groups := groupTuples(rel, unionAttrs(compFDs))
+			groups := groupTuples(rel, graphs)
 			for _, conf := range []int{-1, unionAttrs(compFDs)[0]} {
 				for _, scan := range []bool{false, true} {
 					name := func(what string) string {

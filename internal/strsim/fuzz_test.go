@@ -1,6 +1,10 @@
 package strsim
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 // FuzzLevenshteinKernel holds the bit-parallel kernels (single-word and
 // blocked, ASCII and rune paths) to exact parity with the retained dynamic
@@ -118,6 +122,63 @@ func FuzzIndexSearch(f *testing.F) {
 			want := Levenshtein(q, s) <= k
 			if got[id] != want {
 				t.Fatalf("Search(%q,%d) id %d (%q): got %v want %v", q, k, id, s, got[id], want)
+			}
+		}
+	})
+}
+
+// FuzzSelfJoin holds the column self-join (JoinAbove over every id, then
+// MirrorJoin) to SearchNormalized on the same index: for every string the
+// same ids, in the same order, with the same distance bits; and the match
+// relation must be symmetric with equal distances both ways. The strings
+// are short so the filters' boundary cases (short strings, scan mode,
+// count mode) all occur.
+func FuzzSelfJoin(f *testing.F) {
+	f.Add([]byte("ab,ab456,abc,b,,xyz,ab45"), byte(120))
+	f.Add([]byte("000000,000001,100000,0,00"), byte(86))
+	f.Add([]byte("boston,bostn,boton,austin,boston"), byte(60))
+	f.Add([]byte("a,b,c"), byte(0))
+	f.Fuzz(func(t *testing.T, data []byte, tb byte) {
+		strs := strings.Split(string(data), ",")
+		if len(strs) > 24 {
+			t.Skip()
+		}
+		for _, s := range strs {
+			if len(s) > 12 {
+				t.Skip()
+			}
+		}
+		tt := float64(tb) / 200
+		ix := NewIndex(2)
+		for _, s := range strs {
+			ix.Add(s)
+		}
+		above := make([][]NormMatch, ix.Len())
+		for id := range above {
+			above[id] = ix.JoinAbove(id, tt)
+		}
+		lists := MirrorJoin(above, tt)
+		for id, s := range strs {
+			want := ix.SearchNormalized(s, tt)
+			got := lists[id]
+			if len(got) != len(want) {
+				t.Fatalf("t=%v %q: join %v, search %v", tt, s, got, want)
+			}
+			for i := range got {
+				if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+					t.Fatalf("t=%v %q: join %v, search %v", tt, s, got, want)
+				}
+			}
+			for _, m := range got {
+				back := false
+				for _, r := range lists[m.ID] {
+					if r.ID == id {
+						back = math.Float64bits(r.Dist) == math.Float64bits(m.Dist)
+					}
+				}
+				if !back {
+					t.Fatalf("t=%v: %q matches %q at %v but not back", tt, s, strs[m.ID], m.Dist)
+				}
 			}
 		}
 	})

@@ -172,3 +172,48 @@ func TestIndexEdgeCases(t *testing.T) {
 		t.Fatalf("t=1 matched %d, want 3", len(got))
 	}
 }
+
+func TestSearchNormalizedKeepsBoundaryPair(t *testing.T) {
+	// At t = 0.3/0.5, "ab" and "ab456" are 3 edits apart over 5 runes: 3/5
+	// equals t, so each finds the other. Rounding the query's edit bound
+	// down from t*2/(1-t) gave the 2-rune side bound 2 and lost the pair.
+	ix := NewIndex(2)
+	ix.Add("ab")
+	ix.Add("ab456")
+	tt := 0.3 / 0.5
+	for id, want := range [][]NormMatch{
+		{{ID: 0, Dist: 0}, {ID: 1, Dist: 3.0 / 5}},
+		{{ID: 0, Dist: 3.0 / 5}, {ID: 1, Dist: 0}},
+	} {
+		got := ix.SearchNormalized(ix.String(id), tt)
+		if len(got) != len(want) {
+			t.Fatalf("SearchNormalized(%q, %v) = %v, want %v", ix.String(id), tt, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("SearchNormalized(%q, %v) = %v, want %v", ix.String(id), tt, got, want)
+			}
+		}
+	}
+}
+
+func TestNormBoundLosesNoPair(t *testing.T) {
+	// For every query length and threshold, each (candidate length, edit
+	// distance) pair within t must be inside the query's bound.
+	for _, tt := range []float64{0, 0.1, 0.2, 0.25, 0.3, 0.3 / 0.5, 0.3 / 0.7, 0.3 / 0.9, 0.5, 0.6, 0.75, 0.99} {
+		for ls := 0; ls <= 60; ls++ {
+			bound := normBound(ls, tt)
+			for lc := 0; lc <= 200; lc++ {
+				mx := max(ls, lc)
+				if mx == 0 {
+					continue
+				}
+				for d := abs(ls - lc); d <= mx; d++ {
+					if float64(d)/float64(mx) <= tt && d > bound {
+						t.Fatalf("t=%v ls=%d: d=%d over %d runes is within t but bound is %d", tt, ls, d, mx, bound)
+					}
+				}
+			}
+		}
+	}
+}

@@ -179,7 +179,9 @@ func graphsEqual(a, b *vgraph.Graph) error {
 
 func TestIndexedMatchesAllPairs(t *testing.T) {
 	// The q-gram-indexed construction must produce exactly the graph the
-	// naive all-pairs construction does, across random noisy relations.
+	// naive all-pairs construction does, across random noisy relations,
+	// under the default 0.5/0.5 weights and a 0.9/0.1 split. At τ 0.3 both
+	// put probe pairs exactly on the per-attribute threshold (0.6 and 1/3).
 	rng := rand.New(rand.NewSource(42))
 	cities := []string{"Boston", "New York", "Chicago", "Seattle", "Denver", "Austin"}
 	states := []string{"MA", "NY", "IL", "WA", "CO", "TX"}
@@ -202,12 +204,17 @@ func TestIndexedMatchesAllPairs(t *testing.T) {
 			}
 		}
 		f := fd.MustParse(schema, "City->State")
-		cfg := fd.DefaultDistConfig(rel)
-		for _, tt := range []float64{0.1, 0.25, 0.4} {
-			fast := vgraph.Build(rel, f, cfg, tt, vgraph.Options{})
-			slow := vgraph.Build(rel, f, cfg, tt, vgraph.Options{DisableIndex: true})
-			if err := graphsEqual(fast, slow); err != nil {
-				t.Fatalf("trial %d tau %v: %v", trial, tt, err)
+		split, err := fd.NewDistConfig(rel, 0.9, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []*fd.DistConfig{fd.DefaultDistConfig(rel), split} {
+			for _, tt := range []float64{0.1, 0.25, 0.3, 0.4} {
+				fast := vgraph.Build(rel, f, cfg, tt, vgraph.Options{})
+				slow := vgraph.Build(rel, f, cfg, tt, vgraph.Options{DisableIndex: true})
+				if err := graphsEqual(fast, slow); err != nil {
+					t.Fatalf("trial %d weights %v/%v tau %v: %v", trial, cfg.WL, cfg.WR, tt, err)
+				}
 			}
 		}
 	}
