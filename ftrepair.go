@@ -15,7 +15,8 @@
 //	set, _ := ftrepair.NewSet([]*ftrepair.FD{phi}, 0.3)
 //	cfg, _ := ftrepair.NewDistConfig(rel, 0.7, 0.3)
 //	res, _ := ftrepair.Repair(rel, set, cfg, ftrepair.GreedyM, ftrepair.Options{})
-//	// res.Repaired is FT-consistent; res.Changed lists modified cells.
+//	// res.Repaired is FT-consistent and shares unchanged rows with rel
+//	// (read-only; Clone to edit); res.Changed lists modified cells.
 //
 // The five algorithms of the paper are available through the Algorithm
 // enum: ExactS and GreedyS for a single FD (the exact one solves an NP-hard
@@ -293,7 +294,9 @@ func Algorithms() []Algorithm {
 
 // Repair computes an FT-consistent, closed-world repair of rel w.r.t. set
 // using the chosen algorithm. The single-FD algorithms (ExactS, GreedyS)
-// require len(set.FDs) == 1. The input relation is never modified.
+// require len(set.FDs) == 1. The input relation is never modified. The
+// result is copy-on-write: res.Repaired shares every unchanged row with
+// rel, so both are read-only; Clone either before mutating it.
 func Repair(rel *Relation, set *Set, cfg *DistConfig, algo Algorithm, opts Options) (*Result, error) {
 	switch algo {
 	case ExactS, GreedyS:
@@ -325,37 +328,7 @@ func RepairCFD(rel *Relation, c *CFD, cfg *DistConfig, tau float64, algo Algorit
 	if algo != ExactS && algo != GreedyS {
 		return nil, fmt.Errorf("ftrepair: RepairCFD supports ExactS or GreedyS, got %q", algo)
 	}
-	sub, rows := c.Restrict(rel)
-	var res *Result
-	var err error
-	if algo == ExactS {
-		res, err = repair.ExactS(sub, c.Embedded, cfg, tau, opts)
-	} else {
-		res, err = repair.GreedyS(sub, c.Embedded, cfg, tau, opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := rel.Clone()
-	for i, row := range rows {
-		copy(out.Tuples[row], res.Repaired.Tuples[i])
-	}
-	changed, err := dataset.Diff(rel, out)
-	if err != nil {
-		return nil, err
-	}
-	stats := res.Stats
-	if stats == nil {
-		stats = make(map[string]int)
-	}
-	return &Result{
-		Repaired:  out,
-		Cost:      cfg.DatabaseCost(rel, out),
-		Changed:   changed,
-		Algorithm: res.Algorithm + "+CFD",
-		Elapsed:   res.Elapsed,
-		Stats:     stats,
-	}, nil
+	return repair.RepairCFD(rel, c, cfg, tau, algo == ExactS, opts)
 }
 
 // ReadCSVFile is a small convenience for examples and tools: ReadCSV over

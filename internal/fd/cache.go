@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"ftrepair/internal/dataset"
@@ -33,10 +34,14 @@ import (
 //
 // A DistCache must not be copied after first use.
 type DistCache struct {
-	// planes[col] answers value pairs interned in col's dictionary; nil
-	// entries (and a nil slice) compute uncached. Written once by
-	// AttachPlanes before concurrent use.
-	planes      []*distPlane
+	// dicts[col] is the dictionary of a column AttachPlanes gave a plane,
+	// nil for the others (whose pairs compute uncached); planes[col] is
+	// that plane once the column's first lookup created it. Both slices
+	// are written by AttachPlanes before concurrent use; mu serializes
+	// plane creation, so concurrent first lookups create one plane.
+	dicts       []*dataset.Dict
+	planes      []atomic.Pointer[distPlane]
+	mu          sync.Mutex
 	planeFlavor EditFlavor
 	// counts holds the cumulative lookups by outcome.
 	counts [numLookups]atomic.Uint64
@@ -69,11 +74,15 @@ func NewDistCache() *DistCache {
 // AttachPlanes equips the cache with per-column distance planes over the
 // given dictionaries for one edit flavor. Columns with a nil dictionary,
 // fewer than two distinct values, or a domain exceeding the plane size caps
-// are skipped (their pairs compute uncached). Attach before sharing the
-// cache across goroutines; attaching replaces any previous planes.
+// are skipped (their pairs compute uncached); the budget is charged in
+// column order whether or not a column is ever read. A plane and its cells
+// are allocated at the column's first lookup, so a column no query reads
+// costs nothing. Attach before sharing the cache across goroutines;
+// attaching replaces any previous planes.
 func (c *DistCache) AttachPlanes(dicts []*dataset.Dict, flavor EditFlavor) {
 	c.planeFlavor = flavor
-	c.planes = make([]*distPlane, len(dicts))
+	c.dicts = make([]*dataset.Dict, len(dicts))
+	c.planes = make([]atomic.Pointer[distPlane], len(dicts))
 	budget := planeTotalCells
 	for col, d := range dicts {
 		if d == nil || d.Len() < 2 {
@@ -83,31 +92,52 @@ func (c *DistCache) AttachPlanes(dicts []*dataset.Dict, flavor EditFlavor) {
 		if cells > planeMaxCells || cells > budget {
 			continue
 		}
-		c.planes[col] = newDistPlane(d)
+		c.dicts[col] = d
 		budget -= cells
 	}
 }
 
-// plane returns the plane answering col's pairs under flavor, or nil.
-func (c *DistCache) plane(col int, flavor EditFlavor) *distPlane {
-	if flavor != c.planeFlavor || col >= len(c.planes) {
+// dict returns the dictionary of col's plane under flavor, or nil when no
+// plane answers col's pairs.
+func (c *DistCache) dict(col int, flavor EditFlavor) *dataset.Dict {
+	if flavor != c.planeFlavor || col >= len(c.dicts) {
 		return nil
 	}
-	return c.planes[col]
+	return c.dicts[col]
+}
+
+// plane returns col's plane, creating it on the first call; col must have
+// a dictionary. Kept out of line: the lookup paths load c.planes[col]
+// themselves and call plane only when it is nil.
+func (c *DistCache) plane(col int) *distPlane {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p := c.planes[col].Load(); p != nil {
+		return p
+	}
+	p := newDistPlane(c.dicts[col])
+	c.planes[col].Store(p)
+	return p
 }
 
 // interned resolves a string pair to col's distance plane and the values'
-// codes; ok is false unless a plane is attached for the flavor and its
-// dictionary holds both values.
+// codes; ok is false unless a plane answers the column under the flavor
+// and its dictionary holds both values.
 func (c *DistCache) interned(col int, flavor EditFlavor, a, b string) (p *distPlane, ca, cb int32, ok bool) {
-	if p = c.plane(col, flavor); p == nil {
+	d := c.dict(col, flavor)
+	if d == nil {
 		return nil, 0, 0, false
 	}
-	if ca, ok = p.dict.Code(a); !ok {
+	if ca, ok = d.Code(a); !ok {
 		return nil, 0, 0, false
 	}
-	cb, ok = p.dict.Code(b)
-	return p, ca, cb, ok
+	if cb, ok = d.Code(b); !ok {
+		return nil, 0, 0, false
+	}
+	if p = c.planes[col].Load(); p == nil {
+		p = c.plane(col)
+	}
+	return p, ca, cb, true
 }
 
 // stored is the outcome of a plane query that computed its pair: a miss
@@ -150,8 +180,8 @@ func (c *DistCache) PlaneCounters() (hits, misses uint64) {
 // plane cells.
 func (c *DistCache) Len() int {
 	n := 0
-	for _, p := range c.planes {
-		if p != nil {
+	for i := range c.planes {
+		if p := c.planes[i].Load(); p != nil {
 			n += p.occupied()
 		}
 	}

@@ -214,8 +214,8 @@ func (cfg *DistConfig) ValueCode(col int, v string) int32 {
 	if cfg.Cache == nil {
 		return -1
 	}
-	if p := cfg.Cache.plane(col, cfg.Edit); p != nil {
-		if c, ok := p.dict.Code(v); ok {
+	if d := cfg.Cache.dict(col, cfg.Edit); d != nil {
+		if c, ok := d.Code(v); ok {
 			return c
 		}
 	}

@@ -227,7 +227,11 @@ func (rs *RepairScorer) attrDist(col int, cb int32, a, b string) float64 {
 		rs.tally[uncachedMiss]++
 		return cfg.stringDist(a, b, mt)
 	}
-	d, o := cfg.planeDist(cfg.Cache.planes[col], ca, cb, a, b, mt)
+	p := cfg.Cache.planes[col].Load()
+	if p == nil {
+		p = cfg.Cache.plane(col)
+	}
+	d, o := cfg.planeDist(p, ca, cb, a, b, mt)
 	rs.tally[o]++
 	return d
 }

@@ -1,7 +1,9 @@
 package fd_test
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"ftrepair/internal/dataset"
@@ -170,5 +172,142 @@ func TestColumnDict(t *testing.T) {
 	}
 	if _, ok := d.Code("zz"); ok {
 		t.Fatal("Code for foreign value unexpectedly interned")
+	}
+}
+
+// TestPlanesAllocateOnFirstLookup runs the same HOSP queries through a
+// lazily and an eagerly attached cache. Distances, counters and Len agree,
+// and the lazy cache allocates planes only for the queried columns.
+func TestPlanesAllocateOnFirstLookup(t *testing.T) {
+	clean := gen.HOSP{Seed: 3}.Generate(300)
+	fds := gen.HOSPFDs(clean.Schema)[:2] // Provider -> HospitalName, Provider -> Phone
+	dirty, _ := gen.Inject(clean, fds, 0.1, 4)
+	lazy, err := fd.NewDistConfig(dirty, 0.7, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager, err := fd.NewDistConfig(dirty, 0.7, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager.Cache.AttachPlanesEager(eager.Dicts, eager.Edit)
+	queried := map[int]bool{}
+	for _, f := range fds {
+		for _, c := range f.Attrs() {
+			queried[c] = true
+		}
+	}
+	for col := 0; col < dirty.Schema.Len(); col++ {
+		if lazy.Cache.PlaneAllocated(col) {
+			t.Fatalf("column %d: plane allocated before any lookup", col)
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < dirty.Len(); i += 3 {
+			for j := i + 1; j < dirty.Len(); j += 7 {
+				t1, t2 := dirty.Tuples[i], dirty.Tuples[j]
+				for _, f := range fds {
+					d1, ok1 := lazy.DistWithin(f, 0.3, t1, t2)
+					d2, ok2 := eager.DistWithin(f, 0.3, t1, t2)
+					if ok1 != ok2 || d1 != d2 {
+						t.Fatalf("%s rows %d,%d: lazy (%v,%v), eager (%v,%v)", f, i, j, d1, ok1, d2, ok2)
+					}
+					if a, b := lazy.Dist(f, t1, t2), eager.Dist(f, t1, t2); a != b {
+						t.Fatalf("%s rows %d,%d: Dist lazy %v, eager %v", f, i, j, a, b)
+					}
+				}
+			}
+		}
+	}
+	lh, lm := lazy.Cache.Counters()
+	eh, em := eager.Cache.Counters()
+	lph, lpm := lazy.Cache.PlaneCounters()
+	eph, epm := eager.Cache.PlaneCounters()
+	if lh != eh || lm != em || lph != eph || lpm != epm {
+		t.Fatalf("counters: lazy %d/%d (plane %d/%d), eager %d/%d (plane %d/%d)", lh, lm, lph, lpm, eh, em, eph, epm)
+	}
+	if lpm == 0 || lph == 0 {
+		t.Fatalf("plane counters %d/%d: the queries never reached a plane", lph, lpm)
+	}
+	if l, e := lazy.Cache.Len(), eager.Cache.Len(); l != e {
+		t.Fatalf("Len: lazy %d, eager %d", l, e)
+	}
+	unqueried := 0
+	for col := 0; col < dirty.Schema.Len(); col++ {
+		got := lazy.Cache.PlaneAllocated(col)
+		if got && !queried[col] {
+			t.Fatalf("column %d: plane allocated although no query read it", col)
+		}
+		if got && !eager.Cache.PlaneAllocated(col) {
+			t.Fatalf("column %d: lazy plane where the eager cache has none", col)
+		}
+		if !queried[col] && eager.Cache.PlaneAllocated(col) {
+			unqueried++
+		}
+	}
+	if unqueried == 0 {
+		t.Fatal("no eligible column was left unqueried; the test shows nothing")
+	}
+}
+
+// TestPlaneConcurrentFirstLookup races goroutines to the first lookups of
+// one column's plane. Run it under -race: the cells are allocated once and
+// published atomically, every answer equals the uncached distance, and the
+// counters account every lookup.
+func TestPlaneConcurrentFirstLookup(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	words := randomWords(rng, 60)
+	rows := make([][]string, len(words))
+	for i, w := range words {
+		rows[i] = []string{w, "x"}
+	}
+	rel, err := dataset.FromRows(dataset.Strings("A", "B"), rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fd.DefaultDistConfig(rel)
+	bare := fd.DefaultDistConfig(rel)
+	bare.Cache = nil
+	const workers = 8
+	start := make(chan struct{})
+	errs := make(chan string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := range words {
+				a, b := words[i], words[(i+w+1)%len(words)]
+				if got, want := cfg.AttrDist(0, a, b), bare.AttrDist(0, a, b); got != want {
+					errs <- fmt.Sprintf("AttrDist(%q,%q) = %v, uncached %v", a, b, got, want)
+					return
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	if !cfg.Cache.PlaneAllocated(0) {
+		t.Fatal("plane not allocated after lookups")
+	}
+	// Every query of two distinct values is one lookup, hit or miss.
+	lookups := 0
+	for w := 0; w < workers; w++ {
+		for i := range words {
+			if words[i] != words[(i+w+1)%len(words)] {
+				lookups++
+			}
+		}
+	}
+	if h, m := cfg.Cache.Counters(); int(h+m) != lookups {
+		t.Fatalf("counters %d hits + %d misses, want %d lookups", h, m, lookups)
+	}
+	if _, pm := cfg.Cache.PlaneCounters(); int(pm) != cfg.Cache.Len() {
+		t.Fatalf("plane misses %d, occupied cells %d: a fill was lost or counted twice", pm, cfg.Cache.Len())
 	}
 }

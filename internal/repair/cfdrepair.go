@@ -89,21 +89,23 @@ func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Opt
 		}
 	}
 
-	out := rel.Clone()
+	out := newOutput(rel)
 	if len(plainFDs) > 0 {
 		fdSet, err := fd.NewSet(plainFDs, plainTaus...)
 		if err != nil {
 			return nil, err
 		}
-		res, err := GreedyM(out, fdSet, cfg, opts)
+		res, err := GreedyM(rel, fdSet, cfg, opts)
 		if err != nil && !errors.Is(err, ErrCanceled) {
 			return nil, err
 		}
-		out = res.Repaired
+		for _, cell := range res.Changed {
+			out.set(cell.Row, cell.Col, res.Repaired.Get(cell))
+		}
 		stats["plainFDRepairs"] = len(res.Changed)
 		if err != nil {
 			done()
-			return finishCanceled(rel, out, cfg, "CFDSet", time.Since(start), stats)
+			return finish(out, cfg, "CFDSet", time.Since(start), stats, nil, nil), ErrCanceled
 		}
 	}
 
@@ -120,9 +122,9 @@ func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Opt
 		for i, c := range conditional {
 			if canceled(opts.Cancel) {
 				done()
-				return finishCanceled(rel, out, cfg, "CFDSet", time.Since(start), stats)
+				return finish(out, cfg, "CFDSet", time.Since(start), stats, nil, nil), ErrCanceled
 			}
-			sub, rows := c.Restrict(out)
+			sub, rows := c.Restrict(out.rel)
 			if sub.Len() < 2 {
 				continue
 			}
@@ -130,17 +132,14 @@ func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Opt
 			if err != nil && !errors.Is(err, ErrCanceled) {
 				return nil, err
 			}
-			for j, row := range rows {
-				for _, col := range c.Embedded.Attrs() {
-					if out.Tuples[row][col] != res.Repaired.Tuples[j][col] {
-						out.Tuples[row][col] = res.Repaired.Tuples[j][col]
-						changed++
-					}
+			for _, cell := range res.Changed {
+				if _, ok := out.set(rows[cell.Row], cell.Col, res.Repaired.Get(cell)); ok {
+					changed++
 				}
 			}
 			if err != nil {
 				done()
-				return finishCanceled(rel, out, cfg, "CFDSet", time.Since(start), stats)
+				return finish(out, cfg, "CFDSet", time.Since(start), stats, nil, nil), ErrCanceled
 			}
 		}
 		stats["cfdRounds"]++
@@ -149,33 +148,57 @@ func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Opt
 		}
 	}
 	done()
-	return finish(rel, out, cfg, "CFDSet", time.Since(start), stats, nil, nil)
+	return finish(out, cfg, "CFDSet", time.Since(start), stats, nil, nil), nil
 }
 
-// finishCanceled packages the work done so far as a partial result paired
-// with ErrCanceled, matching the partial-on-cancel contract of GreedyS and
-// GreedyM.
-func finishCanceled(rel, out *dataset.Relation, cfg *fd.DistConfig, name string, elapsed time.Duration, stats map[string]int) (*Result, error) {
-	res, err := finish(rel, out, cfg, name, elapsed, stats, nil, nil)
+// RepairCFD repairs rel against one CFD: the tuples matching its tableau
+// are restricted, repaired against the embedded FD (ExactS when exact,
+// GreedyS otherwise) and written back through a copy-on-write view of rel.
+// The result carries the inner run's stats and elapsed time.
+func RepairCFD(rel *dataset.Relation, c *fd.CFD, cfg *fd.DistConfig, tau float64, exact bool, opts Options) (*Result, error) {
+	sub, rows := c.Restrict(rel)
+	run := GreedyS
+	if exact {
+		run = ExactS
+	}
+	res, err := run(sub, c.Embedded, cfg, tau, opts)
 	if err != nil {
 		return nil, err
 	}
-	return res, ErrCanceled
+	out := newOutput(rel)
+	for _, cell := range res.Changed {
+		out.set(rows[cell.Row], cell.Col, res.Repaired.Get(cell))
+	}
+	changed, cost := out.diff(cfg)
+	stats := res.Stats
+	if stats == nil {
+		stats = make(map[string]int)
+	}
+	return &Result{
+		Repaired:  out.rel,
+		Cost:      cost,
+		Changed:   changed,
+		Algorithm: res.Algorithm + "+CFD",
+		Elapsed:   res.Elapsed,
+		Stats:     stats,
+	}, nil
 }
 
 // applyConstantRows enforces constant RHS patterns and returns the number
 // of cells changed.
-func applyConstantRows(out *dataset.Relation, c *fd.CFD) int {
+func applyConstantRows(out *output, c *fd.CFD) int {
 	changed := 0
-	for _, t := range out.Tuples {
+	for i, t := range out.rel.Tuples {
 		row := c.MatchRow(t)
 		if row < 0 {
 			continue
 		}
 		pat := c.Tableau[row]
-		for i, col := range c.Embedded.RHS {
-			if pat.RHS[i] != fd.Wildcard && t[col] != pat.RHS[i] {
-				t[col] = pat.RHS[i]
+		for j, col := range c.Embedded.RHS {
+			if pat.RHS[j] == fd.Wildcard {
+				continue
+			}
+			if _, ok := out.set(i, col, pat.RHS[j]); ok {
 				changed++
 			}
 		}

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"slices"
 	"sort"
 
 	"ftrepair/internal/dataset"
@@ -21,6 +22,10 @@ type Violation struct {
 	Left, Right []string
 	// LeftRows and RightRows are the indices of the tuples carrying each
 	// pattern.
+	//
+	// Left, Right, LeftRows and RightRows are read-only: every violation
+	// of one pattern shares that pattern's projection and row list
+	// (capped, so an append copies). Copy before modifying.
 	LeftRows, RightRows []int
 	// Dist is the weighted Eq-2 distance that put the pair inside the
 	// threshold; Weight the unweighted Eq-3 repair cost between the
@@ -90,10 +95,24 @@ func Detect(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options
 	var out []Violation
 	defer func() { sp.Add("violations", int64(len(out))) }()
 	graphs := buildGraphs(rel, set, cfg, opts)
+	total := 0
+	for _, g := range graphs {
+		total += g.NumEdges()
+	}
+	out = make([]Violation, 0, total)
 	for i, f := range set.FDs {
 		g := graphs[i]
 		attrs := f.Attrs()
 		start := len(out)
+		// Each vertex is projected once, on its first violation; all its
+		// violations share the projection and its capped row list.
+		pats := make([][]string, len(g.Vertices))
+		pattern := func(v int) []string {
+			if pats[v] == nil {
+				pats[v] = g.Vertices[v].Rep.Project(attrs)
+			}
+			return pats[v]
+		}
 		for u := range g.Vertices {
 			for _, e := range g.Neighbors(u) {
 				if e.To <= u {
@@ -103,10 +122,10 @@ func Detect(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options
 				out = append(out, Violation{
 					FD:        f,
 					Tau:       set.Tau[i],
-					Left:      left.Rep.Project(attrs),
-					Right:     right.Rep.Project(attrs),
-					LeftRows:  append([]int(nil), left.Rows...),
-					RightRows: append([]int(nil), right.Rows...),
+					Left:      pattern(u),
+					Right:     pattern(e.To),
+					LeftRows:  slices.Clip(left.Rows),
+					RightRows: slices.Clip(right.Rows),
 					Dist:      e.D,
 					Weight:    e.W,
 					Classic:   f.Violates(left.Rep, right.Rep),

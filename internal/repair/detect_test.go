@@ -1,11 +1,16 @@
 package repair_test
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
+	"ftrepair/internal/dataset"
+	"ftrepair/internal/eval"
 	"ftrepair/internal/fd"
 	"ftrepair/internal/gen"
 	"ftrepair/internal/repair"
+	"ftrepair/internal/vgraph"
 )
 
 func TestDetectCitizensPhi2(t *testing.T) {
@@ -122,5 +127,77 @@ func TestDetectMultipleFDsOrdered(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("violations found for %d FDs, want 3", len(seen))
+	}
+}
+
+// detectCopying is the reference Detect: the same graphs, loop and sort,
+// but every violation copies both patterns' projections and row lists.
+func detectCopying(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig) []repair.Violation {
+	graphs := vgraph.BuildSet(rel, set.FDs, cfg, set.Tau, vgraph.Options{})
+	var out []repair.Violation
+	for i, f := range set.FDs {
+		g := graphs[i]
+		attrs := f.Attrs()
+		start := len(out)
+		for u := range g.Vertices {
+			for _, e := range g.Neighbors(u) {
+				if e.To <= u {
+					continue
+				}
+				left, right := g.Vertices[u], g.Vertices[e.To]
+				out = append(out, repair.Violation{
+					FD:        f,
+					Tau:       set.Tau[i],
+					Left:      left.Rep.Project(attrs),
+					Right:     right.Rep.Project(attrs),
+					LeftRows:  append([]int(nil), left.Rows...),
+					RightRows: append([]int(nil), right.Rows...),
+					Dist:      e.D,
+					Weight:    e.W,
+					Classic:   f.Violates(left.Rep, right.Rep),
+				})
+			}
+		}
+		chunk := out[start:]
+		sort.Slice(chunk, func(a, b int) bool {
+			if !fd.FloatEq(chunk[a].Dist, chunk[b].Dist) {
+				return chunk[a].Dist < chunk[b].Dist
+			}
+			return chunk[a].LeftRows[0] < chunk[b].LeftRows[0]
+		})
+	}
+	return out
+}
+
+// TestDetectMatchesCopyingReference holds Detect, which shares each
+// pattern's projection and row list among its violations, to the copying
+// reference on HOSP and Tax draws: the same violations in the same order
+// with the same values, and row lists capped so an append cannot write
+// into a list another violation shares.
+func TestDetectMatchesCopyingReference(t *testing.T) {
+	n := 400
+	if testing.Short() {
+		n = 150
+	}
+	for _, w := range []string{"hosp", "tax"} {
+		for _, seed := range []int64{3, 11} {
+			inst, err := eval.Prepare(eval.Setup{Workload: w, N: n, ErrorRate: 0.05, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := repair.Detect(inst.Dirty, inst.Set, inst.Cfg, repair.Options{})
+			want := detectCopying(inst.Dirty, inst.Set, inst.Cfg)
+			if len(got) == 0 || len(got) != len(want) {
+				t.Fatalf("%s seed %d: %d violations, reference %d", w, seed, len(got), len(want))
+			}
+			for k := range got {
+				if !reflect.DeepEqual(got[k], want[k]) {
+					t.Fatalf("%s seed %d: violation %d = %+v, reference %+v", w, seed, k, got[k], want[k])
+				}
+				if cap(got[k].LeftRows) != len(got[k].LeftRows) || cap(got[k].RightRows) != len(got[k].RightRows) {
+					t.Fatalf("%s seed %d: violation %d row lists are not capped", w, seed, k)
+				}
+			}
+		}
 	}
 }

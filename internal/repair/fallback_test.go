@@ -33,10 +33,11 @@ func TestSequentialFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := rel.Clone()
-	if err := sequentialFallback(out, set, cfg, Options{}, nil); err != nil {
+	o := newOutput(rel)
+	if err := sequentialFallback(o, set, cfg, Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
+	out := o.rel
 	if err := VerifyFTConsistent(out, set, cfg); err != nil {
 		t.Fatalf("fallback left violations: %v", err)
 	}
@@ -44,11 +45,11 @@ func TestSequentialFallback(t *testing.T) {
 		t.Fatalf("fallback repairs: %v", out.Tuples)
 	}
 	// A clean relation is a no-op.
-	clean := out.Clone()
+	clean := newOutput(out)
 	if err := sequentialFallback(clean, set, cfg, Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	cells, err := dataset.Diff(out, clean)
+	cells, err := dataset.Diff(out, clean.rel)
 	if err != nil || len(cells) != 0 {
 		t.Fatalf("fallback modified a consistent relation: %v %v", cells, err)
 	}

@@ -31,7 +31,14 @@ type jointState struct {
 	// whole growth: the term reads the relation, the graphs and violCache,
 	// never the growing sets. nil on the literal (naive) state.
 	syncMemo []map[uint64]int32
-	scratch  dataset.Tuple
+	// adj[i][w] == v marks w as a neighbor of v, the candidate of FD i
+	// whose tupleCost is being evaluated, and allowed is bestRepairCost's
+	// reused target buffer. Both serve the heap path only: the literal
+	// state asks Graph.Edge, so the two paths answer adjacency
+	// independently.
+	adj     [][]int32
+	allowed []choice
+	scratch dataset.Tuple
 	// minOmega[i][v]: the floor of v's repair cost in FD i if excluded,
 	// under the same multiplicity restriction bestRepairCost applies
 	// (falling back to the overall cheapest edge when no neighbor is
@@ -64,6 +71,7 @@ func newJointState(rel *dataset.Relation, graphs []*vgraph.Graph, memo bool) *jo
 	}
 	if memo {
 		js.syncMemo = make([]map[uint64]int32, n)
+		js.adj = make([][]int32, n)
 	}
 	for i, g := range graphs {
 		js.inSet[i] = make([]bool, len(g.Vertices))
@@ -71,6 +79,10 @@ func newJointState(rel *dataset.Relation, graphs []*vgraph.Graph, memo bool) *jo
 		js.violCache[i] = make(map[string]int)
 		if memo {
 			js.syncMemo[i] = make(map[uint64]int32)
+			js.adj[i] = make([]int32, len(g.Vertices))
+			for v := range js.adj[i] {
+				js.adj[i][v] = -1
+			}
 		}
 		for j := range graphs {
 			if i != j && g.FD.SharesAttrs(graphs[j].FD) {
@@ -180,10 +192,18 @@ func (js *jointState) sync(i, row, w int) int {
 	return s
 }
 
+// choice is one admissible repair target of a doomed vertex and the
+// repair weight to it.
+type choice struct {
+	w  int
+	wt float64
+}
+
 // bestRepairCost picks, per row of doomed vertex u (FD i), the target
 // w minimizing (syncDelta, weight) among the allowed targets — the
 // candidate v itself, members of the set, or vertices not in conflict
-// with the set — and returns the summed repair weight (Eq. 12).
+// with the set — and returns the summed repair weight (Eq. 12). wuv is the
+// weight of the edge (u, v).
 //
 // Targets are additionally restricted to multiplicity at least u's own:
 // repairs flow toward equally or more frequent patterns. Without this,
@@ -191,14 +211,10 @@ func (js *jointState) sync(i, row, w int) int {
 // one-tuple typo become the designated repair target of the
 // high-multiplicity pattern it derives from, and the joint greedy then
 // dooms the legitimate pattern "for free".
-func (js *jointState) bestRepairCost(i, u, v int) float64 {
+func (js *jointState) bestRepairCost(i, u, v int, wuv float64) float64 {
 	g := js.graphs[i]
 	uMult := g.Vertices[u].Mult()
-	type choice struct {
-		w  int
-		wt float64
-	}
-	var allowed []choice
+	allowed := js.allowed[:0]
 	for _, e := range g.Neighbors(u) {
 		w := e.To
 		if g.Vertices[w].Mult() < uMult {
@@ -208,28 +224,18 @@ func (js *jointState) bestRepairCost(i, u, v int) float64 {
 			if js.blocked[i][w] {
 				continue // conflicts with the chosen set
 			}
-			if _, adj := g.Edge(w, v); adj {
+			if js.adjacent(i, w, v) {
 				continue // conflicts with the candidate
 			}
 		}
 		allowed = append(allowed, choice{w, e.W})
 	}
+	js.allowed = allowed
 	if len(allowed) == 0 {
 		// No frequent-enough target: account the doom as a repair to
 		// the candidate itself. This is what makes dooming a
 		// high-multiplicity pattern expensive for a junk candidate.
-		if w, ok := g.Edge(u, v); ok {
-			return float64(uMult) * w
-		}
-		// u is doomed but not adjacent to v (cannot happen: u comes
-		// from N(v)); fall back to the cheapest neighbor.
-		best := math.Inf(1)
-		for _, e := range g.Neighbors(u) {
-			if e.W < best {
-				best = e.W
-			}
-		}
-		return float64(uMult) * best
+		return float64(uMult) * wuv
 	}
 	var total float64
 	rows := g.Vertices[u].Rows
@@ -256,16 +262,32 @@ func (js *jointState) bestRepairCost(i, u, v int) float64 {
 	return total
 }
 
+// adjacent reports whether w is a neighbor of the candidate v of FD i: from
+// the marks tupleCost(i, v) set on the heap path, from Graph.Edge on the
+// literal one.
+func (js *jointState) adjacent(i, w, v int) bool {
+	if js.adj != nil {
+		return js.adj[i][w] == int32(v)
+	}
+	_, ok := js.graphs[i].Edge(w, v)
+	return ok
+}
+
 // tupleCost is Eq. 12 for candidate v of FD i — the best-repair cost of
 // every neighbor this addition newly dooms, normalized by each
 // neighbor's unavoidable floor — minus the candidate's own avoided
 // repair cost (the same normalization GreedyS uses; see greedySetNaive).
 func (js *jointState) tupleCost(i, v int) float64 {
 	g := js.graphs[i]
+	if js.adj != nil {
+		for _, e := range g.Neighbors(v) {
+			js.adj[i][e.To] = int32(v)
+		}
+	}
 	var total float64
 	for _, e := range g.Neighbors(v) {
 		if !js.blocked[i][e.To] && !js.inSet[i][e.To] {
-			total += js.bestRepairCost(i, e.To, v) - float64(g.Vertices[e.To].Mult())*js.minOmega[i][e.To]
+			total += js.bestRepairCost(i, e.To, v, e.W) - float64(g.Vertices[e.To].Mult())*js.minOmega[i][e.To]
 		}
 	}
 	total -= float64(g.Vertices[v].Mult()) * js.minOmega[i][v]

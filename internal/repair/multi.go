@@ -52,14 +52,15 @@ func GreedyM(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Option
 	return multiRepair(rel, set, cfg, opts, "GreedyM", greedyComponent)
 }
 
-// componentFunc repairs one connected component of the FD graph in place,
-// recording applied cells into ev when non-nil.
-type componentFunc func(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error
+// componentFunc repairs one connected component of the FD graph: it builds
+// its graphs over rel and writes its repairs through out, holding out.mu
+// over its apply phase, recording applied cells into ev when non-nil.
+type componentFunc func(rel *dataset.Relation, out *output, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error
 
 func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options, name string, repairComp componentFunc) (*Result, error) {
 	start := time.Now()
 	snap := snapCacheStats(cfg)
-	out := rel.Clone()
+	out := newOutput(rel)
 	stats := make(map[string]int)
 	comps := set.Components()
 	// Each component gets a private event buffer: components repair disjoint
@@ -88,11 +89,7 @@ func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Op
 	// a cancellation and surfaces the typed error alongside it.
 	partial := func() (*Result, error) {
 		addCacheStats(stats, cfg, snap)
-		res, ferr := finish(rel, out, cfg, name, time.Since(start), stats, opts.Ledger, gather())
-		if ferr != nil {
-			return nil, ferr
-		}
-		return res, ErrCanceled
+		return finish(out, cfg, name, time.Since(start), stats, opts.Ledger, gather()), ErrCanceled
 	}
 	compBuf := func(i int) *eventBuf {
 		if bufs == nil {
@@ -122,14 +119,15 @@ func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Op
 		}
 	}
 	addCacheStats(stats, cfg, snap)
-	return finish(rel, out, cfg, name, time.Since(start), stats, opts.Ledger, gather())
+	return finish(out, cfg, name, time.Since(start), stats, opts.Ledger, gather()), nil
 }
 
 // repairComponentsParallel runs component repairs on up to opts.Parallel
 // goroutines. Components write disjoint attribute columns of out, so the
-// repairs commute; stats merge under a lock, and each worker records events
-// into its own component buffer (fetched via compBuf by component index).
-func repairComponentsParallel(rel, out *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, comps [][]int, repairComp componentFunc, compBuf func(int) *eventBuf) error {
+// repairs commute; their apply phases serialize on out.mu, stats merge
+// under a lock, and each worker records events into its own component
+// buffer (fetched via compBuf by component index).
+func repairComponentsParallel(rel *dataset.Relation, out *output, set *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, comps [][]int, repairComp componentFunc, compBuf func(int) *eventBuf) error {
 	sem := make(chan struct{}, opts.Parallel)
 	errs := make(chan error, len(comps))
 	var mu sync.Mutex
@@ -188,7 +186,7 @@ func buildGraphs(rel *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Op
 }
 
 // exactComponent implements Algorithm 3 for one component.
-func exactComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
+func exactComponent(rel *dataset.Relation, out *output, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
 	graphs := buildGraphs(rel, sub, cfg, opts)
 	if len(sub.FDs) == 1 {
 		// Single-FD component: the expansion algorithm is optimal
@@ -211,7 +209,9 @@ func exactComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig,
 		}
 		stats["nodes"] += res.NodesExplored
 		ap := obs.Begin(opts.Trace, obs.PhaseApply)
+		out.mu.Lock()
 		applyInPlace(out, graphs[0], repairTargets(graphs[0], res.Set), cfg, ev)
+		out.mu.Unlock()
 		ap.End()
 		return nil
 	}
@@ -260,13 +260,15 @@ func exactComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig,
 		ev.fdLabel = fdSetLabel(sub)
 	}
 	ap := obs.Begin(opts.Trace, obs.PhaseApply)
+	out.mu.Lock()
 	applyPlan(out, groups, best, cfg, ev)
+	out.mu.Unlock()
 	ap.End()
 	return nil
 }
 
 // approComponent implements §4.3 for one component.
-func approComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
+func approComponent(rel *dataset.Relation, out *output, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
 	graphs := buildGraphs(rel, sub, cfg, opts)
 	sp := obs.Begin(opts.Trace, obs.PhaseGreedyGrow)
 	sets := make([][]int, len(graphs))
@@ -282,7 +284,7 @@ func approComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig,
 }
 
 // greedyComponent implements §4.4 for one component.
-func greedyComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
+func greedyComponent(rel *dataset.Relation, out *output, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
 	graphs := buildGraphs(rel, sub, cfg, opts)
 	sp := obs.Begin(opts.Trace, obs.PhaseGreedyGrow)
 	js := jointGreedySets(rel, graphs, opts.Cancel)
@@ -301,10 +303,12 @@ func greedyComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig
 // every tuple whose projections fall outside them. When the join is empty
 // (the chosen sets disagree on every shared value — possible for heuristic
 // sets), it falls back to iterated per-FD greedy repair.
-func applyJoinedSets(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, graphs []*vgraph.Graph, sets [][]int, ev *eventBuf) error {
+func applyJoinedSets(rel *dataset.Relation, out *output, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, graphs []*vgraph.Graph, sets [][]int, ev *eventBuf) error {
 	if len(graphs) == 1 {
 		ap := obs.Begin(opts.Trace, obs.PhaseApply)
+		out.mu.Lock()
 		applyInPlace(out, graphs[0], repairTargets(graphs[0], sets[0]), cfg, ev)
+		out.mu.Unlock()
 		ap.End()
 		return nil
 	}
@@ -327,7 +331,9 @@ func applyJoinedSets(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig
 		ev.fdLabel = fdSetLabel(sub)
 	}
 	ap := obs.Begin(opts.Trace, obs.PhaseApply)
+	out.mu.Lock()
 	applyPlan(out, groups, plan, cfg, ev)
+	out.mu.Unlock()
 	ap.End()
 	return nil
 }
@@ -335,8 +341,12 @@ func applyJoinedSets(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig
 // sequentialFallback repairs the component FD by FD with the single-FD
 // greedy algorithm, iterating until the component is FT-consistent or a
 // round budget is exhausted. It is only used when the joined independent
-// sets admit no target.
-func sequentialFallback(out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, ev *eventBuf) error {
+// sets admit no target. Each round's graphs are built over the output it
+// writes, and their vertices hold its rows as Rep, so it holds out.mu
+// throughout: no other component may copy a row under it.
+func sequentialFallback(out *output, sub *fd.Set, cfg *fd.DistConfig, opts Options, ev *eventBuf) error {
+	out.mu.Lock()
+	defer out.mu.Unlock()
 	const maxRounds = 5
 	for round := 0; round < maxRounds; round++ {
 		clean := true
@@ -344,7 +354,7 @@ func sequentialFallback(out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, 
 			if canceled(opts.Cancel) {
 				return ErrCanceled
 			}
-			g := vgraph.Build(out, f, cfg, sub.Tau[i], graphOpts(opts))
+			g := vgraph.Build(out.rel, f, cfg, sub.Tau[i], graphOpts(opts))
 			if g.NumEdges() == 0 {
 				continue
 			}
@@ -358,12 +368,14 @@ func sequentialFallback(out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, 
 	return nil // best effort; verification reports any residual violations
 }
 
-// applyInPlace is applyVertexRepairs writing directly into out (whose rows
-// align with the graph's source relation). When ev is non-nil, every cell
-// whose value actually changes is recorded with the violation edge (from →
-// to) that justified the repair; unchanged cells stay silent, so the ledger
-// matches dataset.Diff exactly for single-write repairs.
-func applyInPlace(out *dataset.Relation, g *vgraph.Graph, target map[int]int, cfg *fd.DistConfig, ev *eventBuf) {
+// applyInPlace is applyVertexRepairs writing through out (whose rows align
+// with the graph's source relation). Writes that change nothing are
+// skipped, so a row is copied only when one of its cells changes. When ev
+// is non-nil, every cell whose value actually changes is recorded with the
+// violation edge (from → to) that justified the repair; unchanged cells
+// stay silent, so the ledger matches Changed exactly for single-write
+// repairs.
+func applyInPlace(out *output, g *vgraph.Graph, target map[int]int, cfg *fd.DistConfig, ev *eventBuf) {
 	for from, to := range target {
 		pattern := g.Vertices[to].Rep
 		var tmpl ledger.RepairEvent
@@ -372,10 +384,8 @@ func applyInPlace(out *dataset.Relation, g *vgraph.Graph, target map[int]int, cf
 		}
 		for _, row := range g.Vertices[from].Rows {
 			for _, c := range g.FD.Attrs() {
-				old := out.Tuples[row][c]
-				out.Tuples[row][c] = pattern[c]
-				if ev != nil && old != pattern[c] {
-					ev.record(cellEvent(tmpl, out, cfg, row, c, old, pattern[c]))
+				if old, changed := out.set(row, c, pattern[c]); changed && ev != nil {
+					ev.record(cellEvent(tmpl, out.rel, cfg, row, c, old, pattern[c]))
 				}
 			}
 		}

@@ -18,8 +18,11 @@ package repair
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
+	"ftrepair/internal/bitset"
 	"ftrepair/internal/dataset"
 	"ftrepair/internal/fd"
 	"ftrepair/internal/ledger"
@@ -29,11 +32,15 @@ import (
 
 // Result reports a repair: the repaired relation plus accounting.
 type Result struct {
+	// Repaired is the repaired relation. It is copy-on-write over the
+	// input: a row the repair left unchanged is the input's own row slice,
+	// and only changed rows are fresh copies. Treat both relations as
+	// read-only; Clone before mutating either. The input is never modified.
 	Repaired *dataset.Relation
 	// Cost is the Eq-4 repair cost between the input and the repaired
 	// database (sum of per-cell distances).
 	Cost float64
-	// Changed lists the modified cells.
+	// Changed lists the modified cells in row-major order.
 	Changed []dataset.Cell
 	// Algorithm names the algorithm that produced the repair.
 	Algorithm string
@@ -176,11 +183,8 @@ func canceled(ch <-chan struct{}) bool {
 // It is also the run's single ledger flush point, mirroring FlushRunStats:
 // every algorithm funnels its applied events here exactly once, canceled
 // partial runs included, so a sink sees each applied cell exactly once.
-func finish(orig *dataset.Relation, repaired *dataset.Relation, cfg *fd.DistConfig, algorithm string, elapsed time.Duration, stats map[string]int, sink ledger.Sink, events []ledger.RepairEvent) (*Result, error) {
-	changed, err := dataset.Diff(orig, repaired)
-	if err != nil {
-		return nil, err
-	}
+func finish(out *output, cfg *fd.DistConfig, algorithm string, elapsed time.Duration, stats map[string]int, sink ledger.Sink, events []ledger.RepairEvent) *Result {
+	changed, cost := out.diff(cfg)
 	// The one flush point for run-level stats: every algorithm funnels its
 	// finished (or canceled-partial) Result through finish, so registry
 	// totals see each run exactly once. Graph vertex/edge totals are
@@ -194,13 +198,81 @@ func finish(orig *dataset.Relation, repaired *dataset.Relation, cfg *fd.DistConf
 		sink.Commit(events)
 	}
 	return &Result{
-		Repaired:  repaired,
-		Cost:      cfg.DatabaseCost(orig, repaired),
+		Repaired:  out.rel,
+		Cost:      cost,
 		Changed:   changed,
 		Algorithm: algorithm,
 		Elapsed:   elapsed,
 		Stats:     stats,
-	}, nil
+	}
+}
+
+// output is a repair's copy-on-write result. rel starts as a shallow copy
+// of the input whose rows alias the input's; the first write that changes
+// a row's cell copies that row. A repair thus copies only the rows it
+// changes and never modifies the input, and diff reads Changed and Cost
+// off the copied rows alone.
+//
+// Concurrent components (Options.Parallel >= 2) write disjoint columns of
+// the same rows, and a first write replaces the row slice that another
+// component may be reading. Each component therefore holds mu over its
+// apply phase, and sequentialFallback, which rebuilds graphs over rel while
+// it writes it, holds mu throughout; the sequential loop takes the same
+// (uncontended) lock, so both run one code path.
+type output struct {
+	in, rel *dataset.Relation
+	// copied marks the rows rel no longer shares with in.
+	copied bitset.Set
+	mu     sync.Mutex
+}
+
+// newOutput starts an unchanged copy-on-write view of in.
+func newOutput(in *dataset.Relation) *output {
+	return &output{
+		in:     in,
+		rel:    &dataset.Relation{Schema: in.Schema, Tuples: slices.Clone(in.Tuples)},
+		copied: bitset.New(len(in.Tuples)),
+	}
+}
+
+// set writes v into the cell and returns the value it replaced. A write
+// that changes nothing is skipped (changed is false); the first real write
+// to a row copies it.
+func (o *output) set(row, col int, v string) (old string, changed bool) {
+	t := o.rel.Tuples[row]
+	if old = t[col]; old == v {
+		return old, false
+	}
+	if !o.copied.Has(row) {
+		t = t.Clone()
+		o.rel.Tuples[row] = t
+		o.copied.Set(row)
+	}
+	t[col] = v
+	return old, true
+}
+
+// diff returns the cells where rel differs from in, in row-major order,
+// and their Eq-4 cost. Both equal dataset.Diff and DistConfig.DatabaseCost
+// over (in, rel), bit for bit: the rows it skips are the input's own, and
+// an unchanged cell's repair distance is exactly +0 (confidences are
+// finite and positive), which leaves a float sum unchanged.
+func (o *output) diff(cfg *fd.DistConfig) ([]dataset.Cell, float64) {
+	var changed []dataset.Cell
+	var cost float64
+	o.copied.IterateOnes(func(row int) bool {
+		a, b := o.in.Tuples[row], o.rel.Tuples[row]
+		var rowCost float64
+		for c := range a {
+			if a[c] != b[c] {
+				changed = append(changed, dataset.Cell{Row: row, Col: c})
+				rowCost += cfg.RepairDist(c, a[c], b[c])
+			}
+		}
+		cost += rowCost
+		return true
+	})
+	return changed, cost
 }
 
 // Partial applies only the selected repaired cells onto the original
@@ -259,12 +331,12 @@ func VerifyValid(orig, repaired *dataset.Relation, set *fd.Set) error {
 	return nil
 }
 
-// applyVertexRepairs writes pattern repairs into a cloned relation: each
-// entry maps a graph vertex to the vertex whose pattern its rows adopt.
-// When ev is non-nil, every actually changed cell is recorded with the
-// violation edge that justified the repair.
-func applyVertexRepairs(rel *dataset.Relation, g *vgraph.Graph, target map[int]int, cfg *fd.DistConfig, ev *eventBuf) *dataset.Relation {
-	out := rel.Clone()
+// applyVertexRepairs writes pattern repairs into a copy-on-write view of
+// rel: each entry maps a graph vertex to the vertex whose pattern its rows
+// adopt. When ev is non-nil, every actually changed cell is recorded with
+// the violation edge that justified the repair.
+func applyVertexRepairs(rel *dataset.Relation, g *vgraph.Graph, target map[int]int, cfg *fd.DistConfig, ev *eventBuf) *output {
+	out := newOutput(rel)
 	applyInPlace(out, g, target, cfg, ev)
 	return out
 }

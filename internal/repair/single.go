@@ -42,11 +42,7 @@ func ExactS(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, op
 			"edges":    g.NumEdges(),
 		}
 		addCacheStats(stats, cfg, snap)
-		partial, ferr := finish(rel, rel.Clone(), cfg, "ExactS", time.Since(start), stats, opts.Ledger, nil)
-		if ferr != nil {
-			return nil, ferr
-		}
-		return partial, ErrCanceled
+		return finish(newOutput(rel), cfg, "ExactS", time.Since(start), stats, opts.Ledger, nil), ErrCanceled
 	}
 	if err != nil {
 		return nil, err
@@ -62,7 +58,7 @@ func ExactS(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, op
 		"pruned":   res.Pruned,
 	}
 	addCacheStats(stats, cfg, snap)
-	return finish(rel, repaired, cfg, "ExactS", time.Since(start), stats, opts.Ledger, ev.take())
+	return finish(repaired, cfg, "ExactS", time.Since(start), stats, opts.Ledger, ev.take()), nil
 }
 
 // repairTargets maps every vertex outside the independent set to its
@@ -113,13 +109,13 @@ func GreedyS(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, o
 		"setSize":  len(set),
 	}
 	addCacheStats(stats, cfg, snap)
-	res, err := finish(rel, repaired, cfg, "GreedyS", time.Since(start), stats, opts.Ledger, ev.take())
-	if err == nil && canceled(opts.Cancel) {
+	res := finish(repaired, cfg, "GreedyS", time.Since(start), stats, opts.Ledger, ev.take())
+	if canceled(opts.Cancel) {
 		// The greedy growth stopped early: excluded vertices without an
 		// in-set neighbor stay unrepaired.
 		return res, ErrCanceled
 	}
-	return res, err
+	return res, nil
 }
 
 // The greedy growth loop itself (greedySet and its retained naive

@@ -421,12 +421,13 @@ func scoreValues(tree *targettree.Tree, codes []int32, rs *fd.RepairScorer, dst 
 	return dst
 }
 
-// applyPlan writes the chosen targets into out. When ev is non-nil, every
+// applyPlan writes the chosen targets through out, skipping writes that
+// change nothing. When ev is non-nil, every
 // cell whose value actually changes is recorded with its join-target
 // justification (the target's columns and values plus the component's FD
 // label, set by the caller on ev.fdLabel — plan repairs span every FD of
 // the component, so no single violation edge applies).
-func applyPlan(out *dataset.Relation, groups []tupleGroup, plan []*groupResult, cfg *fd.DistConfig, ev *eventBuf) {
+func applyPlan(out *output, groups []tupleGroup, plan []*groupResult, cfg *fd.DistConfig, ev *eventBuf) {
 	for gi, r := range plan {
 		if r == nil {
 			continue
@@ -442,10 +443,8 @@ func applyPlan(out *dataset.Relation, groups []tupleGroup, plan []*groupResult, 
 		}
 		for _, row := range groups[gi].rows {
 			for i, c := range tg.Cols {
-				old := out.Tuples[row][c]
-				out.Tuples[row][c] = tg.Vals[i]
-				if ev != nil && old != tg.Vals[i] {
-					ev.record(cellEvent(tmpl, out, cfg, row, c, old, tg.Vals[i]))
+				if old, changed := out.set(row, c, tg.Vals[i]); changed && ev != nil {
+					ev.record(cellEvent(tmpl, out.rel, cfg, row, c, old, tg.Vals[i]))
 				}
 			}
 		}
