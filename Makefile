@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build lint lint-json lint-sarif test short bench bench-json bench-repair bench-incremental bench-distance bench-check alloc-smoke experiments fuzz cover examples serve
+.PHONY: all build lint lint-sarif test short bench bench-json bench-repair bench-incremental bench-distance bench-check alloc-smoke experiments fuzz cover examples serve
 
 all: build lint test
 
@@ -9,17 +9,13 @@ build:
 
 lint:
 	go vet ./...
-	go run ./cmd/repairlint -baseline=.repairlint.baseline ./...
+	go run ./cmd/repairlint ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
-# Machine-readable findings (all of them, suppressed included) on stdout.
-lint-json:
-	go run ./cmd/repairlint -format=json -baseline=.repairlint.baseline ./...
-
 # SARIF 2.1.0 log of the active findings, for CI annotation/upload.
 lint-sarif:
-	go run ./cmd/repairlint -format=sarif -baseline=.repairlint.baseline ./... > repairlint.sarif || true
+	go run ./cmd/repairlint -format=sarif ./... > repairlint.sarif || true
 	@echo wrote repairlint.sarif
 
 test:

@@ -5,9 +5,7 @@
 //
 //	repairlint ./...                          # whole module, text output
 //	repairlint -analyzers cancelpoll ./...    # one analyzer
-//	repairlint -format=json ./...             # machine-readable findings
 //	repairlint -format=sarif ./... > out.sarif# SARIF 2.1.0 for CI annotation
-//	repairlint -baseline=.repairlint.baseline ./...
 //	repairlint -list                          # describe the suite
 //
 // The module is loaded and type-checked once (`go list -export` + go/types)
@@ -15,14 +13,9 @@
 // analyzed in parallel, bounded by GOMAXPROCS. A wall-time line on stderr
 // reports the split between loading and analysis.
 //
-// Suppression comes in two forms, both requiring a justification:
-//
-//   - in-file: `//lint:ignore <analyzer> <reason>` on the finding's line or
-//     the line above (malformed directives are themselves findings);
-//   - baseline file (-baseline): lines of `path/file.go: analyzer: message
-//     substring # reason` for findings that cannot carry a comment. Stale
-//     entries that match nothing are findings too, so the baseline can only
-//     shrink truthfully.
+// A finding is suppressed by `//lint:ignore <analyzer> <reason>` on its
+// line or the line above; a directive without an analyzer and a reason is
+// itself a finding.
 package main
 
 import (
@@ -44,8 +37,7 @@ func main() {
 	var (
 		listFlag  = flag.Bool("list", false, "list available analyzers and exit")
 		analyzers = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		format    = flag.String("format", "text", "output format: text, json, or sarif")
-		baseline  = flag.String("baseline", "", "baseline file of accepted findings (empty: none)")
+		format    = flag.String("format", "text", "output format: text or sarif")
 		workers   = flag.Int("parallel", runtime.GOMAXPROCS(0), "max packages analyzed concurrently")
 		quiet     = flag.Bool("quiet", false, "suppress the wall-time summary on stderr")
 	)
@@ -59,7 +51,6 @@ func main() {
 	res, err := run(os.Stdout, config{
 		analyzerSpec: *analyzers,
 		format:       *format,
-		baselineFile: *baseline,
 		workers:      *workers,
 		patterns:     flag.Args(),
 	})
@@ -81,22 +72,20 @@ func main() {
 type config struct {
 	analyzerSpec string
 	format       string
-	baselineFile string
 	workers      int
 	patterns     []string
 }
 
-// finding is one diagnostic with its provenance, ready for any output
+// finding is one diagnostic with its provenance, ready for either output
 // format.
 type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	// Suppressed notes why the finding does not gate: "directive: <reason>"
-	// or "baseline: <reason>". Empty for active findings.
-	Suppressed string `json:"suppressed,omitempty"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
+	// Suppressed is true when a //lint:ignore directive covers the finding.
+	Suppressed bool
 }
 
 // result aggregates a run for the summary line and the exit code.
@@ -123,13 +112,9 @@ func run(w io.Writer, cfg config) (*result, error) {
 	switch cfg.format {
 	case "":
 		cfg.format = "text"
-	case "text", "json", "sarif":
+	case "text", "sarif":
 	default:
-		return nil, fmt.Errorf("unknown -format %q (want text, json, or sarif)", cfg.format)
-	}
-	bl, err := loadBaseline(cfg.baselineFile)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("unknown -format %q (want text or sarif)", cfg.format)
 	}
 
 	loadStart := time.Now()
@@ -191,7 +176,6 @@ func run(w io.Writer, cfg config) (*result, error) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	findings = append(findings, bl.apply(findings)...)
 
 	res := &result{
 		analyzers:   len(selected),
@@ -200,10 +184,10 @@ func run(w io.Writer, cfg config) (*result, error) {
 		analyzeTime: time.Since(analyzeStart),
 	}
 	for _, f := range findings {
-		if f.Suppressed == "" {
-			res.active = append(res.active, f)
-		} else {
+		if f.Suppressed {
 			res.suppressed++
+		} else {
+			res.active = append(res.active, f)
 		}
 	}
 
@@ -211,10 +195,6 @@ func run(w io.Writer, cfg config) (*result, error) {
 	case "text":
 		for _, f := range res.active {
 			fmt.Fprintf(w, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-		}
-	case "json":
-		if err := writeJSON(w, findings, res); err != nil {
-			return nil, err
 		}
 	case "sarif":
 		if err := writeSARIF(w, selected, res.active); err != nil {
@@ -253,9 +233,7 @@ func analyzePackage(pkg *load.Package, selected []*analysis.Analyzer) ([]finding
 					Analyzer: a.Name,
 					Message:  d.Message,
 				}
-				if dir := ignores.Suppressed(pos.Filename, pos.Line, a.Name); dir != nil {
-					f.Suppressed = "directive: " + dir.Reason
-				}
+				f.Suppressed = ignores.Suppressed(pos.Filename, pos.Line, a.Name)
 				findings = append(findings, f)
 			},
 		}

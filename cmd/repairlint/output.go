@@ -7,34 +7,6 @@ import (
 	"ftrepair/internal/analysis"
 )
 
-// writeJSON renders every finding (active and suppressed) plus run
-// telemetry, for tooling that wants the full picture.
-func writeJSON(w io.Writer, findings []finding, res *result) error {
-	doc := struct {
-		Findings   []finding `json:"findings"`
-		Active     int       `json:"active"`
-		Suppressed int       `json:"suppressed"`
-		Analyzers  int       `json:"analyzers"`
-		Packages   int       `json:"packages"`
-		LoadMs     float64   `json:"loadMs"`
-		AnalyzeMs  float64   `json:"analyzeMs"`
-	}{
-		Findings:   findings,
-		Active:     len(res.active),
-		Suppressed: res.suppressed,
-		Analyzers:  res.analyzers,
-		Packages:   res.packages,
-		LoadMs:     float64(res.loadTime.Microseconds()) / 1000,
-		AnalyzeMs:  float64(res.analyzeTime.Microseconds()) / 1000,
-	}
-	if findings == nil {
-		doc.Findings = []finding{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
 // SARIF 2.1.0 minimal model: one run, one tool driver with a rule per
 // analyzer, one result per active finding. Enough for GitHub code-scanning
 // annotation and for any SARIF viewer.
@@ -104,7 +76,6 @@ func writeSARIF(w io.Writer, selected []*analysis.Analyzer, active []finding) er
 	rules = append(rules,
 		sarifRule{ID: "typecheck", ShortDescription: sarifMessage{Text: "package failed to type-check"}},
 		sarifRule{ID: "lintdirective", ShortDescription: sarifMessage{Text: "malformed //lint:ignore directive"}},
-		sarifRule{ID: "baseline", ShortDescription: sarifMessage{Text: "stale baseline entry"}},
 	)
 	results := make([]sarifResult, 0, len(active))
 	for _, f := range active {

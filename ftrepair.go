@@ -355,6 +355,6 @@ func RepairWithMaster(rel *Relation, engine *RuleEngine, set *Set, cfg *DistConf
 	out := *res
 	out.Changed = changed
 	out.Cost = cfg.DatabaseCost(rel, res.Repaired)
-	out.AddStat("certainFixes", len(fixes))
+	out.Stats["certainFixes"] = len(fixes)
 	return &out, nil
 }

@@ -106,11 +106,11 @@ func TestRepairCFD(t *testing.T) {
 	if len(res.Changed) != 1 {
 		t.Fatalf("changed = %v", res.Changed)
 	}
-	// Stats is always usable, even when the inner repair reported none.
+	// Stats is never nil, so a caller may write to it.
 	if res.Stats == nil {
 		t.Fatal("RepairCFD returned nil Stats")
 	}
-	res.Stats["probe"] = 1 // must not panic on a guarded empty map
+	res.Stats["probe"] = 1
 	// GreedyS path and validation.
 	gres, err := ftrepair.RepairCFD(rel, c, cfg, 0.3, ftrepair.GreedyS, ftrepair.Options{})
 	if err != nil {
@@ -176,6 +176,35 @@ func TestCSVRoundTripThroughFacade(t *testing.T) {
 }
 
 func TestRepairWithMaster(t *testing.T) {
+	engine, set, dirty := masterInput(t)
+	cfg, err := ftrepair.NewDistConfig(dirty, 0.7, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ftrepair.RepairWithMaster(dirty, engine, set, cfg, ftrepair.GreedyM, ftrepair.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Repaired.Tuples[2][1] != "Boston" {
+		t.Fatalf("rule fix missing: %v", res.Repaired.Tuples[2])
+	}
+	if res.Repaired.Tuples[4][2] != "TX" {
+		t.Fatalf("FT fix missing: %v", res.Repaired.Tuples[4])
+	}
+	if res.Stats["certainFixes"] != 1 {
+		t.Fatalf("certainFixes = %d", res.Stats["certainFixes"])
+	}
+	// Changed cells measured against the ORIGINAL input (both stages).
+	if len(res.Changed) != 2 {
+		t.Fatalf("changed = %v", res.Changed)
+	}
+}
+
+// masterInput is a Zip/City/State relation with one master-data-backed
+// typo and one FT violation, a zip2city rule engine over a one-row master
+// relation, and the Zip -> State FD at τ = 0.3.
+func masterInput(t *testing.T) (*ftrepair.RuleEngine, *ftrepair.Set, *ftrepair.Relation) {
+	t.Helper()
 	schema := ftrepair.Strings("Zip", "City", "State")
 	dirty, err := ftrepair.FromRows(schema, [][]string{
 		{"02134", "Boston", "MA"},
@@ -207,25 +236,5 @@ func TestRepairWithMaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := ftrepair.NewDistConfig(dirty, 0.7, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ftrepair.RepairWithMaster(dirty, engine, set, cfg, ftrepair.GreedyM, ftrepair.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Repaired.Tuples[2][1] != "Boston" {
-		t.Fatalf("rule fix missing: %v", res.Repaired.Tuples[2])
-	}
-	if res.Repaired.Tuples[4][2] != "TX" {
-		t.Fatalf("FT fix missing: %v", res.Repaired.Tuples[4])
-	}
-	if res.Stats["certainFixes"] != 1 {
-		t.Fatalf("certainFixes = %d", res.Stats["certainFixes"])
-	}
-	// Changed cells measured against the ORIGINAL input (both stages).
-	if len(res.Changed) != 2 {
-		t.Fatalf("changed = %v", res.Changed)
-	}
+	return engine, set, dirty
 }

@@ -1,10 +1,10 @@
 // Package analysis is ftrepair's project-specific static-analysis suite: a
 // set of analyzers over go/ast + go/types that pin down invariants the
-// repair algorithms rely on but the compiler cannot check — cooperative
-// cancellation polled inside unbounded loops, nil-guarded Stats maps,
-// Stats writes routed through Result.AddStat outside the packages that own
-// the obs-registry flush, epsilon-based float comparisons, locks never
-// copied by value, and idiomatic error construction.
+// repair algorithms rely on but neither the compiler, go vet nor the test
+// suites check — cooperative cancellation polled inside unbounded loops,
+// epsilon-based float comparisons, error wrapping that keeps errors.Is
+// working, map-order and clock nondeterminism kept out of repair
+// decisions, joined goroutine fan-outs, and obs spans ended on every path.
 //
 // The analyzer logic is framework-agnostic: each analyzer is a pure
 // function from a type-checked package (a Pass) to diagnostics, mirroring
@@ -53,23 +53,17 @@ type Analyzer struct {
 }
 
 // All returns every analyzer in the suite, in stable order: the AST-local
-// checks from the original suite first, then the determinism, concurrency
-// and observability analyzers that came with the CFG layer.
+// checks first, then the determinism, concurrency and observability
+// analyzers that use the CFG layer.
 func All() []*Analyzer {
 	return []*Analyzer{
 		CancelPoll,
-		StatsGuard,
-		ObsGuard,
 		FloatEq,
-		LockCopy,
 		ErrFmt,
 		MapIter,
-		BitsetIter,
 		NonDeterm,
-		AtomicMix,
 		GoGuard,
 		SpanEnd,
-		LedgerWrite,
 	}
 }
 

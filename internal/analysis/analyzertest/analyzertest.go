@@ -5,7 +5,7 @@
 //
 // A source line expecting diagnostics carries a trailing comment:
 //
-//	res.Stats["k"] = 1 // want `nil check`
+//	if cost == best { // want `compares floats exactly`
 //
 // Each back-quoted or double-quoted string is a regular expression that
 // must match the message of one diagnostic reported on that line; lines
@@ -68,7 +68,7 @@ func Run(t *testing.T, analyzer *analysis.Analyzer, dir string) {
 	kept := diags[:0]
 	for _, d := range diags {
 		pos := pkg.Fset.Position(d.Pos)
-		if ignores.Suppressed(pos.Filename, pos.Line, analyzer.Name) == nil {
+		if !ignores.Suppressed(pos.Filename, pos.Line, analyzer.Name) {
 			kept = append(kept, d)
 		}
 	}

@@ -14,11 +14,8 @@ import (
 // applies to findings reported on its own line (trailing form) and on the
 // line directly below (standalone form). Malformed directives (unknown
 // shape, missing reason) are themselves surfaced as findings by the driver
-// so suppressions cannot silently rot.
-//
-// This is the in-file half of the suppression story; cmd/repairlint also
-// supports a checked-in baseline file for findings that cannot carry a
-// comment (generated code, cross-cutting groups). Both require a reason.
+// so suppressions cannot silently rot. They are the only suppression
+// mechanism.
 
 // IgnoreDirective is one parsed //lint:ignore comment.
 type IgnoreDirective struct {
@@ -26,7 +23,6 @@ type IgnoreDirective struct {
 	File     string
 	Line     int // line the directive sits on; it suppresses this line and the next
 	Analyzer string
-	Reason   string
 	// Malformed is set when the directive does not parse (missing analyzer
 	// or missing reason); such directives suppress nothing.
 	Malformed bool
@@ -51,9 +47,8 @@ func ParseIgnores(fset *token.FileSet, files []*ast.File) *IgnoreSet {
 				pos := fset.Position(c.Pos())
 				d := &IgnoreDirective{Pos: c.Pos(), File: pos.Filename, Line: pos.Line}
 				fields := strings.Fields(text)
-				if len(fields) >= 2 {
+				if len(fields) >= 2 { // an analyzer and a reason
 					d.Analyzer = fields[0]
-					d.Reason = strings.Join(fields[1:], " ")
 				} else {
 					d.Malformed = true
 				}
@@ -74,18 +69,18 @@ func ParseIgnores(fset *token.FileSet, files []*ast.File) *IgnoreSet {
 	return s
 }
 
-// Suppressed returns the directive covering a finding of analyzer at
-// file:line, or nil.
-func (s *IgnoreSet) Suppressed(file string, line int, analyzer string) *IgnoreDirective {
+// Suppressed reports whether a well-formed directive covers a finding of
+// analyzer at file:line.
+func (s *IgnoreSet) Suppressed(file string, line int, analyzer string) bool {
 	if s == nil {
-		return nil
+		return false
 	}
 	for _, d := range s.byLine[file][line] {
 		if !d.Malformed && (d.Analyzer == analyzer || d.Analyzer == "all") {
-			return d
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // Malformed returns every directive that failed to parse, for the driver to

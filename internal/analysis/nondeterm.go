@@ -25,8 +25,8 @@ import (
 //
 // Packages outside the decision set (obs, server, cli, benchmarks,
 // generators) are exempt: timing, request ids and synthetic-noise seeding
-// are their job. The exemption is by import-path suffix, mirroring
-// obsguard.
+// are their job. The exemption is by import-path suffix, so the testdata
+// fixtures opt in by directory layout.
 var NonDeterm = &Analyzer{
 	Name: "nondeterm",
 	Doc:  "flags time/rand/map-order nondeterminism inside repair decision packages",

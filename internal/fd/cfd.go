@@ -129,13 +129,15 @@ func (c *CFD) Violates(t1, t2 dataset.Tuple) bool {
 
 // Restrict returns the sub-relation of tuples constrained by the CFD along
 // with their original row indices, so a repair of the restriction can be
-// written back.
+// written back. The sub-relation's rows are rel's own row slices, not
+// copies: treat them as read-only (the repair algorithms never modify
+// their input), and Clone the sub-relation before mutating it.
 func (c *CFD) Restrict(rel *dataset.Relation) (*dataset.Relation, []int) {
 	sub := dataset.NewRelation(rel.Schema)
 	var rows []int
 	for i, t := range rel.Tuples {
 		if c.MatchRow(t) >= 0 {
-			sub.Tuples = append(sub.Tuples, t.Clone())
+			sub.Tuples = append(sub.Tuples, t)
 			rows = append(rows, i)
 		}
 	}

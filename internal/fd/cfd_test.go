@@ -83,4 +83,10 @@ func TestCFDSemantics(t *testing.T) {
 	if sub.Len() != 2 || rows[0] != 0 || rows[1] != 1 {
 		t.Fatalf("Restrict = %d rows, idx %v", sub.Len(), rows)
 	}
+	// The restriction shares rel's rows instead of copying them.
+	for i, r := range rows {
+		if &sub.Tuples[i][0] != &rel.Tuples[r][0] {
+			t.Fatalf("Restrict row %d is a copy of rel row %d, want the same slice", i, r)
+		}
+	}
 }

@@ -7,6 +7,7 @@ package fd
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ftrepair/internal/dataset"
@@ -97,6 +98,16 @@ func splitAttrs(s string) []string {
 // Attrs returns the attribute positions of X followed by Y. Callers must not
 // modify the returned slice.
 func (f *FD) Attrs() []int { return f.attrs }
+
+// UnionAttrs returns the distinct attributes of the FDs, ascending.
+func UnionAttrs(fds []*FD) []int {
+	var out []int
+	for _, f := range fds {
+		out = append(out, f.attrs...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
 
 // String renders the FD as "Name: [A,B] -> [C]".
 func (f *FD) String() string {

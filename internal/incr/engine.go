@@ -38,6 +38,7 @@ import (
 	"ftrepair/internal/obs"
 	"ftrepair/internal/repair"
 	"ftrepair/internal/strsim"
+	"ftrepair/internal/vgraph"
 )
 
 // Options configures an Engine.
@@ -241,12 +242,19 @@ func NewEngine(base *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Opt
 		c := &component{
 			name:   fmt.Sprintf("comp%d", ci),
 			sub:    sub,
-			attrs:  unionAttrs(sub.FDs),
+			attrs:  fd.UnionAttrs(sub.FDs),
 			shards: make(map[int]*shard),
 		}
 		for i, phi := range sub.FDs {
 			pf := &perFD{phi: phi, tau: sub.Tau[i], keys: make(map[string]int), probe: -1}
-			pf.chooseProbe(base.Schema, cfg)
+			// Index the probe column graph builds use: a violating pair's
+			// probe values are within tau/w normalized edit distance, so a
+			// q-gram index over them filters candidates.
+			if probe, w := vgraph.ChooseProbe(base.Schema, phi, cfg, pf.tau); probe >= 0 {
+				pf.probe, pf.attrTau = probe, pf.tau/w
+				pf.ix = strsim.NewIndex(2)
+				pf.valID = make(map[string]int)
+			}
 			c.fds = append(c.fds, pf)
 		}
 		e.comps = append(e.comps, c)
@@ -271,56 +279,6 @@ func RepairAll(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Opti
 		return nil, br, err
 	}
 	return eng.Snapshot(), br, nil
-}
-
-// unionAttrs collects the distinct attributes of the FDs, ascending.
-func unionAttrs(fds []*fd.FD) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, phi := range fds {
-		for _, c := range phi.Attrs() {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// chooseProbe mirrors vgraph's probe selection: with Levenshtein distances
-// and a per-side weight w where tau/w < 1, a violating pair's probe values
-// are within tau/w normalized edit distance, so a q-gram index over probe
-// values filters candidates. Prefers an LHS string attribute, then RHS.
-func (pf *perFD) chooseProbe(schema *dataset.Schema, cfg *fd.DistConfig) {
-	if cfg.Edit != fd.EditLevenshtein {
-		return
-	}
-	try := func(cols []int, w float64) int {
-		if w <= 0 || pf.tau/w >= 1 {
-			return -1
-		}
-		for _, c := range cols {
-			if schema.Attr(c).Type == dataset.String {
-				return c
-			}
-		}
-		return -1
-	}
-	probe, w := -1, 0.0
-	if c := try(pf.phi.LHS, cfg.WL); c >= 0 {
-		probe, w = c, cfg.WL
-	} else if c := try(pf.phi.RHS, cfg.WR); c >= 0 {
-		probe, w = c, cfg.WR
-	}
-	if probe < 0 {
-		return
-	}
-	pf.probe = probe
-	pf.attrTau = pf.tau / w
-	pf.ix = strsim.NewIndex(2)
-	pf.valID = make(map[string]int)
 }
 
 // candidates returns the local indices of existing patterns that FT-violate

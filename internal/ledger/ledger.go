@@ -406,9 +406,7 @@ func Undo(rel *dataset.Relation, events []RepairEvent, n int) (*dataset.Relation
 // Buffer is a Sink that only collects. The incremental engine hands one to
 // each inner shard repair and later re-addresses the events into engine
 // coordinates before committing them to the real ledger; tests use it to
-// observe emission without hashing. Collection is the sanctioned append
-// path outside this package (the ledgerwrite analyzer flags direct
-// []RepairEvent writes elsewhere).
+// observe emission without hashing.
 type Buffer struct {
 	mu     sync.Mutex
 	events []RepairEvent

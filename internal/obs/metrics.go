@@ -1,6 +1,9 @@
 package obs
 
-import "time"
+import (
+	"maps"
+	"time"
+)
 
 // std is the process-wide default registry. Pipeline instrumentation and
 // the repaird /metrics endpoint share it, so one scrape sees every repair
@@ -223,6 +226,10 @@ var Ledger = struct {
 	VerifyFailures: std.Counter("ftrepair_ledger_verify_failures_total",
 		"Ledger replay or proof verifications that failed."),
 }
+
+// RunStatCounters returns a copy of the map from the Stats keys that
+// FlushRunStats folds into the registry to their counters.
+func RunStatCounters() map[string]*Counter { return maps.Clone(runStatCounters) }
 
 // FlushRunStats folds a finished run's Stats map into the registry. This is
 // what makes the Stats maps a thin view over the registry: the algorithms

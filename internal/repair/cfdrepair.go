@@ -62,7 +62,6 @@ func allWildcard(c *fd.CFD) bool {
 // budget. It returns the repaired relation and accounting.
 func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Options) (*Result, error) {
 	start := time.Now()
-	snap := snapCacheStats(cfg)
 	stats := make(map[string]int)
 	// CFD repairs are not ledgered: the nested GreedyS runs operate on
 	// restricted sub-relations whose row numbering does not match rel, and
@@ -71,9 +70,19 @@ func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Opt
 	// events; the ledger covers the five core algorithms and the
 	// incremental engine.
 	opts.Ledger = nil
-	// done stamps the distance-cache deltas for the whole CFD run (the
-	// nested GreedyM/GreedyS results carry only their own slices).
-	done := func() { addCacheStats(stats, cfg, snap) }
+	out := newOutput(rel)
+	// The nested GreedyM and GreedyS runs flush their counters to the obs
+	// registry in their own finish. done adds their sum to the result after
+	// this run's finish, so the registry sees each counter once and the
+	// result still reports the whole run.
+	nested := make(map[string]int)
+	done := func() *Result {
+		res := finish(out, cfg, "CFDSet", time.Since(start), stats, nil, nil)
+		for k, v := range nested {
+			res.Stats[k] += v
+		}
+		return res
+	}
 
 	var plainFDs []*fd.FD
 	var plainTaus []float64
@@ -89,7 +98,6 @@ func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Opt
 		}
 	}
 
-	out := newOutput(rel)
 	if len(plainFDs) > 0 {
 		fdSet, err := fd.NewSet(plainFDs, plainTaus...)
 		if err != nil {
@@ -102,10 +110,12 @@ func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Opt
 		for _, cell := range res.Changed {
 			out.set(cell.Row, cell.Col, res.Repaired.Get(cell))
 		}
+		for k, v := range res.Stats {
+			nested[k] += v
+		}
 		stats["plainFDRepairs"] = len(res.Changed)
 		if err != nil {
-			done()
-			return finish(out, cfg, "CFDSet", time.Since(start), stats, nil, nil), ErrCanceled
+			return done(), ErrCanceled
 		}
 	}
 
@@ -121,8 +131,7 @@ func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Opt
 		// single-FD repair on the matching sub-relation.
 		for i, c := range conditional {
 			if canceled(opts.Cancel) {
-				done()
-				return finish(out, cfg, "CFDSet", time.Since(start), stats, nil, nil), ErrCanceled
+				return done(), ErrCanceled
 			}
 			sub, rows := c.Restrict(out.rel)
 			if sub.Len() < 2 {
@@ -137,9 +146,11 @@ func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Opt
 					changed++
 				}
 			}
+			for k, v := range res.Stats {
+				nested[k] += v
+			}
 			if err != nil {
-				done()
-				return finish(out, cfg, "CFDSet", time.Since(start), stats, nil, nil), ErrCanceled
+				return done(), ErrCanceled
 			}
 		}
 		stats["cfdRounds"]++
@@ -147,8 +158,7 @@ func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Opt
 			break
 		}
 	}
-	done()
-	return finish(out, cfg, "CFDSet", time.Since(start), stats, nil, nil), nil
+	return done(), nil
 }
 
 // RepairCFD repairs rel against one CFD: the tuples matching its tableau
@@ -170,17 +180,13 @@ func RepairCFD(rel *dataset.Relation, c *fd.CFD, cfg *fd.DistConfig, tau float64
 		out.set(rows[cell.Row], cell.Col, res.Repaired.Get(cell))
 	}
 	changed, cost := out.diff(cfg)
-	stats := res.Stats
-	if stats == nil {
-		stats = make(map[string]int)
-	}
 	return &Result{
 		Repaired:  out.rel,
 		Cost:      cost,
 		Changed:   changed,
 		Algorithm: res.Algorithm + "+CFD",
 		Elapsed:   res.Elapsed,
-		Stats:     stats,
+		Stats:     res.Stats,
 	}, nil
 }
 

@@ -61,7 +61,7 @@ func TestGroupsAndVertexOfMatchKeyReference(t *testing.T) {
 					for i, g := range graphs {
 						fdsOf[i] = g.FD
 					}
-					want := groupTuplesByKey(rel, unionAttrs(fdsOf))
+					want := groupTuplesByKey(rel, fd.UnionAttrs(fdsOf))
 					got := groupTuples(rel, graphs)
 					if len(got) != len(want) {
 						t.Fatalf("%s: %d groups, reference %d", name, len(got), len(want))

@@ -69,7 +69,7 @@ func NewIncremental(base *dataset.Relation, set *fd.Set, cfg *fd.DistConfig) (*I
 		for _, i := range comp {
 			fds = append(fds, set.FDs[i])
 		}
-		c.attrs = unionAttrs(fds)
+		c.attrs = fd.UnionAttrs(fds)
 		c.patterns = make([][]dataset.Tuple, len(comp))
 		c.keys = make([]map[string]bool, len(comp))
 		for f := range comp {

@@ -304,7 +304,7 @@ func repairedGroups(rel *dataset.Relation, set *fd.Set, res *Result) int {
 			comp = c
 		}
 	}
-	attrs := unionAttrs(set.Subset(comp).FDs)
+	attrs := fd.UnionAttrs(set.Subset(comp).FDs)
 	groups := make(map[string]bool)
 	for _, c := range res.Changed {
 		if slices.Contains(attrs, c.Col) {

@@ -47,21 +47,11 @@ type Result struct {
 	// Elapsed is the wall-clock repair time.
 	Elapsed time.Duration
 	// Stats carries algorithm-specific counters (expansion nodes, pruned
-	// subtrees, targets considered, ...). May be nil. Write through AddStat
-	// (enforced by the obsguard repairlint analyzer outside this package)
-	// so counters stay a consistent view over the obs registry.
+	// subtrees, targets considered, ...). Every Result this package returns
+	// has a non-nil map. The run has already added each counter that
+	// obs.FlushRunStats knows to the obs registry, exactly once; a key
+	// written afterwards stays out of the registry.
 	Stats map[string]int
-}
-
-// AddStat accumulates n into the named Stats counter, allocating the map on
-// first use. This is the sanctioned write path for Stats outside
-// internal/repair: direct map writes bypass the registry bookkeeping and
-// are flagged by the obsguard analyzer.
-func (res *Result) AddStat(key string, n int) {
-	if res.Stats == nil {
-		res.Stats = make(map[string]int)
-	}
-	res.Stats[key] += n
 }
 
 // Options tunes the repair algorithms.
@@ -152,7 +142,7 @@ func snapCacheStats(cfg *fd.DistConfig) cacheSnap {
 // distance-plane share of that traffic under
 // "distPlaneHits"/"distPlaneMisses".
 func addCacheStats(stats map[string]int, cfg *fd.DistConfig, snap cacheSnap) {
-	if cfg.Cache == nil || stats == nil {
+	if cfg.Cache == nil {
 		return
 	}
 	h, m := cfg.Cache.Counters()

@@ -2,7 +2,6 @@ package repair
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -14,22 +13,6 @@ import (
 	"ftrepair/internal/targettree"
 	"ftrepair/internal/vgraph"
 )
-
-// unionAttrs returns the sorted union of constraint attributes of the FDs.
-func unionAttrs(fds []*fd.FD) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, f := range fds {
-		for _, c := range f.Attrs() {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
 
 // levelFor turns one FD's independent set (vertex ids) into a target-tree
 // level.
@@ -159,7 +142,7 @@ func newPlanner(groups []tupleGroup, graphs []*vgraph.Graph, cfg *fd.DistConfig,
 		}
 		p.vertexOf[i] = col
 	}
-	p.cols = unionAttrs(fds)
+	p.cols = fd.UnionAttrs(fds)
 	p.keyOf = make([]int32, len(groups)*len(p.cols))
 	for c, col := range p.cols {
 		keys := make(map[string]int32)

@@ -189,7 +189,7 @@ func TestSharedScoresMatchPerGroup(t *testing.T) {
 				compFDs[i] = g.FD
 			}
 			groups := groupTuples(rel, graphs)
-			for _, conf := range []int{-1, unionAttrs(compFDs)[0]} {
+			for _, conf := range []int{-1, fd.UnionAttrs(compFDs)[0]} {
 				for _, scan := range []bool{false, true} {
 					name := func(what string) string {
 						return fmt.Sprintf("%s flavor %d conf %d scan %v %s", d.name, flavor, conf, scan, what)

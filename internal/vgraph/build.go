@@ -248,7 +248,7 @@ func (s *setBuild) planJoins(fds []*fd.FD, taus []float64) {
 		if s.opts.DisableIndex {
 			continue
 		}
-		c, w := chooseProbe(s.rel.Schema, f, s.cfg, taus[i])
+		c, w := ChooseProbe(s.rel.Schema, f, s.cfg, taus[i])
 		if c < 0 {
 			continue
 		}
@@ -305,14 +305,15 @@ func (s *setBuild) runJoins(workers int) {
 	}
 }
 
-// chooseProbe picks a string attribute of the FD to index, preferring LHS
+// ChooseProbe picks a string attribute of the FD to index, preferring LHS
 // attributes (their weight is usually at least the RHS weight, giving the
 // tightest per-attribute threshold), and returns it with its side's weight.
+// Graph builds and the incremental engine's probe indexes both use it.
 // It returns -1 when no string attribute exists, the per-attribute
 // threshold would not prune (τ/w >= 1), or the distance flavor is not plain
 // Levenshtein (the q-gram index verifies with Levenshtein; OSA distances
 // can be smaller, so the filter would miss candidates).
-func chooseProbe(schema *dataset.Schema, f *fd.FD, cfg *fd.DistConfig, tau float64) (int, float64) {
+func ChooseProbe(schema *dataset.Schema, f *fd.FD, cfg *fd.DistConfig, tau float64) (int, float64) {
 	if cfg.Edit != fd.EditLevenshtein {
 		return -1, 0
 	}
