@@ -81,7 +81,9 @@ func ExampleParseDC() {
 	// consistent: false
 }
 
-// Append-time maintenance: new tuples repair against the standing data.
+// Streaming repair: an appended batch is repaired by rerunning the
+// algorithm (GreedyM by default) on the shards its rows touch, here the
+// Boston shard, whose standing rows outvote the typo.
 func ExampleNewIncremental() {
 	rel, _ := ftrepair.FromRows(ftrepair.Strings("City", "State"), [][]string{
 		{"Boston", "MA"}, {"Boston", "MA"}, {"Boston", "MA"},
@@ -90,9 +92,9 @@ func ExampleNewIncremental() {
 		ftrepair.MustParseFD(rel.Schema, "City -> State"),
 	}, 0.3)
 	cfg, _ := ftrepair.NewDistConfig(rel, 0.7, 0.3)
-	inc, _ := ftrepair.NewIncremental(rel, set, cfg)
-	out, changed, _ := inc.Add(ftrepair.Tuple{"Bostn", "MA"})
-	fmt.Println(out, changed)
+	inc, _, _ := ftrepair.NewIncremental(rel, set, cfg, ftrepair.IncrementalOptions{})
+	br, _ := inc.Append([][]string{{"Bostn", "MA"}}, "", nil)
+	fmt.Println(br.Rows[0].Values, br.Rows[0].Repaired)
 	// Output:
 	// [Boston MA] true
 }

@@ -22,17 +22,19 @@
 // enum: ExactS and GreedyS for a single FD (the exact one solves an NP-hard
 // problem and is exponential in the worst case), ExactM, ApproM and GreedyM
 // for FD sets. Conditional functional dependencies repair through
-// RepairCFD.
+// RepairCFD. Streaming appends go through NewIncremental, the sharded
+// engine behind repaird sessions: each appended batch reruns the chosen
+// algorithm on the shards its rows touch.
 package ftrepair
 
 import (
-	"fmt"
 	"io"
 
 	"ftrepair/internal/dataset"
 	"ftrepair/internal/dc"
 	"ftrepair/internal/discover"
 	"ftrepair/internal/fd"
+	"ftrepair/internal/incr"
 	"ftrepair/internal/ind"
 	"ftrepair/internal/ledger"
 	"ftrepair/internal/profile"
@@ -62,6 +64,37 @@ type (
 
 // NewServer builds a repair service and starts its worker pool.
 var NewServer = server.New
+
+// Streaming repair, re-exported from internal/incr: the sharded engine
+// behind repaird sessions. NewIncremental repairs the base relation in an
+// initial flush (reason "init") and returns the engine; Append admits
+// batches of rows. A shard is a connected component of the FT-violation
+// links between patterns. Each flush reruns the chosen algorithm
+// (IncrementalOptions.Algorithm, GreedyM by default) on every shard the
+// batch touches, over the original values of all the shard's rows. So an
+// appended row is not repaired on its own against the standing data, and
+// a flush can rewrite rows that earlier flushes accepted
+// (BatchResult.Rewritten). The output does not depend on how the rows
+// were batched: it equals one flush over all the rows. For one FD under
+// GreedyS that is one-shot GreedyS over all the rows; for several FDs it
+// can differ from one-shot GreedyM, and score lower, because each shard
+// searches targets among its own patterns only.
+type (
+	// Incremental is the streaming repair engine. Its methods are safe
+	// for concurrent use; flushes run one at a time.
+	Incremental = incr.Engine
+	// IncrementalOptions configures NewIncremental: the per-shard
+	// algorithm, shard workers, base repair options, trace and ledger.
+	IncrementalOptions = incr.Options
+	// BatchResult describes one flush.
+	BatchResult = incr.BatchResult
+	// RowResult is the outcome of one appended row.
+	RowResult = incr.RowResult
+)
+
+// NewIncremental opens a streaming engine over base, repairing base in the
+// initial flush when it is not FT-consistent; base itself is not modified.
+var NewIncremental = incr.NewEngine
 
 // Re-exported core types. They alias the internal implementations so that
 // every method documented there is available on these names.
@@ -102,8 +135,6 @@ type (
 	Violation = repair.Violation
 	// CFDSet pairs conditional FDs with FT thresholds.
 	CFDSet = repair.CFDSet
-	// Incremental maintains FT-consistency as tuples are appended.
-	Incremental = repair.Incremental
 	// DiscoverOptions tunes approximate FD discovery.
 	DiscoverOptions = discover.Options
 	// DiscoveredFD is one discovery result with its g3 error and support.
@@ -228,9 +259,6 @@ var (
 	DetectCFDs = repair.DetectCFDs
 	// VerifyCFDs checks classic CFD satisfaction.
 	VerifyCFDs = repair.VerifyCFDs
-	// NewIncremental builds append-time repair state over a consistent
-	// relation.
-	NewIncremental = repair.NewIncremental
 	// DiscoverFDs profiles a relation for minimal approximate FDs.
 	DiscoverFDs = discover.FDs
 	// DiscoverCFDs profiles a relation for constant conditional FDs.
@@ -270,66 +298,41 @@ var (
 )
 
 // Algorithm selects one of the paper's repair algorithms.
-type Algorithm string
+type Algorithm = repair.Algorithm
 
 // The five algorithms of the paper (Table 2).
 const (
 	// ExactS: expansion-based optimal repair for a single FD (§3.1).
-	ExactS Algorithm = "ExactS"
+	ExactS = repair.AlgoExactS
 	// GreedyS: greedy repair for a single FD (§3.2).
-	GreedyS Algorithm = "GreedyS"
+	GreedyS = repair.AlgoGreedyS
 	// ExactM: optimal repair for multiple FDs over joined maximal
 	// independent sets (§4.2).
-	ExactM Algorithm = "ExactM"
+	ExactM = repair.AlgoExactM
 	// ApproM: per-FD greedy repair joined into targets (§4.3).
-	ApproM Algorithm = "ApproM"
+	ApproM = repair.AlgoApproM
 	// GreedyM: joint greedy repair with cross-FD synchronization (§4.4).
-	GreedyM Algorithm = "GreedyM"
+	GreedyM = repair.AlgoGreedyM
 )
 
-// Algorithms lists every available algorithm in presentation order.
-func Algorithms() []Algorithm {
-	return []Algorithm{ExactS, GreedyS, ExactM, ApproM, GreedyM}
-}
-
-// Repair computes an FT-consistent, closed-world repair of rel w.r.t. set
-// using the chosen algorithm. The single-FD algorithms (ExactS, GreedyS)
-// require len(set.FDs) == 1. The input relation is never modified. The
-// result is copy-on-write: res.Repaired shares every unchanged row with
-// rel, so both are read-only; Clone either before mutating it.
-func Repair(rel *Relation, set *Set, cfg *DistConfig, algo Algorithm, opts Options) (*Result, error) {
-	switch algo {
-	case ExactS, GreedyS:
-		if len(set.FDs) != 1 {
-			return nil, fmt.Errorf("ftrepair: %s repairs a single FD, set has %d", algo, len(set.FDs))
-		}
-		if algo == ExactS {
-			return repair.ExactS(rel, set.FDs[0], cfg, set.Tau[0], opts)
-		}
-		return repair.GreedyS(rel, set.FDs[0], cfg, set.Tau[0], opts)
-	case ExactM:
-		return repair.ExactM(rel, set, cfg, opts)
-	case ApproM:
-		return repair.ApproM(rel, set, cfg, opts)
-	case GreedyM:
-		return repair.GreedyM(rel, set, cfg, opts)
-	default:
-		return nil, fmt.Errorf("ftrepair: unknown algorithm %q", algo)
-	}
-}
-
-// RepairCFD repairs rel w.r.t. a single conditional functional dependency:
-// the tuples matching the CFD's pattern tableau are restricted, repaired
-// against the embedded FD with the chosen single-FD algorithm, and written
-// back. Unconstrained tuples are untouched. (A set of pure-FD constraints —
-// all-wildcard tableaux — should use Repair with ExactM/ApproM/GreedyM
-// instead, which repairs them jointly.)
-func RepairCFD(rel *Relation, c *CFD, cfg *DistConfig, tau float64, algo Algorithm, opts Options) (*Result, error) {
-	if algo != ExactS && algo != GreedyS {
-		return nil, fmt.Errorf("ftrepair: RepairCFD supports ExactS or GreedyS, got %q", algo)
-	}
-	return repair.RepairCFD(rel, c, cfg, tau, algo == ExactS, opts)
-}
+var (
+	// Algorithms lists every available algorithm in presentation order.
+	Algorithms = repair.Algorithms
+	// Repair computes an FT-consistent, closed-world repair of rel w.r.t.
+	// set using the chosen algorithm. The single-FD algorithms (ExactS,
+	// GreedyS) require len(set.FDs) == 1. The input relation is never
+	// modified. The result is copy-on-write: res.Repaired shares every
+	// unchanged row with rel, so both are read-only; Clone either before
+	// mutating it.
+	Repair = repair.Run
+	// RepairCFD repairs rel w.r.t. a single conditional functional
+	// dependency with ExactS or GreedyS: the tuples matching the CFD's
+	// pattern tableau are restricted, repaired against the embedded FD and
+	// written back. Unconstrained tuples are untouched. (A set of pure-FD
+	// constraints — all-wildcard tableaux — should use Repair with
+	// ExactM/ApproM/GreedyM instead, which repairs them jointly.)
+	RepairCFD = repair.RepairCFD
+)
 
 // ReadCSVFile is a small convenience for examples and tools: ReadCSV over
 // an opened reader with a type spec.

@@ -15,6 +15,7 @@ import (
 
 	"ftrepair"
 	"ftrepair/internal/obs"
+	"ftrepair/internal/repair"
 	"ftrepair/internal/report"
 )
 
@@ -222,20 +223,9 @@ func (c *command) run() error {
 	if len(c.fdSpecs) == 0 {
 		return fmt.Errorf("at least one -fd is required")
 	}
-	var algo ftrepair.Algorithm
-	switch strings.ToLower(c.algoName) {
-	case "exacts":
-		algo = ftrepair.ExactS
-	case "greedys":
-		algo = ftrepair.GreedyS
-	case "exactm":
-		algo = ftrepair.ExactM
-	case "approm":
-		algo = ftrepair.ApproM
-	case "greedym":
-		algo = ftrepair.GreedyM
-	default:
-		return fmt.Errorf("unknown algorithm %q", c.algoName)
+	algo, err := repair.ParseAlgorithm(c.algoName)
+	if err != nil {
+		return err
 	}
 
 	rel, err := c.load()

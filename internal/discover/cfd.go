@@ -1,6 +1,7 @@
 package discover
 
 import (
+	"slices"
 	"sort"
 
 	"ftrepair/internal/dataset"
@@ -125,11 +126,16 @@ func CFDs(rel *dataset.Relation, opts CFDOptions) []CFDResult {
 					// conditional value.
 					continue
 				}
+				// Rows come from a map; the LHS values, unique per group,
+				// make the order, and so the rows MaxTableau keeps, total.
 				sort.Slice(rows, func(a, b int) bool {
 					if rows[a].support != rows[b].support {
 						return rows[a].support > rows[b].support
 					}
-					return rows[a].rhsVal < rows[b].rhsVal
+					if rows[a].rhsVal != rows[b].rhsVal {
+						return rows[a].rhsVal < rows[b].rhsVal
+					}
+					return slices.Compare(rows[a].lhsVals, rows[b].lhsVals) < 0
 				})
 				if len(rows) > opts.MaxTableau {
 					rows = rows[:opts.MaxTableau]

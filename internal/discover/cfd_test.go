@@ -1,11 +1,15 @@
 package discover_test
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"ftrepair/internal/dataset"
 	"ftrepair/internal/discover"
 	"ftrepair/internal/fd"
+	"ftrepair/internal/gen"
 	"ftrepair/internal/repair"
 )
 
@@ -140,5 +144,29 @@ func TestDiscoveredCFDRepairs(t *testing.T) {
 	}
 	if res.Repaired.Tuples[0][1] != "NY" {
 		t.Fatalf("NYC error unrepaired: %v", res.Repaired.Tuples[0])
+	}
+}
+
+// TestCFDsDeterministic: tableau rows tied on support and RHS value, and
+// with MaxTableau the rows kept, must not follow map iteration order, so
+// repeated calls over one relation return identical results.
+func TestCFDsDeterministic(t *testing.T) {
+	rel := gen.HOSP{Seed: 3}.Generate(2000)
+	opts := discover.CFDOptions{MinSupport: 5, MaxTableau: 4}
+	summary := func() string {
+		var b strings.Builder
+		for _, r := range discover.CFDs(rel, opts) {
+			fmt.Fprintf(&b, "%s %v support=%d conf=%x\n", r.CFD.Embedded, r.CFD.Tableau, r.Support, math.Float64bits(r.Confidence))
+		}
+		return b.String()
+	}
+	want := summary()
+	if want == "" {
+		t.Fatal("no CFDs discovered")
+	}
+	for i := 1; i < 20; i++ {
+		if got := summary(); got != want {
+			t.Fatalf("call %d differs from the first:\n%s\nfirst:\n%s", i, got, want)
+		}
 	}
 }

@@ -24,61 +24,36 @@ type AlgoSpec struct {
 // when exact is true (it is exponential; sweeps cap it via MaxMISPerFD and
 // report "-" when the cap is hit). Target-tree usage follows opts.
 func OurAlgos(exact bool, opts repair.Options) []AlgoSpec {
-	algos := []AlgoSpec{
-		{Name: "GreedyM", Run: func(inst *Instance) (*dataset.Relation, error) {
-			res, err := repair.GreedyM(inst.Dirty, inst.Set, inst.Cfg, opts)
-			if err != nil {
-				return nil, err
-			}
-			return res.Repaired, nil
-		}},
-		{Name: "ApproM", Run: func(inst *Instance) (*dataset.Relation, error) {
-			res, err := repair.ApproM(inst.Dirty, inst.Set, inst.Cfg, opts)
-			if err != nil {
-				return nil, err
-			}
-			return res.Repaired, nil
-		}},
-	}
+	algos := []AlgoSpec{runSpec(repair.AlgoGreedyM, opts), runSpec(repair.AlgoApproM, opts)}
 	if exact {
 		exactOpts := opts
 		if exactOpts.MaxMISPerFD == 0 {
 			exactOpts.MaxMISPerFD = 4096
 		}
-		algos = append([]AlgoSpec{{Name: "ExactM", Run: func(inst *Instance) (*dataset.Relation, error) {
-			res, err := repair.ExactM(inst.Dirty, inst.Set, inst.Cfg, exactOpts)
-			if err != nil {
-				return nil, err
-			}
-			return res.Repaired, nil
-		}}}, algos...)
+		algos = append([]AlgoSpec{runSpec(repair.AlgoExactM, exactOpts)}, algos...)
 	}
 	return algos
 }
 
-// SingleAlgos returns the paper's single-FD algorithms; they repair the
-// first FD of the instance's set, so pair them with Setup.FDs = 1.
+// SingleAlgos returns the paper's single-FD algorithms; they reject sets of
+// more than one FD, so pair them with Setup.FDs = 1.
 func SingleAlgos(exact bool, opts repair.Options) []AlgoSpec {
-	algos := []AlgoSpec{
-		{Name: "GreedyS", Run: func(inst *Instance) (*dataset.Relation, error) {
-			res, err := repair.GreedyS(inst.Dirty, inst.Set.FDs[0], inst.Cfg, inst.Set.Tau[0], opts)
-			if err != nil {
-				return nil, err
-			}
-			return res.Repaired, nil
-		}},
-	}
+	algos := []AlgoSpec{runSpec(repair.AlgoGreedyS, opts)}
 	if exact {
-		exactOpts := opts
-		algos = append([]AlgoSpec{{Name: "ExactS", Run: func(inst *Instance) (*dataset.Relation, error) {
-			res, err := repair.ExactS(inst.Dirty, inst.Set.FDs[0], inst.Cfg, inst.Set.Tau[0], exactOpts)
-			if err != nil {
-				return nil, err
-			}
-			return res.Repaired, nil
-		}}}, algos...)
+		algos = append([]AlgoSpec{runSpec(repair.AlgoExactS, opts)}, algos...)
 	}
 	return algos
+}
+
+// runSpec repairs the instance's dirty relation against its set with algo.
+func runSpec(algo repair.Algorithm, opts repair.Options) AlgoSpec {
+	return AlgoSpec{Name: string(algo), Run: func(inst *Instance) (*dataset.Relation, error) {
+		res, err := repair.Run(inst.Dirty, inst.Set, inst.Cfg, algo, opts)
+		if err != nil {
+			return nil, err
+		}
+		return res.Repaired, nil
+	}}
 }
 
 // BaselineAlgos returns the §6.4 comparators plus a holistic

@@ -19,10 +19,9 @@
 // probe index over the probe attribute (mirroring vgraph's candidate
 // filter) so a new pattern's violations are found without an O(patterns)
 // scan, and the shared distance cache in the DistConfig, which memoizes
-// across batches. Repair itself reuses the existing algorithms (GreedyS /
-// ExactS on single-FD sets, GreedyM / ApproM / ExactM otherwise) on the
-// touched shard's sub-relation; shards with no violation edges skip the
-// run entirely.
+// across batches. Repair itself runs the chosen algorithm through
+// repair.Run on the touched shard's sub-relation; shards with no violation
+// edges skip the run entirely.
 package incr
 
 import (
@@ -43,10 +42,10 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Algorithm names the per-shard repair algorithm (ExactS, GreedyS,
-	// ExactM, ApproM, GreedyM). Empty means GreedyM. The single-FD
-	// algorithms require a single-FD set.
-	Algorithm string
+	// Algorithm is the per-shard repair algorithm, resolved by
+	// repair.ParseAlgorithm: empty means GreedyM. The single-FD algorithms
+	// require a single-FD set.
+	Algorithm repair.Algorithm
 	// Workers bounds concurrent shard repairs per flush; values below 2
 	// repair shards sequentially. Shard repairs are independent, so the
 	// output is identical at any worker count.
@@ -180,7 +179,7 @@ type Engine struct {
 	schema  *dataset.Schema
 	set     *fd.Set
 	cfg     *fd.DistConfig
-	algo    string
+	algo    repair.Algorithm
 	workers int
 	ropts   repair.Options
 	trace   *obs.Trace
@@ -204,18 +203,12 @@ func NewEngine(base *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Opt
 	if base == nil || base.Schema == nil {
 		return nil, nil, fmt.Errorf("incr: nil base relation or schema")
 	}
-	algo := opts.Algorithm
-	if algo == "" {
-		algo = "GreedyM"
+	algo, err := repair.ParseAlgorithm(string(opts.Algorithm))
+	if err == nil {
+		err = algo.Check(set)
 	}
-	switch algo {
-	case "ExactS", "GreedyS":
-		if len(set.FDs) != 1 {
-			return nil, nil, fmt.Errorf("incr: %s repairs a single FD, set has %d", algo, len(set.FDs))
-		}
-	case "ExactM", "ApproM", "GreedyM":
-	default:
-		return nil, nil, fmt.Errorf("incr: unknown algorithm %q", opts.Algorithm)
+	if err != nil {
+		return nil, nil, fmt.Errorf("incr: %w", err)
 	}
 	if cfg.Cache == nil {
 		// The cache is what keeps distance work warm across batches; give
@@ -592,7 +585,7 @@ func (e *Engine) append(rows [][]string, reason string, cancel <-chan struct{}, 
 							ev.New = rep[col]
 							ev.CostDelta = e.cfg.RepairDist(col, ev.Old, ev.New)
 							if ev.Algorithm == "" {
-								ev.Algorithm = e.algo
+								ev.Algorithm = string(e.algo)
 							}
 							// Worker records the deterministic job ordinal,
 							// not the goroutine that ran the shard.
@@ -677,19 +670,7 @@ func (e *Engine) repairShard(j *shardJob, parallel int, cancel <-chan struct{}) 
 		j.buf = &ledger.Buffer{}
 		opts.Ledger = j.buf
 	}
-	set := j.comp.sub
-	switch e.algo {
-	case "ExactS":
-		return repair.ExactS(sub, set.FDs[0], e.cfg, set.Tau[0], opts)
-	case "GreedyS":
-		return repair.GreedyS(sub, set.FDs[0], e.cfg, set.Tau[0], opts)
-	case "ExactM":
-		return repair.ExactM(sub, set, e.cfg, opts)
-	case "ApproM":
-		return repair.ApproM(sub, set, e.cfg, opts)
-	default:
-		return repair.GreedyM(sub, set, e.cfg, opts)
-	}
+	return repair.Run(sub, j.comp.sub, e.cfg, e.algo, opts)
 }
 
 func canceled(ch <-chan struct{}) bool {

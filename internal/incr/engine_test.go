@@ -217,6 +217,52 @@ func TestEngineTouchBoundedWork(t *testing.T) {
 	}
 }
 
+// TestEngineFlushRewritesEarlierRows: a flush reruns the algorithm over
+// all of a shard's rows, so new evidence can outvote rows that earlier
+// flushes accepted, and BatchResult.Rewritten counts them. Two standing
+// Boston rows win against one appended Bostn; three more Bostn rows then
+// turn the whole shard to Bostn, the two base rows and the first append
+// included.
+func TestEngineFlushRewritesEarlierRows(t *testing.T) {
+	base, err := dataset.FromRows(dataset.Strings("City", "State"), [][]string{{"Boston", "MA"}, {"Boston", "MA"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := fd.NewSet([]*fd.FD{fd.MustParse(base.Schema, "City -> State")}, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := fd.NewDistConfig(base, 0.7, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []repair.Algorithm{repair.AlgoGreedyS, repair.AlgoGreedyM} {
+		eng, _, err := incr.NewEngine(base, set, cfg, incr.Options{Algorithm: algo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := eng.Append([][]string{{"Bostn", "MA"}}, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := first.Rows[0].Values[0]; got != "Boston" || first.Rewritten != 0 {
+			t.Fatalf("%s: first flush wrote %q and rewrote %d rows, want Boston and 0", algo, got, first.Rewritten)
+		}
+		second, err := eng.Append([][]string{{"Bostn", "MA"}, {"Bostn", "MA"}, {"Bostn", "MA"}}, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second.Rewritten != 3 || eng.Stats().Rewritten != 3 {
+			t.Fatalf("%s: second flush rewrote %d rows (stats %d), want 3", algo, second.Rewritten, eng.Stats().Rewritten)
+		}
+		for i, tp := range eng.Snapshot().Tuples {
+			if tp[0] != "Bostn" {
+				t.Fatalf("%s: row %d reads %v after the second flush, want Bostn", algo, i, tp)
+			}
+		}
+	}
+}
+
 // TestEngineRejectsUnknownAlgorithm covers constructor validation.
 func TestEngineRejectsUnknownAlgorithm(t *testing.T) {
 	inst := hospInstance(t, 50, 0)

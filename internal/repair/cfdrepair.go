@@ -162,16 +162,15 @@ func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Opt
 }
 
 // RepairCFD repairs rel against one CFD: the tuples matching its tableau
-// are restricted, repaired against the embedded FD (ExactS when exact,
-// GreedyS otherwise) and written back through a copy-on-write view of rel.
-// The result carries the inner run's stats and elapsed time.
-func RepairCFD(rel *dataset.Relation, c *fd.CFD, cfg *fd.DistConfig, tau float64, exact bool, opts Options) (*Result, error) {
-	sub, rows := c.Restrict(rel)
-	run := GreedyS
-	if exact {
-		run = ExactS
+// are restricted, repaired against the embedded FD with algo, which must
+// be ExactS or GreedyS, and written back through a copy-on-write view of
+// rel. The result carries the inner run's stats and elapsed time.
+func RepairCFD(rel *dataset.Relation, c *fd.CFD, cfg *fd.DistConfig, tau float64, algo Algorithm, opts Options) (*Result, error) {
+	if !algo.singleFD() {
+		return nil, fmt.Errorf("repair: RepairCFD supports ExactS or GreedyS, got %q", string(algo))
 	}
-	res, err := run(sub, c.Embedded, cfg, tau, opts)
+	sub, rows := c.Restrict(rel)
+	res, err := Run(sub, &fd.Set{FDs: []*fd.FD{c.Embedded}, Tau: []float64{tau}}, cfg, algo, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -315,9 +315,9 @@ func TestCFDOutputContract(t *testing.T) {
 		ref  func() *dataset.Relation
 	}
 	var cases []cfdCase
-	addCFD := func(name string, rel *dataset.Relation, c *fd.CFD, cfg *fd.DistConfig, algo singleAlgo, exact bool) {
+	addCFD := func(name string, rel *dataset.Relation, c *fd.CFD, cfg *fd.DistConfig, algo singleAlgo, run repair.Algorithm) {
 		cases = append(cases, cfdCase{name, rel, cfg,
-			func() (*repair.Result, error) { return repair.RepairCFD(rel, c, cfg, 0.3, exact, repair.Options{}) },
+			func() (*repair.Result, error) { return repair.RepairCFD(rel, c, cfg, 0.3, run, repair.Options{}) },
 			func() *dataset.Relation { out := rel.Clone(); restrictedRef(t, out, c, cfg, 0.3, algo); return out }})
 	}
 	addSet := func(name string, rel *dataset.Relation, s *repair.CFDSet, cfg *fd.DistConfig) {
@@ -369,15 +369,15 @@ func TestCFDOutputContract(t *testing.T) {
 	}
 	goldCFD := parse(gold.Schema, "Plan -> Tier | gold, _")
 	addSet("gold/CFDSet", gold, newSet(goldCFD), newCfg(gold))
-	addCFD("gold/ExactS+CFD", gold, goldCFD[0], newCfg(gold), repair.ExactS, true)
-	addCFD("gold/GreedyS+CFD", gold, goldCFD[0], newCfg(gold), repair.GreedyS, false)
+	addCFD("gold/ExactS+CFD", gold, goldCFD[0], newCfg(gold), repair.ExactS, repair.AlgoExactS)
+	addCFD("gold/GreedyS+CFD", gold, goldCFD[0], newCfg(gold), repair.GreedyS, repair.AlgoGreedyS)
 
 	inst, err := eval.Prepare(eval.Setup{Workload: "hosp", N: 300, ErrorRate: 0.05, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hosp := parse(inst.Dirty.Schema, "Region, Zip -> City | South, _, _", "Provider -> HospitalName")
-	addCFD("hosp/GreedyS+CFD", inst.Dirty, hosp[0], inst.Cfg, repair.GreedyS, false)
+	addCFD("hosp/GreedyS+CFD", inst.Dirty, hosp[0], inst.Cfg, repair.GreedyS, repair.AlgoGreedyS)
 	addSet("hosp/CFDSet", inst.Dirty, newSet(hosp), inst.Cfg)
 
 	for _, c := range cases {

@@ -31,7 +31,7 @@ const maxCombos = 1 << 20
 // best known one, which plays the role of the paper's bound-based pruning
 // while remaining exact.
 func ExactM(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options) (*Result, error) {
-	return multiRepair(rel, set, cfg, opts, "ExactM", exactComponent)
+	return multiRepair(rel, set, cfg, opts, string(AlgoExactM), exactComponent)
 }
 
 // ApproM repairs rel w.r.t. a set of FDs with the §4.3 heuristic: the
@@ -39,7 +39,7 @@ func ExactM(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options
 // independently; the sets are joined and every tuple repairs to its nearest
 // target.
 func ApproM(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options) (*Result, error) {
-	return multiRepair(rel, set, cfg, opts, "ApproM", approComponent)
+	return multiRepair(rel, set, cfg, opts, string(AlgoApproM), approComponent)
 }
 
 // GreedyM repairs rel w.r.t. a set of FDs with the §4.4 joint greedy: the
@@ -49,7 +49,7 @@ func ApproM(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options
 // of connected FDs are penalized by the extra repair distance they would
 // force).
 func GreedyM(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options) (*Result, error) {
-	return multiRepair(rel, set, cfg, opts, "GreedyM", greedyComponent)
+	return multiRepair(rel, set, cfg, opts, string(AlgoGreedyM), greedyComponent)
 }
 
 // componentFunc repairs one connected component of the FD graph: it builds

@@ -13,6 +13,10 @@
 //	ExactM  §4.2  O(|V|^(|Σ|+1))  optimal, multiple FDs
 //	ApproM  §4.3  O(|V|²·|Σ|)     per-FD greedy + join
 //	GreedyM §4.4  O(|Σ|·|V|²)     joint greedy with cross-FD synchronization
+//
+// Run is the one switch over them: the library, the CLI, repaird and the
+// streaming engine name an Algorithm (ParseAlgorithm for user input) and
+// call Run, which checks it against the FD set first.
 package repair
 
 import (

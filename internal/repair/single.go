@@ -42,7 +42,7 @@ func ExactS(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, op
 			"edges":    g.NumEdges(),
 		}
 		addCacheStats(stats, cfg, snap)
-		return finish(newOutput(rel), cfg, "ExactS", time.Since(start), stats, opts.Ledger, nil), ErrCanceled
+		return finish(newOutput(rel), cfg, string(AlgoExactS), time.Since(start), stats, opts.Ledger, nil), ErrCanceled
 	}
 	if err != nil {
 		return nil, err
@@ -58,7 +58,7 @@ func ExactS(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, op
 		"pruned":   res.Pruned,
 	}
 	addCacheStats(stats, cfg, snap)
-	return finish(repaired, cfg, "ExactS", time.Since(start), stats, opts.Ledger, ev.take()), nil
+	return finish(repaired, cfg, string(AlgoExactS), time.Since(start), stats, opts.Ledger, ev.take()), nil
 }
 
 // repairTargets maps every vertex outside the independent set to its
@@ -109,7 +109,7 @@ func GreedyS(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, o
 		"setSize":  len(set),
 	}
 	addCacheStats(stats, cfg, snap)
-	res := finish(repaired, cfg, "GreedyS", time.Since(start), stats, opts.Ledger, ev.take())
+	res := finish(repaired, cfg, string(AlgoGreedyS), time.Since(start), stats, opts.Ledger, ev.take())
 	if canceled(opts.Cancel) {
 		// The greedy growth stopped early: excluded vertices without an
 		// in-set neighbor stay unrepaired.

@@ -393,17 +393,6 @@ func valueCodes(tree *targettree.Tree, cfg *fd.DistConfig) []int32 {
 	return codes
 }
 
-// scoreValues writes rs's score of every tree value, by the values' plane
-// codes, into dst (grown to the tree's value count) and returns it.
-func scoreValues(tree *targettree.Tree, codes []int32, rs *fd.RepairScorer, dst []float64) []float64 {
-	dst = slices.Grow(dst[:0], tree.NumValues())[:tree.NumValues()]
-	for id := range dst {
-		col, v := tree.Value(int32(id))
-		dst[id] = rs.Score(col, codes[id], v)
-	}
-	return dst
-}
-
 // applyPlan writes the chosen targets through out, skipping writes that
 // change nothing. When ev is non-nil, every
 // cell whose value actually changes is recorded with its join-target

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ftrepair/internal/bitset"
@@ -124,6 +125,19 @@ func TestCodeScorerMatchesStrings(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scoreValues writes rs's score of every tree value, by the values' plane
+// codes, into dst (grown to the tree's value count) and returns it: one
+// scorer over a whole tree, the reference the planner's per-column score
+// units must match.
+func scoreValues(tree *targettree.Tree, codes []int32, rs *fd.RepairScorer, dst []float64) []float64 {
+	dst = slices.Grow(dst[:0], tree.NumValues())[:tree.NumValues()]
+	for id := range dst {
+		col, v := tree.Value(int32(id))
+		dst[id] = rs.Score(col, codes[id], v)
+	}
+	return dst
 }
 
 // perGroupCosts is the reference for planner.costs: it searches each

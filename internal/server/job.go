@@ -177,7 +177,7 @@ func (j *Job) View(withResult bool) JobView {
 	v := JobView{
 		ID:        j.id,
 		State:     j.state,
-		Algorithm: j.prob.algo,
+		Algorithm: string(j.prob.algo),
 		Submitted: j.submitted,
 		Error:     j.errMsg,
 	}

@@ -456,6 +456,19 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
 	}
+	sessionCases := []struct {
+		name string
+		spec SessionSpec
+	}{
+		{"session, bad algorithm", SessionSpec{CSV: "A,B\n1,2\n", FDs: []string{"A -> B"}, Algorithm: "Quantum"}},
+		{"session, single-FD algo, many FDs", SessionSpec{CSV: "A,B,C\n1,2,3\n", FDs: []string{"A -> B", "B -> C"}, Algorithm: "GreedyS"}},
+	}
+	for _, tc := range sessionCases {
+		resp, _ := postJSON(t, ts.URL+"/v1/sessions", tc.spec)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+	}
 	resp, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/job-999999")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
@@ -557,5 +570,99 @@ func TestShutdownCancelsInFlight(t *testing.T) {
 	resp, _ := postJSON(t, ts.URL+"/v1/jobs", JobSpec{CSV: "A,B\nx,y\n", FDs: []string{"A -> B"}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-shutdown submit: %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestShutdownReleasesGoroutines: after sessions close and Shutdown
+// returns, no goroutine the server started is left: pool workers, session
+// batchers and job deadline watchers all exit. Three sessions take
+// concurrent appends, one is closed by DELETE and two by Shutdown; one job
+// finishes and a running ExactS job is canceled by Shutdown.
+func TestShutdownReleasesGoroutines(t *testing.T) {
+	http.DefaultClient.CloseIdleConnections()
+	base := runtime.NumGoroutine()
+	s := New(Config{Workers: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	ids := make([]string, 3)
+	for i := range ids {
+		resp, body := postJSON(t, ts.URL+"/v1/sessions", SessionSpec{CSV: hospCSV(), FDs: []string{"City -> State"}})
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("POST session: %d %s", resp.StatusCode, body)
+		}
+		var sv SessionView
+		if err := json.Unmarshal(body, &sv); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = sv.ID
+	}
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(url string, g int) {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					body := fmt.Sprintf(`{"rows":[["BOSTN","MA"],["CHICAGO%d","IL"]]}`, g)
+					resp, err := http.Post(url, "application/json", strings.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("append to %s: status %d", url, resp.StatusCode)
+						return
+					}
+				}
+			}(ts.URL+"/v1/sessions/"+id+"/tuples", g)
+		}
+	}
+	wg.Wait()
+	if resp, _ := doJSON(t, http.MethodDelete, ts.URL+"/v1/sessions/"+ids[0]); resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE session: %d", resp.StatusCode)
+	}
+
+	done := submitJob(t, ts.URL, JobSpec{CSV: hospCSV(), FDs: []string{"City -> State"}})
+	if v := pollJob(t, ts.URL, done.ID, 30*time.Second); v.State != JobDone {
+		t.Fatalf("job ended %s (%s)", v.State, v.Error)
+	}
+	slow := submitJob(t, ts.URL, JobSpec{
+		CSV: pathCSV(150), Types: "numeric,string",
+		FDs: []string{"A -> B"}, Algorithm: "ExactS",
+		Tau: 0.005, WL: 0.5, WR: 0.5,
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		job, _ := s.jobs.get(slow.ID)
+		if job.State() == JobRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("slow job never started")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if job, _ := s.jobs.get(slow.ID); job.State() != JobCanceled {
+		t.Fatalf("running job ended %s after shutdown, want canceled", job.State())
+	}
+
+	// The HTTP server's and client's connection goroutines are not the
+	// repair server's; close them before counting.
+	ts.Close()
+	http.DefaultClient.CloseIdleConnections()
+	deadline = time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after shutdown, %d before New:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

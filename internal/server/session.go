@@ -8,8 +8,8 @@ import (
 	"sync"
 	"time"
 
-	"ftrepair/internal/fd"
 	"ftrepair/internal/incr"
+	"ftrepair/internal/repair"
 )
 
 // session is one long-lived streaming repair: an incr.Engine holding the
@@ -24,8 +24,6 @@ type session struct {
 
 	eng *incr.Engine
 	bat *incr.Batcher
-	set *fd.Set
-	cfg *fd.DistConfig
 	// baseRepaired counts cells the initial flush changed to make the base
 	// consistent.
 	baseRepaired int
@@ -193,7 +191,7 @@ func newSessionRegistry() *sessionRegistry {
 // initial flush repairs the base relation when it is not already
 // FT-consistent.
 func (r *sessionRegistry) create(spec SessionSpec) (*session, error) {
-	algo, err := canonicalAlgo(spec.Algorithm)
+	algo, err := repair.ParseAlgorithm(spec.Algorithm)
 	if err != nil {
 		return nil, err
 	}
@@ -211,11 +209,11 @@ func (r *sessionRegistry) create(spec SessionSpec) (*session, error) {
 	}
 	baseAlgo := ""
 	if initRes.ChangedCells > 0 {
-		baseAlgo = algo
+		baseAlgo = string(algo)
 	}
 	s := &session{
-		created: time.Now(),
-		eng:     eng, set: set, cfg: cfg,
+		created:      time.Now(),
+		eng:          eng,
 		baseRepaired: initRes.ChangedCells,
 		baseAlgo:     baseAlgo,
 	}

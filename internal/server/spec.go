@@ -81,7 +81,7 @@ type problem struct {
 	rel  *dataset.Relation
 	set  *fd.Set
 	cfg  *fd.DistConfig
-	algo string
+	algo repair.Algorithm
 	opts repair.Options
 }
 
@@ -91,24 +91,6 @@ const (
 	defaultWL  = 0.7
 	defaultWR  = 0.3
 )
-
-// canonicalAlgo normalizes an algorithm name, defaulting to GreedyM.
-func canonicalAlgo(name string) (string, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "greedym":
-		return "GreedyM", nil
-	case "exacts":
-		return "ExactS", nil
-	case "greedys":
-		return "GreedyS", nil
-	case "exactm":
-		return "ExactM", nil
-	case "approm":
-		return "ApproM", nil
-	default:
-		return "", fmt.Errorf("unknown algorithm %q", name)
-	}
-}
 
 // buildSchema assembles a schema from a header and an optional type spec.
 func buildSchema(header []string, types string) (*dataset.Schema, error) {
@@ -211,7 +193,7 @@ func compileConstraints(rel *dataset.Relation, fdSpecs []string, tau float64, au
 
 // compile validates a job spec into a runnable problem.
 func (spec *JobSpec) compile() (*problem, error) {
-	algo, err := canonicalAlgo(spec.Algorithm)
+	algo, err := repair.ParseAlgorithm(spec.Algorithm)
 	if err != nil {
 		return nil, err
 	}
@@ -223,8 +205,8 @@ func (spec *JobSpec) compile() (*problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	if (algo == "ExactS" || algo == "GreedyS") && len(set.FDs) != 1 {
-		return nil, fmt.Errorf("%s repairs a single FD, spec has %d", algo, len(set.FDs))
+	if err := algo.Check(set); err != nil {
+		return nil, err
 	}
 	return &problem{
 		rel: rel, set: set, cfg: cfg, algo: algo,
@@ -245,16 +227,5 @@ func (p *problem) run(cancel <-chan struct{}, tr *obs.Trace, sink ledger.Sink) (
 	opts.Cancel = cancel
 	opts.Trace = tr
 	opts.Ledger = sink
-	switch p.algo {
-	case "ExactS":
-		return repair.ExactS(p.rel, p.set.FDs[0], p.cfg, p.set.Tau[0], opts)
-	case "GreedyS":
-		return repair.GreedyS(p.rel, p.set.FDs[0], p.cfg, p.set.Tau[0], opts)
-	case "ExactM":
-		return repair.ExactM(p.rel, p.set, p.cfg, opts)
-	case "ApproM":
-		return repair.ApproM(p.rel, p.set, p.cfg, opts)
-	default:
-		return repair.GreedyM(p.rel, p.set, p.cfg, opts)
-	}
+	return repair.Run(p.rel, p.set, p.cfg, p.algo, opts)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ftrepair/internal/obs"
+	"ftrepair/internal/repair"
 )
 
 // AlgoStat aggregates latency for one algorithm.
@@ -82,7 +83,7 @@ func (m *metrics) jobSubmitted() {
 	m.obsJobsSubmitted.Inc()
 }
 
-func (m *metrics) jobFinished(state JobState, algo string, elapsed time.Duration, cellsRepaired int) {
+func (m *metrics) jobFinished(state JobState, algo repair.Algorithm, elapsed time.Duration, cellsRepaired int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if state == JobDone || state == JobCanceled {
@@ -90,10 +91,10 @@ func (m *metrics) jobFinished(state JobState, algo string, elapsed time.Duration
 		m.obsCellsRepaired.AddInt(cellsRepaired)
 	}
 	if state == JobDone {
-		st := m.perAlgo[algo]
+		st := m.perAlgo[string(algo)]
 		if st == nil {
 			st = &AlgoStat{}
-			m.perAlgo[algo] = st
+			m.perAlgo[string(algo)] = st
 		}
 		ms := float64(elapsed.Microseconds()) / 1000
 		st.Count++
