@@ -83,6 +83,7 @@ fuzz:
 	go test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
 	go test -fuzz=FuzzBuildMatchesNestedLoop -fuzztime=30s ./internal/targettree/
 	go test -run='^$$' -fuzz='^FuzzSelfJoin$$' -fuzztime=30s ./internal/strsim/
+	go test -run='^$$' -fuzz='^FuzzPairMatcher$$' -fuzztime=30s ./internal/fd/
 
 cover:
 	go test -cover ./internal/... .

@@ -1,11 +1,13 @@
 package eval
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -20,9 +22,10 @@ type BenchConfig struct {
 	Workload string
 	N        int
 	Seed     int64
-	// MinTime is the minimum measured wall-clock per entry; each entry
-	// repeats its operation until it elapses. Defaults to 200ms. The
-	// incremental family replays a fixed stream instead.
+	// MinTime is the minimum measured wall-clock per timing loop; each loop
+	// repeats the entry's operation until it elapses, and the entry is the
+	// median of benchLoops loops. Defaults to 200ms. The incremental family
+	// replays a fixed stream instead.
 	MinTime time.Duration
 	Cancel  <-chan struct{}
 }
@@ -81,17 +84,45 @@ func newBenchRun(layer string, c BenchConfig) *benchRun {
 	}
 }
 
+// benchLoops is how many MinTime loops time one entry. One loop's reading
+// moves with whatever else the machine is running; the median of five is
+// what the committed files hold and what benchcheck compares.
+const benchLoops = 5
+
 // time measures op as the entry called name and returns it, or returns nil
 // when name was measured before: a family's configurations can coincide,
-// such as 1 and GOMAXPROCS workers on one core. op(i) runs for i = 0, 1, ...
-// until MinTime has elapsed or, when iters > 0, exactly iters times; each
-// call performs per operations, and the entry's figures are per operation.
-// Allocations are the cumulative Mallocs/TotalAlloc deltas around the loop,
-// the quantities `go test -benchmem` reports.
+// such as 1 and GOMAXPROCS workers on one core. With iters == 0 it runs
+// benchLoops loops, each calling op(i) for i = 0, 1, ... until MinTime has
+// elapsed, and keeps the loop with the median ns/op; with iters > 0 it runs
+// one loop of exactly iters calls, since those families replay a stream
+// that the calls advance. Each call performs per operations, and the
+// entry's figures are per operation. Allocations are the cumulative
+// Mallocs/TotalAlloc deltas around the kept loop, the quantities
+// `go test -benchmem` reports.
 func (r *benchRun) time(name string, iters, per int, op func(i int) error) (*BenchEntry, error) {
 	if r.doc.entry(name) != nil {
 		return nil, nil
 	}
+	loops := 1
+	if iters == 0 {
+		loops = benchLoops
+	}
+	runs := make([]*BenchEntry, loops)
+	for l := range runs {
+		e, err := r.loop(name, iters, per, op)
+		if err != nil {
+			return nil, err
+		}
+		runs[l] = e
+	}
+	slices.SortFunc(runs, func(a, b *BenchEntry) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+	e := runs[loops/2]
+	r.doc.Entries = append(r.doc.Entries, e)
+	return e, nil
+}
+
+// loop is one timing loop of time.
+func (r *benchRun) loop(name string, iters, per int, op func(i int) error) (*BenchEntry, error) {
 	e := &BenchEntry{Name: name}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -114,7 +145,6 @@ func (r *benchRun) time(name string, iters, per int, op func(i int) error) (*Ben
 	e.NsPerOp = float64(last.Sub(start).Nanoseconds()) / ops
 	e.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / ops
 	e.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / ops
-	r.doc.Entries = append(r.doc.Entries, e)
 	return e, nil
 }
 

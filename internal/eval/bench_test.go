@@ -12,9 +12,9 @@ import (
 	"ftrepair/internal/repair"
 )
 
-// TestBenchRunTime: the timing helper runs a fixed count exactly, reports
-// per operation, skips a name measured before, and records nothing for a
-// failed or canceled entry.
+// TestBenchRunTime: the timing helper runs a fixed count exactly once and
+// a MinTime entry in benchLoops loops, reports per operation, skips a name
+// measured before, and records nothing for a failed or canceled entry.
 func TestBenchRunTime(t *testing.T) {
 	r := newBenchRun("test", BenchConfig{MinTime: time.Millisecond})
 	calls := 0
@@ -42,8 +42,14 @@ func TestBenchRunTime(t *testing.T) {
 		t.Errorf("re-measuring returned %+v, %v", again, err)
 	}
 
-	if e, err := r.time("timed", 0, 1, func(int) error { return nil }); err != nil || e.Iters < 1 {
-		t.Fatalf("timed entry %+v, err %v", e, err)
+	loops := 0
+	if e, err := r.time("timed", 0, 1, func(i int) error {
+		if i == 0 {
+			loops++
+		}
+		return nil
+	}); err != nil || e.Iters < 1 || loops != benchLoops {
+		t.Fatalf("timed entry %+v, err %v, %d loops (want %d)", e, err, loops, benchLoops)
 	}
 	r.ratio("fixed-vs-timed", "fixed", "timed")
 	r.ratio("fixed-vs-missing", "fixed", "missing")

@@ -27,10 +27,10 @@ import (
 // recomputation that upgrades a lower bound, or one that lost the fill race
 // to a concurrent worker) counts a hit, and an uncached computation counts
 // a miss. Plane misses therefore equal the cells filled, and hits + misses
-// equal the string lookups made, at any worker count. A RepairScorer
-// tallies its lookups' outcomes in plain fields and adds them in Release,
-// so a target search writes no shared counter per lookup; the totals are
-// the same sums.
+// equal the string lookups made, at any worker count. Every lookup goes
+// through a PairMatcher, which tallies the outcomes in plain fields and
+// adds them once (in Release, or at the end of a DistConfig method), so no
+// lookup writes a shared counter; the totals are the same sums.
 //
 // A DistCache must not be copied after first use.
 type DistCache struct {
@@ -107,8 +107,8 @@ func (c *DistCache) dict(col int, flavor EditFlavor) *dataset.Dict {
 }
 
 // plane returns col's plane, creating it on the first call; col must have
-// a dictionary. Kept out of line: the lookup paths load c.planes[col]
-// themselves and call plane only when it is nil.
+// a dictionary. Kept out of line: the lookup path loads c.planes[col]
+// itself and calls plane only when it is nil.
 func (c *DistCache) plane(col int) *distPlane {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -120,26 +120,6 @@ func (c *DistCache) plane(col int) *distPlane {
 	return p
 }
 
-// interned resolves a string pair to col's distance plane and the values'
-// codes; ok is false unless a plane answers the column under the flavor
-// and its dictionary holds both values.
-func (c *DistCache) interned(col int, flavor EditFlavor, a, b string) (p *distPlane, ca, cb int32, ok bool) {
-	d := c.dict(col, flavor)
-	if d == nil {
-		return nil, 0, 0, false
-	}
-	if ca, ok = d.Code(a); !ok {
-		return nil, 0, 0, false
-	}
-	if cb, ok = d.Code(b); !ok {
-		return nil, 0, 0, false
-	}
-	if p = c.planes[col].Load(); p == nil {
-		p = c.plane(col)
-	}
-	return p, ca, cb, true
-}
-
 // stored is the outcome of a plane query that computed its pair: a miss
 // when its store filled the empty cell, a hit otherwise.
 func stored(filled bool) lookup {
@@ -149,10 +129,8 @@ func stored(filled bool) lookup {
 	return planeHit
 }
 
-// count records one lookup.
-func (c *DistCache) count(o lookup) { c.counts[o].Add(1) }
-
-// add folds a goroutine's tally into the counters.
+// add folds an evaluator's tally into the counters: the counters' one
+// write path.
 func (c *DistCache) add(t *tally) {
 	for o, n := range t {
 		if n != 0 {

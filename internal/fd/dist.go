@@ -2,10 +2,8 @@ package fd
 
 import (
 	"fmt"
-	"unicode/utf8"
 
 	"ftrepair/internal/dataset"
-	"ftrepair/internal/strsim"
 )
 
 // DistConfig carries everything needed to evaluate the paper's distance
@@ -58,35 +56,6 @@ const (
 	EditJaccard
 )
 
-// StringDist is the normalized string distance under the configured
-// flavor.
-func (cfg *DistConfig) StringDist(a, b string) float64 {
-	switch cfg.Edit {
-	case EditOSA:
-		return strsim.NormalizedOSA(a, b)
-	case EditJaccard:
-		return strsim.JaccardDistance(a, b, 2)
-	default:
-		return strsim.NormalizedEdit(a, b)
-	}
-}
-
-// StringDistWithin is StringDist with early exit at threshold t.
-func (cfg *DistConfig) StringDistWithin(a, b string, t float64) (float64, bool) {
-	switch cfg.Edit {
-	case EditOSA:
-		return strsim.NormalizedOSAWithin(a, b, t)
-	case EditJaccard:
-		d := strsim.JaccardDistance(a, b, 2)
-		if d > t {
-			return 0, false
-		}
-		return d, true
-	default:
-		return strsim.NormalizedEditWithin(a, b, t)
-	}
-}
-
 // SetConfidence assigns a repair-cost confidence to one attribute. It
 // panics on non-positive confidence values.
 func (cfg *DistConfig) SetConfidence(col int, c float64) {
@@ -104,7 +73,7 @@ func (cfg *DistConfig) SetConfidence(col int, c float64) {
 
 // RepairDist is the per-attribute repair cost: the Eq-1 distance scaled by
 // the attribute's confidence. All Eq-3 cost accounting (edge weights,
-// tuple costs, target search) goes through it.
+// tuple costs, target search) computes it, here or through a PairMatcher.
 func (cfg *DistConfig) RepairDist(col int, a, b string) float64 {
 	d := cfg.AttrDist(col, a, b)
 	if cfg.Conf != nil {
@@ -179,37 +148,23 @@ func close1(x float64) bool {
 // String comparisons consult Cache when set: the column's distance plane
 // answers when both values are interned, anything else computes uncached
 // and counts a miss. Numeric comparisons bypass the cache: parsing plus a
-// subtraction is cheaper than any lookup.
+// subtraction is cheaper than any lookup. AttrDist, RepairDist, Dist and
+// DistWithin run PairMatcher's core on an evaluator kept on the stack and
+// add its tally to the counters once per call.
 func (cfg *DistConfig) AttrDist(col int, a, b string) float64 {
-	return cfg.attrDist(col, a, b, nil)
-}
-
-func (cfg *DistConfig) attrDist(col int, a, b string, mt *strsim.Matcher) float64 {
 	if a == b {
 		return 0
 	}
-	if cfg.Schema.Attr(col).Type == dataset.Numeric {
-		av, errA := dataset.ParseFloat(a)
-		bv, errB := dataset.ParseFloat(b)
-		if errA == nil && errB == nil {
-			return strsim.Euclidean(av, bv, cfg.Spans[col])
-		}
-	}
-	if cfg.Cache != nil {
-		if p, ca, cb, ok := cfg.Cache.interned(col, cfg.Edit, a, b); ok {
-			d, o := cfg.planeDist(p, ca, cb, a, b, mt)
-			cfg.Cache.count(o)
-			return d
-		}
-		cfg.Cache.count(uncachedMiss)
-	}
-	return cfg.stringDist(a, b, mt)
+	pm := PairMatcher{cfg: cfg}
+	d := pm.dist(col, a, codeUnresolved, b)
+	pm.flush()
+	return d
 }
 
 // ValueCode returns v's code in the distance plane that answers column
 // col's pairs under the config's edit flavor, or -1 when no plane holds v
-// (no cache, no plane for the column or flavor, or v not interned). Code
-// pairs from it feed RepairScorer.Score.
+// (no cache, no plane for the column or flavor, or v not interned). Codes
+// from it feed PairMatcher.Score.
 func (cfg *DistConfig) ValueCode(col int, v string) int32 {
 	if cfg.Cache == nil {
 		return -1
@@ -222,84 +177,22 @@ func (cfg *DistConfig) ValueCode(col int, v string) int32 {
 	return -1
 }
 
-// planeDist answers an unbounded per-attribute query from the column's
-// distance plane and reports the lookup's outcome for the caller to count.
-// The normalized result is float64(k)/float64(m) — the exact expression
-// NormalizedEdit/NormalizedOSA evaluate — so a plane hit is bitwise equal
-// to recomputation.
-func (cfg *DistConfig) planeDist(p *distPlane, ca, cb int32, a, b string, mt *strsim.Matcher) (float64, lookup) {
-	if cfg.Edit == EditJaccard {
-		return cfg.planeJaccard(p, ca, cb, a, b)
-	}
-	m := p.dict.RuneLen(ca)
-	if l := p.dict.RuneLen(cb); l > m {
-		m = l
-	}
-	if v := p.load(ca, cb); v&planeExactBit != 0 {
-		return float64(v&^planeExactBit) / float64(m), planeHit
-	}
-	var k int
-	switch {
-	case mt != nil:
-		k = mt.Distance(b)
-	case cfg.Edit == EditOSA:
-		k = strsim.OSA(a, b)
-	default:
-		k = strsim.Levenshtein(a, b)
-	}
-	return float64(k) / float64(m), stored(p.storeExact(ca, cb, planeExactBit|uint32(k)))
-}
-
-// planeJaccard answers a Jaccard query from the column's distance plane,
-// which stores the pair's 2-gram intersection and union counts, and reports
-// the lookup's outcome; the result is JaccardDistance's own
-// 1 - inter/union, so a hit is bitwise equal to recomputation. Pairs whose
-// counts overflow a cell compute uncached.
-func (cfg *DistConfig) planeJaccard(p *distPlane, ca, cb int32, a, b string) (float64, lookup) {
-	var inter, union int
-	o := planeHit
-	if v := p.load(ca, cb); v&planeExactBit != 0 {
-		inter, union = int(v>>jaccardUnionBits&jaccardMaxInter), int(v&jaccardMaxUnion)
-	} else {
-		inter, union = strsim.JaccardCounts(a, b, 2)
-		if inter <= jaccardMaxInter && union <= jaccardMaxUnion {
-			o = stored(p.storeExact(ca, cb, planeExactBit|uint32(inter)<<jaccardUnionBits|uint32(union)))
-		} else {
-			o = uncachedMiss
-		}
-	}
-	// Distinct values each yield at least one gram, so union >= 1.
-	return 1 - float64(inter)/float64(union), o
-}
-
-// stringDist is StringDist with an optional prebuilt matcher for a
-// (Levenshtein flavor only; callers pass nil otherwise).
-func (cfg *DistConfig) stringDist(a, b string, mt *strsim.Matcher) float64 {
-	if mt == nil {
-		return cfg.StringDist(a, b)
-	}
-	la, lb := mt.Len(), runeLen(b)
-	m := la
-	if lb > m {
-		m = lb
-	}
-	if m == 0 {
-		return 0
-	}
-	return float64(mt.Distance(b)) / float64(m)
-}
-
 // Dist evaluates Eq. 2 for the FD: w_l * Σ_{A∈X} dist(A) + w_r * Σ_{A∈Y}
 // dist(A).
 func (cfg *DistConfig) Dist(f *FD, t1, t2 dataset.Tuple) float64 {
-	var dl, dr float64
-	for _, c := range f.LHS {
-		dl += cfg.AttrDist(c, t1[c], t2[c])
+	pm := PairMatcher{cfg: cfg}
+	side := func(cols []int) float64 {
+		var sum float64
+		for _, c := range cols {
+			if t1[c] != t2[c] {
+				sum += pm.dist(c, t1[c], codeUnresolved, t2[c])
+			}
+		}
+		return sum
 	}
-	for _, c := range f.RHS {
-		dr += cfg.AttrDist(c, t1[c], t2[c])
-	}
-	return cfg.WL*dl + cfg.WR*dr
+	d := cfg.WL*side(f.LHS) + cfg.WR*side(f.RHS)
+	pm.flush()
+	return d
 }
 
 // TupleCost is Eq. 3: the cost of repairing tuple t into t', the sum of
@@ -327,168 +220,11 @@ func (cfg *DistConfig) DatabaseCost(d, d2 *dataset.Relation) float64 {
 // the remaining budget. Returns ok=false as soon as the pair cannot be
 // within tau.
 func (cfg *DistConfig) DistWithin(f *FD, tau float64, t1, t2 dataset.Tuple) (float64, bool) {
-	return cfg.distWithin(f, tau, t1, t2, nil)
+	pm := PairMatcher{cfg: cfg, f: f, t1: t1}
+	d, ok := pm.DistWithin(tau, t2)
+	pm.flush()
+	return d, ok
 }
-
-// distWithin is DistWithin with an optional PairMatcher carrying prebuilt
-// bitmask tables for t1's attribute values.
-func (cfg *DistConfig) distWithin(f *FD, tau float64, t1, t2 dataset.Tuple, pm *PairMatcher) (float64, bool) {
-	var sum float64
-	add := func(cols []int, w float64) bool {
-		for _, c := range cols {
-			a, b := t1[c], t2[c]
-			if a == b {
-				continue
-			}
-			var d float64
-			if cfg.Schema.Attr(c).Type == dataset.Numeric {
-				d = cfg.AttrDist(c, a, b)
-			} else if w > 0 {
-				budget := (tau - sum) / w
-				if budget > 1 {
-					budget = 1
-				}
-				var mt *strsim.Matcher
-				if pm != nil {
-					mt = pm.matcher(c, a)
-				}
-				nd, ok := cfg.stringDistWithinCached(c, a, b, budget, mt)
-				if !ok {
-					return false
-				}
-				d = nd
-			}
-			sum += w * d
-			if sum > tau {
-				return false
-			}
-		}
-		return true
-	}
-	if !add(f.LHS, cfg.WL) {
-		return 0, false
-	}
-	if !add(f.RHS, cfg.WR) {
-		return 0, false
-	}
-	return sum, true
-}
-
-// stringDistWithinCached is StringDistWithin routed through the length
-// lower bound and the distance cache. The length bound applies to the edit
-// flavors only (a q-gram Jaccard distance can undercut it). When both
-// values are interned in an attached distance plane the query is answered
-// there: exact cells reject or accept and reconstruct the same float the
-// full computation yields, bound cells reject any budget whose integer band
-// int(t*m) the stored bound covers. Anything else computes uncached. Either
-// way, cached and uncached runs agree exactly. mt optionally carries a's
-// prebuilt matcher (Levenshtein flavor only) for the compute path.
-func (cfg *DistConfig) stringDistWithinCached(col int, a, b string, t float64, mt *strsim.Matcher) (float64, bool) {
-	if cfg.Edit != EditJaccard && strsim.MinDistByLength(a, b) > t {
-		return 0, false
-	}
-	if cfg.Cache != nil {
-		if p, ca, cb, ok := cfg.Cache.interned(col, cfg.Edit, a, b); ok {
-			return cfg.planeDistWithin(p, ca, cb, a, b, t, mt)
-		}
-		cfg.Cache.count(uncachedMiss)
-	}
-	return cfg.stringDistWithin(a, b, t, mt)
-}
-
-// planeDistWithin answers a bounded query from the column's distance plane
-// with NormalizedEditWithin's exact semantics: the absolute band is
-// int(t*m), acceptance reconstructs float64(k)/float64(m), and the final
-// nd > t guard is preserved. A stored lower bound L rejects any query whose
-// band does not exceed it — the distance provably exceeds L >= int(t*m).
-// Jaccard queries resolve the exact distance and compare it, as
-// StringDistWithin does.
-func (cfg *DistConfig) planeDistWithin(p *distPlane, ca, cb int32, a, b string, t float64, mt *strsim.Matcher) (float64, bool) {
-	if cfg.Edit == EditJaccard {
-		d, o := cfg.planeJaccard(p, ca, cb, a, b)
-		cfg.Cache.count(o)
-		if d <= t {
-			return d, true
-		}
-		return 0, false
-	}
-	if t < 0 {
-		return 0, false
-	}
-	m := p.dict.RuneLen(ca)
-	if l := p.dict.RuneLen(cb); l > m {
-		m = l
-	}
-	// a != b and both interned, so m >= 1.
-	maxDist := int(t * float64(m))
-	v := p.load(ca, cb)
-	if v&planeExactBit != 0 {
-		cfg.Cache.count(planeHit)
-		nd := float64(v&^planeExactBit) / float64(m)
-		if nd > t {
-			return 0, false
-		}
-		return nd, true
-	}
-	if v != 0 && maxDist <= int(v)-1 {
-		cfg.Cache.count(planeHit)
-		return 0, false
-	}
-	var k int
-	var ok bool
-	switch {
-	case mt != nil:
-		k, ok = mt.DistanceBounded(b, maxDist)
-	case cfg.Edit == EditOSA:
-		k, ok = strsim.OSABounded(a, b, maxDist)
-	default:
-		k, ok = strsim.LevenshteinBounded(a, b, maxDist)
-	}
-	if !ok {
-		cfg.Cache.count(stored(p.storeBound(ca, cb, maxDist)))
-		return 0, false
-	}
-	cfg.Cache.count(stored(p.storeExact(ca, cb, planeExactBit|uint32(k))))
-	nd := float64(k) / float64(m)
-	if nd > t {
-		return 0, false
-	}
-	return nd, true
-}
-
-// stringDistWithin is StringDistWithin with an optional prebuilt matcher
-// for a (Levenshtein flavor only; callers pass nil otherwise). The matcher
-// path mirrors NormalizedEditWithin term for term.
-func (cfg *DistConfig) stringDistWithin(a, b string, t float64, mt *strsim.Matcher) (float64, bool) {
-	if mt == nil {
-		return cfg.StringDistWithin(a, b, t)
-	}
-	if t < 0 {
-		return 0, false
-	}
-	if a == b {
-		return 0, true
-	}
-	m := mt.Len()
-	if lb := runeLen(b); lb > m {
-		m = lb
-	}
-	if m == 0 {
-		return 0, true
-	}
-	d, ok := mt.DistanceBounded(b, int(t*float64(m)))
-	if !ok {
-		return 0, false
-	}
-	nd := float64(d) / float64(m)
-	if nd > t {
-		return 0, false
-	}
-	return nd, true
-}
-
-// runeLen is utf8.RuneCountInString.
-func runeLen(s string) int { return utf8.RuneCountInString(s) }
 
 // FTViolates reports the fault-tolerant violation of the FD at threshold
 // tau: the projections differ and their distance is at most tau.

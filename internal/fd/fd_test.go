@@ -382,10 +382,12 @@ func TestEditFlavorOSA(t *testing.T) {
 	if d := cfg.AttrDist(0, "boston", "bsoton"); d != 1.0/6 {
 		t.Fatalf("OSA transposition dist = %v", d)
 	}
-	if d, ok := cfg.StringDistWithin("boston", "bsoton", 0.2); !ok || d != 1.0/6 {
-		t.Fatalf("StringDistWithin OSA = %v, %v", d, ok)
+	// Bounded: tau 0.1 leaves X a budget of 0.1/w_l = 0.2.
+	f := fd.MustParse(rel.Schema, "X->Y")
+	if d, ok := cfg.DistWithin(f, 0.1, dataset.Tuple{"boston", "1"}, dataset.Tuple{"bsoton", "1"}); !ok || d != cfg.WL*(1.0/6) {
+		t.Fatalf("DistWithin OSA = %v, %v", d, ok)
 	}
-	if _, ok := cfg.StringDistWithin("boston", "dallas", 0.2); ok {
+	if _, ok := cfg.DistWithin(f, 0.1, dataset.Tuple{"boston", "1"}, dataset.Tuple{"dallas", "1"}); ok {
 		t.Fatal("far pair accepted")
 	}
 }

@@ -2,68 +2,310 @@ package fd
 
 import (
 	"sync"
+	"unicode/utf8"
 
 	"ftrepair/internal/dataset"
 	"ftrepair/internal/strsim"
 )
 
-// PairMatcher evaluates the Eq-2 distance of one fixed tuple against a
-// stream of candidate tuples. The hot detection loops — all-pairs ranging,
-// per-bucket indexed verification, incremental candidate probing — hold one
-// tuple fixed across hundreds of comparisons, so the fixed side's
-// bit-parallel equivalence tables (strsim.Matcher) are built once per
-// column and reused for every candidate that misses the distance plane and
-// cache. Results are identical to DistConfig.DistWithin; only the kernel
-// preprocessing is amortized.
+// PairMatcher is the one evaluator of the paper's distances: it holds one
+// tuple fixed and evaluates the per-attribute distance of Eq. 1 between
+// that tuple's values and a stream of candidate values, summed into the
+// bounded Eq. 2 (DistWithin) or scaled into Eq-3 repair costs (RepairDist,
+// Score). Graph builds, violator counts and the streaming engine's
+// candidate scans hold a tuple fixed across hundreds of candidate tuples;
+// the repair planner scores one tuple's values against every value of a
+// target tree.
 //
-// Matchers apply to the Levenshtein flavor only (the bit-parallel kernels
-// implement unrestricted edit distance); other flavors run exactly as
-// before. A PairMatcher is not safe for concurrent use: each worker
-// acquires its own and releases it when the stream ends.
+// A pooled PairMatcher (AcquirePairMatcher) resolves each fixed value's
+// distance-plane code once per column and, under the Levenshtein flavor,
+// builds the value's bit-parallel tables (strsim.Matcher) at the column's
+// first pair that must be computed; a candidate arriving with its code
+// (Score) costs no dictionary probe either. DistConfig's direct methods
+// run the same core on a PairMatcher kept on their stack, which memoizes
+// nothing and builds no tables. Results are bitwise equal to an uncached
+// computation either way.
+//
+// The evaluator tallies its lookups in plain fields and adds them to the
+// cache's counters once: in Release, or at the end of a direct method. Its
+// per-lookup work then writes no memory another goroutine reads, and the
+// totals are the same sums (see DistCache).
+//
+// A PairMatcher is not safe for concurrent use: each worker acquires its
+// own and releases it when the stream ends.
 type PairMatcher struct {
 	cfg *DistConfig
 	f   *FD
 	t1  dataset.Tuple
-	use bool              // Levenshtein flavor: matchers apply
-	mts []*strsim.Matcher // per column, bound lazily on first miss
+	// mts[col] is t1[col]'s matcher once built; codes[col] is t1[col]'s
+	// plane code (-1: none) or codeUnresolved. Both are nil in the direct
+	// methods' evaluators.
+	mts   []*strsim.Matcher
+	codes []int32
+	tally tally
 }
+
+// codeUnresolved marks a value whose plane code has not been looked up.
+const codeUnresolved = -2
 
 var pairMatcherPool = sync.Pool{New: func() any { return new(PairMatcher) }}
 
-// AcquirePairMatcher returns a pooled PairMatcher holding t1 fixed for the
-// FD's attributes. Release it when the candidate stream is exhausted.
+// AcquirePairMatcher returns a pooled PairMatcher holding t1 fixed on the
+// left. DistWithin reads the FD's attributes; f may be nil when only
+// RepairDist and Score are called. Release it when the candidate stream is
+// exhausted.
 func (cfg *DistConfig) AcquirePairMatcher(f *FD, t1 dataset.Tuple) *PairMatcher {
 	pm := pairMatcherPool.Get().(*PairMatcher)
-	pm.cfg = cfg
-	pm.f = f
-	pm.t1 = t1
-	pm.use = cfg.Edit == EditLevenshtein
+	pm.cfg, pm.f, pm.t1 = cfg, f, t1
 	if n := cfg.Schema.Len(); cap(pm.mts) < n {
-		pm.mts = make([]*strsim.Matcher, n)
+		pm.mts, pm.codes = make([]*strsim.Matcher, n), make([]int32, n)
 	} else {
-		pm.mts = pm.mts[:n]
+		pm.mts, pm.codes = pm.mts[:n], pm.codes[:n]
+	}
+	for i := range pm.codes {
+		pm.codes[i] = codeUnresolved
 	}
 	return pm
 }
 
-// Release returns the PairMatcher and its column matchers to their pools.
+// Release adds the lookup tally to the cache's counters and returns the
+// PairMatcher and its column matchers to their pools.
 func (pm *PairMatcher) Release() {
+	pm.flush()
 	for i, mt := range pm.mts {
 		if mt != nil {
 			mt.Release()
 			pm.mts[i] = nil
 		}
 	}
-	pm.cfg = nil
-	pm.f = nil
-	pm.t1 = nil
+	pm.cfg, pm.f, pm.t1 = nil, nil, nil
 	pairMatcherPool.Put(pm)
 }
 
-// matcher returns the column's matcher bound to a (== t1[col]), building it
-// on first use; nil when matchers do not apply to the configured flavor.
+// flush adds the tally to the cache's counters and clears it.
+func (pm *PairMatcher) flush() {
+	if pm.cfg.Cache != nil {
+		pm.cfg.Cache.add(&pm.tally)
+	}
+	pm.tally = tally{}
+}
+
+// DistWithin is DistConfig.DistWithin(f, tau, t1, t2) for the fixed t1.
+func (pm *PairMatcher) DistWithin(tau float64, t2 dataset.Tuple) (float64, bool) {
+	cfg := pm.cfg
+	var sum float64
+	add := func(cols []int, w float64) bool {
+		for _, c := range cols {
+			a, b := pm.t1[c], t2[c]
+			if a == b {
+				continue
+			}
+			var d float64
+			if cfg.Schema.Attr(c).Type == dataset.Numeric {
+				d = pm.dist(c, a, codeUnresolved, b)
+			} else if w > 0 {
+				nd, ok := pm.distWithin(c, a, codeUnresolved, b, min((tau-sum)/w, 1))
+				if !ok {
+					return false
+				}
+				d = nd
+			}
+			sum += w * d
+			if sum > tau {
+				return false
+			}
+		}
+		return true
+	}
+	if !add(pm.f.LHS, cfg.WL) || !add(pm.f.RHS, cfg.WR) {
+		return 0, false
+	}
+	return sum, true
+}
+
+// RepairDist is DistConfig.RepairDist(col, t1[col], t2[col]) for the fixed
+// t1.
+func (pm *PairMatcher) RepairDist(col int, t2 dataset.Tuple) float64 {
+	return pm.Score(col, codeUnresolved, t2[col])
+}
+
+// Score is DistConfig.RepairDist(col, t1[col], b) for the fixed t1 and a
+// candidate value b whose plane code is DistConfig.ValueCode(col, b). It
+// reads only t1[col], so the repair planner shares one column value's
+// scores among every tuple that carries it.
+func (pm *PairMatcher) Score(col int, code int32, b string) float64 {
+	var d float64
+	if a := pm.t1[col]; a != b {
+		d = pm.dist(col, a, code, b)
+	}
+	if pm.cfg.Conf != nil {
+		d *= pm.cfg.Conf[col]
+	}
+	return d
+}
+
+// dist is the unbounded per-attribute core: Eq. 1 between a, the fixed
+// value of column col, and a candidate b != a whose plane code is cb
+// (codeUnresolved: look it up). Numeric pairs that parse take the
+// normalized Euclidean distance, uncounted. Every other pair is one
+// string lookup: the column's distance plane answers or memoizes it when
+// both values are interned, anything else computes uncached. The result is
+// the expression strsim's normalized distance evaluates — float64(k)/m
+// for the edit flavors, 1 - inter/union for Jaccard — so a plane hit is
+// bitwise equal to recomputation.
+func (pm *PairMatcher) dist(col int, a string, cb int32, b string) float64 {
+	cfg := pm.cfg
+	if cfg.Schema.Attr(col).Type == dataset.Numeric {
+		av, errA := dataset.ParseFloat(a)
+		bv, errB := dataset.ParseFloat(b)
+		if errA == nil && errB == nil {
+			return strsim.Euclidean(av, bv, cfg.Spans[col])
+		}
+	}
+	p, ca, cb := pm.plane(col, a, cb, b)
+	var v uint32 // the pair's cell; empty without a plane
+	if p != nil {
+		v = p.load(ca, cb)
+	}
+	o := uncachedMiss
+	if cfg.Edit == EditJaccard {
+		var inter, union int
+		if v&planeExactBit != 0 {
+			inter, union, o = int(v>>jaccardUnionBits&jaccardMaxInter), int(v&jaccardMaxUnion), planeHit
+		} else {
+			inter, union = strsim.JaccardCounts(a, b, 2)
+			// Counts that overflow a cell compute uncached.
+			if p != nil && inter <= jaccardMaxInter && union <= jaccardMaxUnion {
+				o = stored(p.storeExact(ca, cb, planeExactBit|uint32(inter)<<jaccardUnionBits|uint32(union)))
+			}
+		}
+		pm.tally[o]++
+		// Distinct values each yield at least one gram, so union >= 1.
+		return 1 - float64(inter)/float64(union)
+	}
+	m := maxLen(p, ca, cb, a, b)
+	if v&planeExactBit != 0 {
+		pm.tally[planeHit]++
+		return float64(v&^planeExactBit) / float64(m)
+	}
+	var k int
+	switch mt := pm.matcher(col, a); {
+	case mt != nil:
+		k = mt.Distance(b)
+	case cfg.Edit == EditOSA:
+		k = strsim.OSA(a, b)
+	default:
+		k = strsim.Levenshtein(a, b)
+	}
+	if p != nil {
+		o = stored(p.storeExact(ca, cb, planeExactBit|uint32(k)))
+	}
+	pm.tally[o]++
+	return float64(k) / float64(m)
+}
+
+// distWithin is the bounded per-attribute core for a string column: dist's
+// answer when it is at most t, ok=false otherwise, with
+// NormalizedEditWithin's semantics — the absolute band is int(t*m),
+// acceptance reconstructs float64(k)/m, and the final nd > t guard is
+// kept. The edit flavors reject on the length lower bound before any
+// lookup (a q-gram Jaccard distance can undercut it); a plane cell holding
+// a lower bound L rejects any band that does not exceed it, and a rejected
+// computation stores its band as the cell's bound. Jaccard resolves the
+// exact distance and compares it.
+func (pm *PairMatcher) distWithin(col int, a string, cb int32, b string, t float64) (float64, bool) {
+	cfg := pm.cfg
+	var nd float64
+	if cfg.Edit == EditJaccard {
+		nd = pm.dist(col, a, cb, b)
+	} else {
+		// The bound is non-negative, so this also rejects every t < 0.
+		if strsim.MinDistByLength(a, b) > t {
+			return 0, false
+		}
+		p, ca, cb := pm.plane(col, a, cb, b)
+		m := maxLen(p, ca, cb, a, b)
+		maxDist := int(t * float64(m))
+		var v uint32
+		if p != nil {
+			v = p.load(ca, cb)
+		}
+		switch {
+		case v&planeExactBit != 0:
+			pm.tally[planeHit]++
+			nd = float64(v&^planeExactBit) / float64(m)
+		case v != 0 && maxDist <= int(v)-1:
+			pm.tally[planeHit]++
+			return 0, false
+		default:
+			var k int
+			var ok bool
+			switch mt := pm.matcher(col, a); {
+			case mt != nil:
+				k, ok = mt.DistanceBounded(b, maxDist)
+			case cfg.Edit == EditOSA:
+				k, ok = strsim.OSABounded(a, b, maxDist)
+			default:
+				k, ok = strsim.LevenshteinBounded(a, b, maxDist)
+			}
+			o := uncachedMiss
+			if !ok {
+				if p != nil {
+					o = stored(p.storeBound(ca, cb, maxDist))
+				}
+				pm.tally[o]++
+				return 0, false
+			}
+			if p != nil {
+				o = stored(p.storeExact(ca, cb, planeExactBit|uint32(k)))
+			}
+			pm.tally[o]++
+			nd = float64(k) / float64(m)
+		}
+	}
+	if nd > t {
+		return 0, false
+	}
+	return nd, true
+}
+
+// plane resolves the pair's distance plane and codes for a lookup; p is
+// nil when no plane holds both values (no cache, no plane for the column
+// under the flavor, or a value not interned), and the lookup computes
+// uncached.
+func (pm *PairMatcher) plane(col int, a string, cb int32, b string) (*distPlane, int32, int32) {
+	c := pm.cfg.Cache
+	if c == nil {
+		return nil, 0, 0
+	}
+	var ca int32
+	if pm.codes == nil {
+		ca = pm.cfg.ValueCode(col, a)
+	} else if ca = pm.codes[col]; ca == codeUnresolved {
+		ca = pm.cfg.ValueCode(col, a)
+		pm.codes[col] = ca
+	}
+	if ca < 0 {
+		return nil, 0, 0
+	}
+	if cb == codeUnresolved {
+		cb = pm.cfg.ValueCode(col, b)
+	}
+	if cb < 0 {
+		return nil, 0, 0
+	}
+	p := c.planes[col].Load()
+	if p == nil {
+		p = c.plane(col)
+	}
+	return p, ca, cb
+}
+
+// matcher returns a's matcher for column col, built at its first use; nil
+// when the evaluator keeps none or the flavor is not Levenshtein (the
+// bit-parallel kernels implement unrestricted edit distance only).
 func (pm *PairMatcher) matcher(col int, a string) *strsim.Matcher {
-	if !pm.use {
+	if pm.mts == nil || pm.cfg.Edit != EditLevenshtein {
 		return nil
 	}
 	mt := pm.mts[col]
@@ -74,164 +316,11 @@ func (pm *PairMatcher) matcher(col int, a string) *strsim.Matcher {
 	return mt
 }
 
-// DistWithin is DistConfig.DistWithin(f, tau, t1, t2) with the fixed side's
-// prebuilt tables.
-func (pm *PairMatcher) DistWithin(tau float64, t2 dataset.Tuple) (float64, bool) {
-	return pm.cfg.distWithin(pm.f, tau, pm.t1, t2, pm)
-}
-
-// Dist is DistConfig.Dist(f, t1, t2) with the fixed side's prebuilt tables.
-func (pm *PairMatcher) Dist(t2 dataset.Tuple) float64 {
-	var dl, dr float64
-	for _, c := range pm.f.LHS {
-		dl += pm.attrDist(c, t2)
+// maxLen is the longer rune length of a and b, read from the plane's
+// dictionary when p holds the pair. a != b, so it is at least 1.
+func maxLen(p *distPlane, ca, cb int32, a, b string) int {
+	if p != nil {
+		return max(p.dict.RuneLen(ca), p.dict.RuneLen(cb))
 	}
-	for _, c := range pm.f.RHS {
-		dr += pm.attrDist(c, t2)
-	}
-	return pm.cfg.WL*dl + pm.cfg.WR*dr
-}
-
-// RepairDist is DistConfig.RepairDist(col, t1[col], t2[col]) with the fixed
-// side's prebuilt tables.
-func (pm *PairMatcher) RepairDist(col int, t2 dataset.Tuple) float64 {
-	d := pm.attrDist(col, t2)
-	if pm.cfg.Conf != nil {
-		d *= pm.cfg.Conf[col]
-	}
-	return d
-}
-
-func (pm *PairMatcher) attrDist(col int, t2 dataset.Tuple) float64 {
-	a, b := pm.t1[col], t2[col]
-	if a == b {
-		return 0
-	}
-	var mt *strsim.Matcher
-	if pm.cfg.Schema.Attr(col).Type != dataset.Numeric {
-		mt = pm.matcher(col, a)
-	}
-	return pm.cfg.attrDist(col, a, b, mt)
-}
-
-// RepairScorer evaluates the per-attribute repair costs of one fixed tuple
-// against a stream of candidate values: a target search scores every tree
-// value it reaches against the tuple being repaired. Candidates arrive with
-// their distance-plane codes (DistConfig.ValueCode, resolved once per tree
-// by the caller); the scorer resolves its own tuple's codes once per
-// column, so a plane hit costs no string-map probe, and it reuses the
-// tuple's bit-parallel tables when a pair must be computed. Results are
-// bitwise equal to DistConfig.RepairDist with the fixed value on the left.
-// Score(col, ...) reads only t[col], so the repair planner scores a column
-// value once for every tuple that carries it; the sharing relies on that.
-//
-// The scorer tallies its lookups in plain fields and adds them to the
-// cache's counters once, in Release: a search's per-lookup work then
-// writes no memory another goroutine reads, and the totals are the same.
-//
-// Not safe for concurrent use; acquire one per search and release it after.
-type RepairScorer struct {
-	cfg *DistConfig
-	t   dataset.Tuple
-	use bool
-	mts []*strsim.Matcher
-	// codes[col] is t[col]'s plane code (-1: none), or codeUnresolved.
-	codes []int32
-	tally tally
-}
-
-// codeUnresolved marks a column whose code the scorer has not looked up.
-const codeUnresolved = -2
-
-var repairScorerPool = sync.Pool{New: func() any { return new(RepairScorer) }}
-
-// AcquireRepairScorer returns a pooled scorer holding t fixed on the left.
-func (cfg *DistConfig) AcquireRepairScorer(t dataset.Tuple) *RepairScorer {
-	rs := repairScorerPool.Get().(*RepairScorer)
-	rs.cfg = cfg
-	rs.t = t
-	rs.use = cfg.Edit == EditLevenshtein
-	n := cfg.Schema.Len()
-	if cap(rs.mts) < n {
-		rs.mts = make([]*strsim.Matcher, n)
-		rs.codes = make([]int32, n)
-	} else {
-		rs.mts, rs.codes = rs.mts[:n], rs.codes[:n]
-	}
-	for i := range rs.codes {
-		rs.codes[i] = codeUnresolved
-	}
-	return rs
-}
-
-// Release adds the scorer's lookup tally to the cache's counters and
-// returns the scorer and its column matchers to their pools.
-func (rs *RepairScorer) Release() {
-	if rs.cfg.Cache != nil {
-		rs.cfg.Cache.add(&rs.tally)
-	}
-	rs.tally = tally{}
-	for i, mt := range rs.mts {
-		if mt != nil {
-			mt.Release()
-			rs.mts[i] = nil
-		}
-	}
-	rs.cfg = nil
-	rs.t = nil
-	repairScorerPool.Put(rs)
-}
-
-// Score is DistConfig.RepairDist(col, t[col], b) for the fixed tuple t and
-// a candidate value b whose code is DistConfig.ValueCode(col, b).
-func (rs *RepairScorer) Score(col int, code int32, b string) float64 {
-	var d float64
-	if a := rs.t[col]; a != b {
-		d = rs.attrDist(col, code, a, b)
-	}
-	if rs.cfg.Conf != nil {
-		d *= rs.cfg.Conf[col]
-	}
-	return d
-}
-
-// attrDist is DistConfig.attrDist for a != b with the pair's codes in hand:
-// the same numeric parse path, the same plane arithmetic, and the same
-// uncached fallback, counted into the tally.
-func (rs *RepairScorer) attrDist(col int, cb int32, a, b string) float64 {
-	cfg := rs.cfg
-	numeric := cfg.Schema.Attr(col).Type == dataset.Numeric
-	if numeric {
-		av, errA := dataset.ParseFloat(a)
-		bv, errB := dataset.ParseFloat(b)
-		if errA == nil && errB == nil {
-			return strsim.Euclidean(av, bv, cfg.Spans[col])
-		}
-	}
-	var mt *strsim.Matcher
-	if rs.use && !numeric {
-		if mt = rs.mts[col]; mt == nil {
-			mt = strsim.AcquireMatcher(a)
-			rs.mts[col] = mt
-		}
-	}
-	if cfg.Cache == nil {
-		return cfg.stringDist(a, b, mt)
-	}
-	ca := rs.codes[col]
-	if ca == codeUnresolved {
-		ca = cfg.ValueCode(col, a)
-		rs.codes[col] = ca
-	}
-	if ca < 0 || cb < 0 {
-		rs.tally[uncachedMiss]++
-		return cfg.stringDist(a, b, mt)
-	}
-	p := cfg.Cache.planes[col].Load()
-	if p == nil {
-		p = cfg.Cache.plane(col)
-	}
-	d, o := cfg.planeDist(p, ca, cb, a, b, mt)
-	rs.tally[o]++
-	return d
+	return max(utf8.RuneCountInString(a), utf8.RuneCountInString(b))
 }

@@ -86,44 +86,65 @@ func TestPlaneDistancesBitwiseEqual(t *testing.T) {
 }
 
 // TestPairMatcherAgrees streams candidate tuples through PairMatchers and
-// checks exact agreement with the plain DistWithin/Dist paths, for every
+// checks exact agreement with the config's direct methods, for every
 // flavor (matchers engage on Levenshtein only but must be transparent
-// everywhere) and with the cache warm and cold.
+// everywhere), with the cache warm and cold and a confidence set so
+// Score's scaling is covered: DistWithin against DistWithin, RepairDist
+// and the code-addressed Score against RepairDist. Both sides make the
+// same lookups in the same order, so once a matcher is released its
+// tally must have brought the counters to the direct side's.
 func TestPairMatcherAgrees(t *testing.T) {
 	dirty, _ := gen.Citizens()
 	fds := gen.CitizensFDs(dirty.Schema)
 	for _, flavor := range []fd.EditFlavor{fd.EditLevenshtein, fd.EditOSA, fd.EditJaccard} {
 		cfg := fd.DefaultDistConfig(dirty)
 		cfg.Edit = flavor
+		cfg.SetConfidence(3, 2.5)
 		cfg.AttachPlanes()
 		ref := fd.DefaultDistConfig(dirty)
 		ref.Edit = flavor
+		ref.SetConfidence(3, 2.5)
 		ref.AttachPlanes()
 		for _, f := range fds {
-			for i := range dirty.Tuples {
-				pm := cfg.AcquirePairMatcher(f, dirty.Tuples[i])
-				for j := range dirty.Tuples {
+			for i, ti := range dirty.Tuples {
+				pm := cfg.AcquirePairMatcher(f, ti)
+				for j, tj := range dirty.Tuples {
 					for _, tau := range []float64{0.05, 0.3} {
-						d1, ok1 := pm.DistWithin(tau, dirty.Tuples[j])
-						d2, ok2 := ref.DistWithin(f, tau, dirty.Tuples[i], dirty.Tuples[j])
+						d1, ok1 := pm.DistWithin(tau, tj)
+						d2, ok2 := ref.DistWithin(f, tau, ti, tj)
 						if ok1 != ok2 || d1 != d2 {
 							t.Fatalf("flavor %d FD %v tau %v tuples %d,%d: matcher (%v,%v) vs plain (%v,%v)",
 								flavor, f, tau, i, j, d1, ok1, d2, ok2)
 						}
 					}
-					if d1, d2 := pm.Dist(dirty.Tuples[j]), ref.Dist(f, dirty.Tuples[i], dirty.Tuples[j]); d1 != d2 {
-						t.Fatalf("flavor %d FD %v tuples %d,%d: matcher Dist %v vs plain %v", flavor, f, i, j, d1, d2)
+					for col := range ti {
+						want := ref.RepairDist(col, ti[col], tj[col])
+						if got := pm.RepairDist(col, tj); got != want {
+							t.Fatalf("flavor %d tuples %d,%d col %d: RepairDist %v, plain %v", flavor, i, j, col, got, want)
+						}
+						ref.RepairDist(col, ti[col], tj[col]) // Score's lookup, on the plain side
+						if got := pm.Score(col, cfg.ValueCode(col, tj[col]), tj[col]); got != want {
+							t.Fatalf("flavor %d tuples %d,%d col %d: Score %v, plain %v", flavor, i, j, col, got, want)
+						}
 					}
 				}
 				pm.Release()
+				h, m := cfg.Cache.Counters()
+				rh, rm := ref.Cache.Counters()
+				ph, pmi := cfg.Cache.PlaneCounters()
+				rph, rpm := ref.Cache.PlaneCounters()
+				if h != rh || m != rm || ph != rph || pmi != rpm {
+					t.Fatalf("flavor %d FD %v tuple %d: counters %d/%d (plane %d/%d), plain %d/%d (plane %d/%d)",
+						flavor, f, i, h, m, ph, pmi, rh, rm, rph, rpm)
+				}
 			}
 		}
 	}
 }
 
-// TestRepairScorerAgrees checks the scorer's code-addressed Score against
-// RepairDist with the fixed tuple's value on the left, with confidences set
-// so the scaling path is covered too.
+// TestRepairScorerAgrees scores repairs the way the planner does — a pooled
+// PairMatcher acquired without an FD, candidates passed with their codes —
+// and checks Score against cfg.RepairDist with confidences set.
 func TestRepairScorerAgrees(t *testing.T) {
 	dirty, _ := gen.Citizens()
 	cfg := fd.DefaultDistConfig(dirty)
@@ -133,16 +154,16 @@ func TestRepairScorerAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := range dirty.Tuples {
 		tu := dirty.Tuples[i]
-		rs := cfg.AcquireRepairScorer(tu)
+		pm := cfg.AcquirePairMatcher(nil, tu)
 		for trial := 0; trial < 30; trial++ {
 			other := dirty.Tuples[rng.Intn(len(dirty.Tuples))]
 			for col := range tu {
-				if got, want := rs.Score(col, cfg.ValueCode(col, other[col]), other[col]), ref.RepairDist(col, tu[col], other[col]); got != want {
+				if got, want := pm.Score(col, cfg.ValueCode(col, other[col]), other[col]), ref.RepairDist(col, tu[col], other[col]); got != want {
 					t.Fatalf("Score(%d,%q) for %q = %v, want RepairDist %v", col, other[col], tu[col], got, want)
 				}
 			}
 		}
-		rs.Release()
+		pm.Release()
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"ftrepair/internal/bitset"
 	"ftrepair/internal/dataset"
 	"ftrepair/internal/fd"
 	"ftrepair/internal/ledger"
@@ -187,8 +188,10 @@ type Engine struct {
 
 	// input holds admitted rows with their original values (what detection
 	// and repair consume); out holds the repaired view, row-aligned.
-	input *dataset.Relation
-	out   *dataset.Relation
+	// diverged marks the rows where out differs from input.
+	input    *dataset.Relation
+	out      *dataset.Relation
+	diverged bitset.Set
 
 	comps []*component
 
@@ -446,6 +449,9 @@ func (e *Engine) append(rows [][]string, reason string, cancel <-chan struct{}, 
 		}
 		admitted = append(admitted, i)
 	}
+	if w := bitset.WordsFor(e.input.Len()); w > len(e.diverged) {
+		e.diverged = append(e.diverged, make(bitset.Set, w-len(e.diverged))...)
+	}
 	e.stateMu.Unlock()
 	br.Accepted = len(admitted)
 
@@ -570,9 +576,27 @@ func (e *Engine) append(rows [][]string, reason string, cancel <-chan struct{}, 
 					just[[2]int{ie.Row, ie.Col}] = ie
 				}
 			}
+			// A cell can differ from the shard's new repair only where the
+			// run changed it (the run repairs input values, and a row
+			// outside diverged still holds them) or in a row an earlier
+			// flush left diverged, which this run may revert. Both are
+			// visited in row-major order, the order of the events.
+			changed := j.res.Changed
+			var scratch []int
 			for k, row := range j.rows {
+				scratch = scratch[:0]
+				for ; len(changed) > 0 && changed[0].Row == k; changed = changed[1:] {
+					scratch = append(scratch, changed[0].Col)
+				}
+				cols := j.comp.attrs
+				if !e.diverged.Has(row) {
+					if len(scratch) == 0 {
+						continue
+					}
+					cols = scratch
+				}
 				rep := j.res.Repaired.Tuples[k]
-				for _, col := range j.comp.attrs {
+				for _, col := range cols {
 					if e.out.Tuples[row][col] != rep[col] {
 						if pending != nil {
 							ev := just[[2]int{k, col}]
@@ -599,6 +623,11 @@ func (e *Engine) append(rows [][]string, reason string, cancel <-chan struct{}, 
 						}
 					}
 				}
+				if tupleEqual(e.out.Tuples[row], e.input.Tuples[row]) {
+					e.diverged.Clear(row)
+				} else {
+					e.diverged.Set(row)
+				}
 			}
 			br.ShardsRepaired++
 		}
@@ -608,7 +637,7 @@ func (e *Engine) append(rows [][]string, reason string, cancel <-chan struct{}, 
 	for k, i := range admitted {
 		row := batchStart + k
 		br.Rows[i].Values = e.out.Tuples[row].Clone()
-		br.Rows[i].Repaired = !tupleEqual(e.out.Tuples[row], e.input.Tuples[row])
+		br.Rows[i].Repaired = e.diverged.Has(row)
 		if br.Rows[i].Repaired {
 			br.Repaired++
 		}

@@ -5,16 +5,10 @@ import (
 	"testing"
 
 	"ftrepair/internal/dataset"
+	"ftrepair/internal/fd"
 	"ftrepair/internal/incr"
 	"ftrepair/internal/ledger"
 )
-
-// ledgeredEngine ingests rows in fixed-size chunks with a ledger attached.
-func ledgeredEngine(t *testing.T, base *dataset.Relation, rows [][]string, chunk, workers int,
-	inst interface {
-		// matched structurally below; see callers
-	}) {
-}
 
 // TestEngineLedgerDeterministicAcrossWorkers fixes the batch split and
 // varies only the worker count: the ledger's chained run root must be
@@ -107,4 +101,55 @@ func TestEngineLedgerOneBatchPerFlush(t *testing.T) {
 			t.Fatalf("batch %d is empty; empty commits must be no-ops", b.Index)
 		}
 	}
+}
+
+// TestEngineLedgerRecordsRevert: a later flush that puts a cell back to
+// its input value is a write like any other. The first flush repairs the
+// appended Bostn to Boston; the second brings three more Bostn rows, which
+// outvote the two Boston rows, so the re-repair returns the first append
+// to its own input value (a cell its run does not change) and rewrites the
+// base rows. All three cells must be written, counted and ledgered.
+func TestEngineLedgerRecordsRevert(t *testing.T) {
+	base, err := dataset.FromRows(dataset.Strings("City", "State"), [][]string{{"Boston", "MA"}, {"Boston", "MA"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := fd.NewSet([]*fd.FD{fd.MustParse(base.Schema, "City -> State")}, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := fd.NewDistConfig(base, 0.7, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	led := ledger.New()
+	eng, _, err := incr.NewEngine(base, set, cfg, incr.Options{Ledger: led})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, err := eng.Append([][]string{{"Bostn", "MA"}}, "", nil); err != nil || first.ChangedCells != 1 || !first.Rows[0].Repaired {
+		t.Fatalf("first flush %+v, err %v; want Bostn repaired in one cell", first, err)
+	}
+	before := led.Len()
+	second, err := eng.Append([][]string{{"Bostn", "MA"}, {"Bostn", "MA"}, {"Bostn", "MA"}}, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.ChangedCells != 3 || second.Rewritten != 3 || second.Repaired != 0 {
+		t.Fatalf("second flush changed %d cells, rewrote %d rows, repaired %d; want 3, 3, 0",
+			second.ChangedCells, second.Rewritten, second.Repaired)
+	}
+	events := led.Events()[before:]
+	var got []string
+	for _, e := range events {
+		got = append(got, fmt.Sprintf("%d:%s->%s", e.Row, e.Old, e.New))
+	}
+	if want := []string{"0:Boston->Bostn", "1:Boston->Bostn", "2:Boston->Bostn"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("second flush ledgered %v, want %v", got, want)
+	}
+	reverted, err := ledger.Undo(eng.Snapshot(), led.Events(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualRelations(t, reverted, eng.InputSnapshot(), "undo")
 }

@@ -200,6 +200,7 @@ func exactComponent(rel *dataset.Relation, out *output, sub *fd.Set, cfg *fd.Dis
 			Cancel:         opts.Cancel,
 		})
 		sp.Add("nodes", int64(res.NodesExplored))
+		sp.Add("pruned", int64(res.Pruned))
 		sp.End()
 		if errors.Is(err, mis.ErrCanceled) {
 			return ErrCanceled
@@ -208,6 +209,7 @@ func exactComponent(rel *dataset.Relation, out *output, sub *fd.Set, cfg *fd.Dis
 			return err
 		}
 		stats["nodes"] += res.NodesExplored
+		stats["pruned"] += res.Pruned
 		ap := obs.Begin(opts.Trace, obs.PhaseApply)
 		out.mu.Lock()
 		applyInPlace(out, graphs[0], repairTargets(graphs[0], res.Set), cfg, ev)

@@ -216,6 +216,62 @@ func TestMultiFDInvariants(t *testing.T) {
 	}
 }
 
+// TestExactMSingleFDComponentStats: ExactM repairs a one-FD component with
+// ExactS's expansion, so on FDs with pairwise disjoint attributes its
+// nodes and pruned counts equal ExactS's summed per FD over the same input.
+func TestExactMSingleFDComponentStats(t *testing.T) {
+	schema := dataset.Strings("A", "B", "C", "D", "E", "F")
+	rng := rand.New(rand.NewSource(5))
+	rel := dataset.NewRelation(schema)
+	keys := []string{"boston", "denver", "austin", "dallas", "fresno"}
+	typo := func(s string) string {
+		x := []byte(s)
+		x[rng.Intn(len(x))] = 'q'
+		return string(x)
+	}
+	for i := 0; i < 60; i++ {
+		row := make(dataset.Tuple, 0, 6)
+		for pair := 0; pair < 3; pair++ {
+			k := keys[rng.Intn(len(keys))]
+			v := k + "-v"
+			if rng.Intn(5) == 0 {
+				k = typo(k)
+			}
+			if rng.Intn(5) == 0 {
+				v = typo(v)
+			}
+			row = append(row, k, v)
+		}
+		if err := rel.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fds := []*fd.FD{fd.MustParse(schema, "A->B"), fd.MustParse(schema, "C->D"), fd.MustParse(schema, "E->F")}
+	set, err := fd.NewSet(fds, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := repair.ExactM(rel, set, fd.DefaultDistConfig(rel), repair.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes, pruned int
+	for _, f := range fds {
+		single, err := repair.ExactS(rel, f, fd.DefaultDistConfig(rel), 0.3, repair.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes += single.Stats["nodes"]
+		pruned += single.Stats["pruned"]
+	}
+	if pruned == 0 {
+		t.Fatalf("ExactS pruned nothing (nodes %d); the instance no longer exercises pruning", nodes)
+	}
+	if got := [2]int{multi.Stats["nodes"], multi.Stats["pruned"]}; got != [2]int{nodes, pruned} {
+		t.Fatalf("ExactM nodes/pruned = %v, ExactS per FD sums to %v", got, [2]int{nodes, pruned})
+	}
+}
+
 func TestTheorem5DisjointFDsIndependent(t *testing.T) {
 	// Two FDs with no shared attributes: the multi-FD exact repair equals
 	// applying the single-FD exact repair per FD, in cost and content.

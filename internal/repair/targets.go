@@ -83,7 +83,7 @@ func chosenBits(graphs []*vgraph.Graph, sets [][]int) []bitset.Set {
 // workers goroutines; the cost reduction always folds in group order, so
 // totals are bitwise identical at any worker count.
 //
-// RepairScorer.Score reads only the tuple's value in the scored column, so
+// PairMatcher.Score reads only the tuple's value in the scored column, so
 // costs scores each (column, value) that a repairing group carries once per
 // tree, into a score unit, and each search copies its units into a dense
 // vector over the tree's value ids.
@@ -223,14 +223,14 @@ func (sc *planScratch) layout(p *planner, tree *targettree.Tree) {
 	sc.slab = slices.Grow(sc.slab[:0], size)[:size]
 }
 
-// fill scores unit u's value, which rs's tuple holds, against its column's
+// fill scores unit u's value, which pm's tuple holds, against its column's
 // tree values.
-func (p *planner) fill(tree *targettree.Tree, codes []int32, sc *planScratch, u *scoreUnit, rs *fd.RepairScorer) {
+func (p *planner) fill(tree *targettree.Tree, codes []int32, sc *planScratch, u *scoreUnit, pm *fd.PairMatcher) {
 	col := p.cols[u.col]
 	lo, hi := tree.ColumnIDs(int(u.col))
 	for id := lo; id < hi; id++ {
 		_, v := tree.Value(id)
-		sc.slab[u.off+int(id-lo)] = rs.Score(col, codes[id], v)
+		sc.slab[u.off+int(id-lo)] = pm.Score(col, codes[id], v)
 	}
 	u.filled = true
 }
@@ -307,13 +307,13 @@ func (p *planner) costs(chosen []bitset.Set, levels []targettree.Level, abortAbo
 			return nil, cost, visited, false
 		}
 		// The group's unfilled units are those it carries first.
-		rs := p.cfg.AcquireRepairScorer(p.groups[gi].rep)
+		pm := p.cfg.AcquirePairMatcher(nil, p.groups[gi].rep)
 		for _, k := range p.keyOf[gi*nc : (gi+1)*nc] {
 			if u := &sc.units[sc.unit[k]]; !u.filled {
-				p.fill(tree, codes, sc, u, rs)
+				p.fill(tree, codes, sc, u, pm)
 			}
 		}
-		rs.Release()
+		pm.Release()
 		r := p.search(tree, sc, 0, gi)
 		visited += r.visited
 		plan[gi] = &r
@@ -340,9 +340,9 @@ func (p *planner) costsParallel(tree *targettree.Tree, codes []int32, plan []*gr
 	res := sc.res[:len(needs)]
 	p.fanOut(len(sc.units), func(_, k int) {
 		u := &sc.units[k]
-		rs := p.cfg.AcquireRepairScorer(p.groups[u.src].rep)
-		p.fill(tree, codes, sc, u, rs)
-		rs.Release()
+		pm := p.cfg.AcquirePairMatcher(nil, p.groups[u.src].rep)
+		p.fill(tree, codes, sc, u, pm)
+		pm.Release()
 	})
 	if canceled(p.cancel) {
 		return nil, 0, 0, false
@@ -383,7 +383,7 @@ func (p *planner) fanOut(n int, do func(w, k int)) {
 }
 
 // valueCodes resolves every tree value's distance-plane code once per tree
-// (-1 where no plane holds the value), the table the scorers read.
+// (-1 where no plane holds the value), the table PairMatcher.Score reads.
 func valueCodes(tree *targettree.Tree, cfg *fd.DistConfig) []int32 {
 	codes := make([]int32, tree.NumValues())
 	for id := range codes {

@@ -84,9 +84,9 @@ func TestCodeScorerMatchesStrings(t *testing.T) {
 				var vec []float64
 				svec := make([]float64, tree.NumValues())
 				for qi, q := range queries {
-					rs := code.AcquireRepairScorer(q)
-					vec = scoreValues(tree, codes, rs, vec)
-					rs.Release()
+					scorer := code.AcquirePairMatcher(nil, q)
+					vec = scoreValues(tree, codes, scorer, vec)
+					scorer.Release()
 					for id := range svec {
 						col, v := tree.Value(int32(id))
 						svec[id] = str.RepairDist(col, q[col], v)
@@ -127,22 +127,22 @@ func TestCodeScorerMatchesStrings(t *testing.T) {
 	}
 }
 
-// scoreValues writes rs's score of every tree value, by the values' plane
+// scoreValues writes pm's score of every tree value, by the values' plane
 // codes, into dst (grown to the tree's value count) and returns it: one
-// scorer over a whole tree, the reference the planner's per-column score
-// units must match.
-func scoreValues(tree *targettree.Tree, codes []int32, rs *fd.RepairScorer, dst []float64) []float64 {
+// evaluator over a whole tree, the reference the planner's per-column
+// score units must match.
+func scoreValues(tree *targettree.Tree, codes []int32, pm *fd.PairMatcher, dst []float64) []float64 {
 	dst = slices.Grow(dst[:0], tree.NumValues())[:tree.NumValues()]
 	for id := range dst {
 		col, v := tree.Value(int32(id))
-		dst[id] = rs.Score(col, codes[id], v)
+		dst[id] = pm.Score(col, codes[id], v)
 	}
 	return dst
 }
 
 // perGroupCosts is the reference for planner.costs: it searches each
 // repairing group in group order with a fresh dense vector from the
-// group's own RepairScorer, and stops like costs once the accumulated
+// group's own PairMatcher, and stops like costs once the accumulated
 // cost exceeds abortAbove.
 func perGroupCosts(p *planner, chosen []bitset.Set, levels []targettree.Level, abortAbove float64) (plan []*groupResult, cost float64, ok bool) {
 	tree, err := targettree.Build(levels)
@@ -156,9 +156,9 @@ func perGroupCosts(p *planner, chosen []bitset.Set, levels []targettree.Level, a
 		if !p.needsRepair(gi, chosen) {
 			continue
 		}
-		rs := p.cfg.AcquireRepairScorer(g.rep)
-		vec = scoreValues(tree, codes, rs, vec)
-		rs.Release()
+		pm := p.cfg.AcquirePairMatcher(nil, g.rep)
+		vec = scoreValues(tree, codes, pm, vec)
+		pm.Release()
 		r := new(groupResult)
 		if p.disableTree {
 			r.tg, r.cost, r.visited = tree.NearestScan(vec, nil)

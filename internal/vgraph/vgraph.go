@@ -239,21 +239,3 @@ func (g *Graph) FTAdjacent(t dataset.Tuple, v int) bool {
 	_, within := g.Cfg.DistWithin(g.FD, g.Tau, t, g.Vertices[v].Rep)
 	return within
 }
-
-// OrderByFrequency returns vertex ids sorted by multiplicity descending
-// (ties by id), the access order §3.1 recommends for the expansion
-// algorithm: high-frequency patterns reach good upper bounds early.
-func (g *Graph) OrderByFrequency() []int {
-	order := make([]int, len(g.Vertices))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ma, mb := g.Vertices[order[a]].Mult(), g.Vertices[order[b]].Mult()
-		if ma != mb {
-			return ma > mb
-		}
-		return order[a] < order[b]
-	})
-	return order
-}

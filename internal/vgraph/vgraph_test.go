@@ -122,22 +122,6 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestOrderByFrequency(t *testing.T) {
-	g, _ := citizensGraph(t, 0, 0.2, vgraph.Options{})
-	order := g.OrderByFrequency()
-	if len(order) != len(g.Vertices) {
-		t.Fatalf("order length = %d", len(order))
-	}
-	for i := 1; i < len(order); i++ {
-		if g.Vertices[order[i-1]].Mult() < g.Vertices[order[i]].Mult() {
-			t.Fatalf("order not by descending multiplicity at %d", i)
-		}
-	}
-	if g.Vertices[order[0]].Rep[1] != "Bachelors" || g.Vertices[order[0]].Rep[2] != "3" {
-		t.Fatalf("most frequent pattern = %v", g.Vertices[order[0]].Rep)
-	}
-}
-
 func TestPhi2CapturesT8Typo(t *testing.T) {
 	// Example 3: (Boton, MA) must be adjacent to (Boston, MA) in phi2's
 	// graph even though it has no classic violation.
