@@ -84,6 +84,7 @@ fuzz:
 	go test -fuzz=FuzzBuildMatchesNestedLoop -fuzztime=30s ./internal/targettree/
 	go test -run='^$$' -fuzz='^FuzzSelfJoin$$' -fuzztime=30s ./internal/strsim/
 	go test -run='^$$' -fuzz='^FuzzPairMatcher$$' -fuzztime=30s ./internal/fd/
+	go test -run='^$$' -fuzz='^FuzzStateMatchesBuildSet$$' -fuzztime=30s ./internal/vgraph/
 
 cover:
 	go test -cover ./internal/... .

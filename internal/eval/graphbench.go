@@ -12,7 +12,9 @@ import (
 // GraphBench times violation-graph construction (all-pairs and indexed, with
 // the distance cache on/off and the worker pool at 1 and GOMAXPROCS), the
 // full FD set's graphs in one BuildSet call, and end-to-end multi-FD
-// detection on a generated instance; ns/op is per build.
+// detection on a generated instance; ns/op is per build. The entries whose
+// names carry no worker count (buildset, detect) build on one worker, so
+// they read the same at any GOMAXPROCS.
 // Each entry uses a fresh cache that persists across its iterations — the
 // pipeline reality, where the cache built during graph construction keeps
 // serving repair-cost and target-search queries.
@@ -86,7 +88,7 @@ func GraphBench(c BenchConfig) (*BenchDoc, error) {
 	nfds := len(full.Set.FDs)
 	var graphs []*vgraph.Graph
 	e, err := r.time(fmt.Sprintf("buildset/%dfds/cache", nfds), 0, 1, func(int) error {
-		graphs = vgraph.BuildSet(full.Dirty, full.Set.FDs, &cfg, full.Set.Tau, vgraph.Options{Cancel: c.Cancel})
+		graphs = vgraph.BuildSet(full.Dirty, full.Set.FDs, &cfg, full.Set.Tau, vgraph.Options{Workers: 1, Cancel: c.Cancel})
 		return nil
 	})
 	if err != nil {
@@ -94,7 +96,7 @@ func GraphBench(c BenchConfig) (*BenchDoc, error) {
 	}
 	if e != nil {
 		tr := obs.NewTrace("buildset")
-		vgraph.BuildSet(full.Dirty, full.Set.FDs, &cfg, full.Set.Tau, vgraph.Options{Trace: tr})
+		vgraph.BuildSet(full.Dirty, full.Set.FDs, &cfg, full.Set.Tau, vgraph.Options{Workers: 1, Trace: tr})
 		var joins, vertices, edges int
 		for _, s := range tr.Summaries() {
 			for _, a := range s.Attrs {
@@ -116,13 +118,13 @@ func GraphBench(c BenchConfig) (*BenchDoc, error) {
 	}
 
 	// End-to-end detection over the full FD set: one BuildSet call + warm
-	// cache + Edge.D reuse.
+	// cache + Edge.D reuse, on one worker.
 	cfg = *full.Cfg
 	cfg.Cache = fd.NewDistCache()
 	cfg.AttachPlanes()
 	var viols []repair.Violation
 	e, err = r.time(fmt.Sprintf("detect/%dfds/cache", len(full.Set.FDs)), 0, 1, func(int) error {
-		viols = repair.Detect(full.Dirty, full.Set, &cfg, repair.Options{Cancel: c.Cancel})
+		viols = repair.Detect(full.Dirty, full.Set, &cfg, repair.Options{Graph: vgraph.Options{Workers: 1}, Cancel: c.Cancel})
 		return nil
 	})
 	if err != nil {

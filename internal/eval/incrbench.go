@@ -83,9 +83,12 @@ func IncrBench(c BenchConfig) (*BenchDoc, error) {
 		// ingest times n batches into the warm engine and records its shard
 		// telemetry: live shards after the batches, mean shards touched per
 		// batch, and the largest row count any touched shard had — the
-		// quantity that bounds per-batch work.
+		// quantity that bounds per-batch work — and the distance lookups
+		// (cache hits plus misses) per batch, which do not depend on timing
+		// or scheduling.
 		ingest := func(name string, n, rowsPer int, rows func(i int) [][]string) error {
 			touched, maxRows := 0, 0
+			hits, misses := cfg.Cache.Counters()
 			e, err := r.time(name, n, 1, func(i int) error {
 				br, err := eng.Append(rows(i), "bench", c.Cancel)
 				if err != nil {
@@ -99,6 +102,8 @@ func IncrBench(c BenchConfig) (*BenchDoc, error) {
 				return err
 			}
 			e.Counters = batchCounters(e, rowsPer)
+			h, m := cfg.Cache.Counters()
+			e.Counters["lookupsPerBatch"] = float64(h-hits+m-misses) / float64(n)
 			e.Counters["shards"] = float64(eng.Stats().Shards)
 			e.Counters["avgShardsTouched"] = float64(touched) / float64(n)
 			e.Counters["maxTouchedShardRows"] = float64(maxRows)

@@ -15,17 +15,22 @@
 // input as one batch to a fresh engine is the from-scratch reference;
 // RepairAll exposes it as the equivalence oracle.
 //
-// Warm state per FD: the projection-key registry (pattern dedup), a q-gram
-// probe index over the probe attribute (mirroring vgraph's candidate
-// filter) so a new pattern's violations are found without an O(patterns)
-// scan, and the shared distance cache in the DistConfig, which memoizes
-// across batches. Repair itself runs the chosen algorithm through
-// repair.Run on the touched shard's sub-relation; shards with no violation
-// edges skip the run entirely.
+// Warm state: one appendable vgraph.State holds the violation graphs of
+// every FD over all admitted rows — column encodings, pattern vertices,
+// probe-column joins and edges — and each append extends it by the new
+// rows alone. The new vertices and edges route the rows into shards, and a
+// shard's run reads views of its component's graphs restricted to its
+// rows, which equal a fresh build over the shard, so no flush rebuilds a
+// graph. The shared distance cache in the DistConfig memoizes across
+// batches. Repair runs the chosen algorithm through repair.RunOnGraphs on
+// the touched shard's sub-relation; shards with no violation edges skip
+// the run entirely.
 package incr
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -37,7 +42,6 @@ import (
 	"ftrepair/internal/ledger"
 	"ftrepair/internal/obs"
 	"ftrepair/internal/repair"
-	"ftrepair/internal/strsim"
 	"ftrepair/internal/vgraph"
 )
 
@@ -52,7 +56,10 @@ type Options struct {
 	// output is identical at any worker count.
 	Workers int
 	// Repair carries base options for the per-shard runs. Cancel, Trace,
-	// Parallel and Ledger are managed per flush and ignored here.
+	// Parallel and Ledger are managed per flush and ignored here. Its Graph
+	// options configure the engine's graph state (DisableIndex, Workers,
+	// Trace); NewEngine rejects DisableGrouping and Cancel, which a state
+	// kept across flushes cannot honour.
 	Repair repair.Options
 	// Trace, when non-nil, collects shardselect/increpair spans.
 	Trace *obs.Trace
@@ -126,29 +133,6 @@ type Stats struct {
 	Merges int
 }
 
-// pattern is one distinct projection of an FD, with the first input tuple
-// that carried it (original values; repairs never feed back into reps).
-type pattern struct {
-	elem int // union-find element id
-	rep  dataset.Tuple
-}
-
-// perFD is the warm per-FD detection state of one component.
-type perFD struct {
-	phi *fd.FD
-	tau float64
-	// keys maps projection key -> union-find element of the pattern.
-	keys map[string]int
-	pats []pattern
-	// probe/attrTau/ix/valID/byVal mirror vgraph's q-gram candidate
-	// filter: probe < 0 means no eligible attribute (linear scan).
-	probe   int
-	attrTau float64
-	ix      *strsim.Index
-	valID   map[string]int
-	byVal   [][]int // probe value id -> local pattern indices
-}
-
 // shard is one connected component of the link graph: the rows it owns and
 // whether its repair is stale.
 type shard struct {
@@ -157,15 +141,21 @@ type shard struct {
 	dirty bool
 }
 
-// component is one FD-attribute component (Theorem 5): its FD subset, its
-// union-find over pattern elements, and its live shards keyed by root.
+// component is one FD-attribute component (Theorem 5): its FD subset, the
+// indices of its FDs in the engine's set and graph state, its union-find
+// over pattern elements, and its live shards keyed by root.
 type component struct {
-	name   string
-	sub    *fd.Set
-	attrs  []int
-	fds    []*perFD
-	parent []int
-	shards map[int]*shard
+	name  string
+	sub   *fd.Set
+	attrs []int
+	fds   []int
+	// probe[i] is FD i's probe column (vgraph.ChooseProbe), -1 when it has
+	// none; elem[i][v] is FD i's vertex v's union-find element.
+	probe   []int
+	elem    [][]int
+	parent  []int
+	shards  map[int]*shard
+	scratch []int
 }
 
 // Engine is the sharded incremental repair engine. mu serializes flushes
@@ -192,6 +182,8 @@ type Engine struct {
 	input    *dataset.Relation
 	out      *dataset.Relation
 	diverged bitset.Set
+	// state holds every FD's violation graph over input's rows.
+	state *vgraph.State
 
 	comps []*component
 
@@ -213,6 +205,13 @@ func NewEngine(base *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Opt
 	if err != nil {
 		return nil, nil, fmt.Errorf("incr: %w", err)
 	}
+	gopts := opts.Repair.Graph
+	if gopts.DisableGrouping || gopts.Cancel != nil {
+		return nil, nil, fmt.Errorf("incr: Repair.Graph.DisableGrouping and Repair.Graph.Cancel are not supported: the graph state outlives every flush; cancel a flush through Append")
+	}
+	if gopts.Trace == nil {
+		gopts.Trace = opts.Trace
+	}
 	if cfg.Cache == nil {
 		// The cache is what keeps distance work warm across batches; give
 		// the engine its own rather than mutating the caller's config.
@@ -232,6 +231,7 @@ func NewEngine(base *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Opt
 		led:     opts.Ledger,
 		input:   &dataset.Relation{Schema: base.Schema},
 		out:     &dataset.Relation{Schema: base.Schema},
+		state:   vgraph.NewState(base.Schema, set.FDs, cfg, set.Tau, gopts),
 	}
 	for ci, idx := range set.Components() {
 		sub := set.Subset(idx)
@@ -239,19 +239,13 @@ func NewEngine(base *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Opt
 			name:   fmt.Sprintf("comp%d", ci),
 			sub:    sub,
 			attrs:  fd.UnionAttrs(sub.FDs),
+			fds:    idx,
+			elem:   make([][]int, len(idx)),
 			shards: make(map[int]*shard),
 		}
 		for i, phi := range sub.FDs {
-			pf := &perFD{phi: phi, tau: sub.Tau[i], keys: make(map[string]int), probe: -1}
-			// Index the probe column graph builds use: a violating pair's
-			// probe values are within tau/w normalized edit distance, so a
-			// q-gram index over them filters candidates.
-			if probe, w := vgraph.ChooseProbe(base.Schema, phi, cfg, pf.tau); probe >= 0 {
-				pf.probe, pf.attrTau = probe, pf.tau/w
-				pf.ix = strsim.NewIndex(2)
-				pf.valID = make(map[string]int)
-			}
-			c.fds = append(c.fds, pf)
+			probe, _ := vgraph.ChooseProbe(base.Schema, phi, cfg, sub.Tau[i])
+			c.probe = append(c.probe, probe)
 		}
 		e.comps = append(e.comps, c)
 	}
@@ -275,52 +269,6 @@ func RepairAll(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Opti
 		return nil, br, err
 	}
 	return eng.Snapshot(), br, nil
-}
-
-// candidates returns the local indices of existing patterns that FT-violate
-// t, via the probe index when available, else a linear scan. self is t's own
-// just-appended pattern index, excluded from the scan.
-func (pf *perFD) candidates(cfg *fd.DistConfig, t dataset.Tuple, self int) []int {
-	var out []int
-	pm := cfg.AcquirePairMatcher(pf.phi, t)
-	defer pm.Release()
-	if pf.ix != nil {
-		for _, m := range pf.ix.SearchNormalized(t[pf.probe], pf.attrTau) {
-			for _, qi := range pf.byVal[m.ID] {
-				if qi == self {
-					continue
-				}
-				if _, within := pm.DistWithin(pf.tau, pf.pats[qi].rep); within {
-					out = append(out, qi)
-				}
-			}
-		}
-		return out
-	}
-	for qi := range pf.pats {
-		if qi == self {
-			continue
-		}
-		if _, within := pm.DistWithin(pf.tau, pf.pats[qi].rep); within {
-			out = append(out, qi)
-		}
-	}
-	return out
-}
-
-// indexPattern registers the pattern at local index li in the probe index.
-func (pf *perFD) indexPattern(li int, t dataset.Tuple) {
-	if pf.ix == nil {
-		return
-	}
-	val := t[pf.probe]
-	id, ok := pf.valID[val]
-	if !ok {
-		id = pf.ix.Add(val)
-		pf.valID[val] = id
-		pf.byVal = append(pf.byVal, nil)
-	}
-	pf.byVal[id] = append(pf.byVal[id], li)
 }
 
 func (c *component) find(x int) int {
@@ -361,30 +309,46 @@ func (c *component) newElem() int {
 	return id
 }
 
-// register routes one admitted row into the component: it interns the row's
-// patterns, detects the new patterns' violations against the warm registry
-// (linking on every edge), unions the row's patterns across FDs, and adds
-// the row to the resulting shard, dirtying it. Returns merge-on-edge count.
-func (c *component) register(cfg *fd.DistConfig, row int, t dataset.Tuple) int {
+// register routes one admitted row, already in the graph state, into the
+// component: each of the row's patterns first seen at this row gets an
+// element linked to every older pattern it FT-violates (its state edges to
+// lower vertices), the row's patterns are unioned across FDs, and the row
+// joins the resulting shard, dirtying it. Returns the merge-on-edge count.
+// The partition does not depend on the link order, but a shard's root
+// does, and roots order the flush's jobs and ledger events; links follow
+// the order in which the probe column's values first occurred, vertex
+// order within a value, so roots stay what the engine's former per-FD
+// probe-index scans made them.
+func (c *component) register(state *vgraph.State, row int) int {
 	merges := 0
 	home := -1
-	for _, pf := range c.fds {
-		k := t.Key(pf.phi.Attrs())
-		el, ok := pf.keys[k]
-		if !ok {
-			el = c.newElem()
-			pf.keys[k] = el
-			li := len(pf.pats)
-			pf.pats = append(pf.pats, pattern{elem: el, rep: t})
-			for _, qi := range pf.candidates(cfg, t, li) {
-				r, m := c.union(el, pf.pats[qi].elem)
+	for i, fi := range c.fds {
+		g := state.Graphs()[fi]
+		v := g.RowVertex(row)
+		if v == len(c.elem[i]) {
+			el := c.newElem()
+			c.elem[i] = append(c.elem[i], el)
+			older := c.scratch[:0]
+			for _, e := range g.Neighbors(v) {
+				if e.To < v {
+					older = append(older, e.To)
+				}
+			}
+			if p := c.probe[i]; p >= 0 {
+				slices.SortStableFunc(older, func(a, b int) int {
+					return cmp.Compare(state.ValueID(p, g.Vertices[a].Rows[0]), state.ValueID(p, g.Vertices[b].Rows[0]))
+				})
+			}
+			for _, u := range older {
+				r, m := c.union(el, c.elem[i][u])
 				c.shards[r].edges++
 				if m {
 					merges++
 				}
 			}
-			pf.indexPattern(li, t)
+			c.scratch = older
 		}
+		el := c.elem[i][v]
 		if home < 0 {
 			home = el
 		} else if _, m := c.union(home, el); m {
@@ -455,21 +419,17 @@ func (e *Engine) append(rows [][]string, reason string, cancel <-chan struct{}, 
 	e.stateMu.Unlock()
 	br.Accepted = len(admitted)
 
-	// Shard selection: route each admitted row into its shard. Touches only
-	// engine-private structures (guarded by mu); input rows are immutable
-	// once admitted, so no state lock is needed to read them.
+	// Shard selection: extend the graph state by the admitted rows and
+	// route each into its shard from the state's new vertices and edges.
+	// Touches only engine-private structures (guarded by mu); input rows
+	// are immutable once admitted, so no state lock is needed to read them.
 	sel := obs.Begin(e.trace, obs.PhaseShardSelect)
-	// The register loop is dominated by candidate scans (probe-index
-	// searches plus bounded distance verification); the distance child span
-	// makes that share visible under the shardselect phase.
-	ds := sel.Child(obs.PhaseDistance)
+	e.state.Append(e.input.Tuples[batchStart:])
 	for _, c := range e.comps {
-		for k := range admitted {
-			row := batchStart + k
-			br.Merges += c.register(e.cfg, row, e.input.Tuples[row])
+		for row := batchStart; row < e.input.Len(); row++ {
+			br.Merges += c.register(e.state, row)
 		}
 	}
-	ds.End()
 	sel.Add("rows", int64(len(admitted)))
 	sel.End()
 
@@ -680,12 +640,18 @@ func (e *Engine) append(rows [][]string, reason string, cancel <-chan struct{}, 
 }
 
 // repairShard runs the configured algorithm over one shard's sub-relation
-// of original input values. Input tuples are immutable once admitted, so
-// the sub-relation aliases them without locking.
+// of original input values, on views of the component's graphs restricted
+// to the shard's rows. Input tuples are immutable once admitted, so the
+// sub-relation aliases them without locking, and the state does not grow
+// while shards run.
 func (e *Engine) repairShard(j *shardJob, parallel int, cancel <-chan struct{}) (*repair.Result, error) {
 	sub := &dataset.Relation{Schema: e.schema, Tuples: make([]dataset.Tuple, len(j.rows))}
 	for k, row := range j.rows {
 		sub.Tuples[k] = e.input.Tuples[row]
+	}
+	views := make([]*vgraph.Graph, len(j.comp.fds))
+	for i, fi := range j.comp.fds {
+		views[i] = e.state.Graphs()[fi].View(j.rows)
 	}
 	opts := e.ropts
 	opts.Cancel = cancel
@@ -699,7 +665,7 @@ func (e *Engine) repairShard(j *shardJob, parallel int, cancel <-chan struct{}) 
 		j.buf = &ledger.Buffer{}
 		opts.Ledger = j.buf
 	}
-	return repair.Run(sub, j.comp.sub, e.cfg, e.algo, opts)
+	return repair.RunOnGraphs(sub, j.comp.sub, e.cfg, e.algo, views, opts)
 }
 
 func canceled(ch <-chan struct{}) bool {

@@ -10,6 +10,7 @@ import (
 	"ftrepair/internal/fd"
 	"ftrepair/internal/incr"
 	"ftrepair/internal/repair"
+	"ftrepair/internal/vgraph"
 )
 
 // hospInstance prepares a HOSP instance with the given FD count.
@@ -271,5 +272,110 @@ func TestEngineRejectsUnknownAlgorithm(t *testing.T) {
 	}
 	if _, _, err := incr.NewEngine(inst.Dirty, inst.Set, inst.Cfg, incr.Options{Algorithm: "GreedyS"}); err == nil {
 		t.Fatal("GreedyS accepted with a multi-FD set")
+	}
+}
+
+// shardReference repairs rel the way the engine's sharding promises,
+// sharing no code with the engine's graph state or shard routing: one
+// vgraph.BuildSet over all of rel, then per FD component the link
+// components of its graphs (rows linked by a shared vertex or an edge),
+// each repaired by repair.Run over its sub-relation and written back over
+// the component's attributes.
+func shardReference(t *testing.T, rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, algo repair.Algorithm) *dataset.Relation {
+	t.Helper()
+	out := rel.Clone()
+	graphs := vgraph.BuildSet(rel, set.FDs, cfg, set.Tau, vgraph.Options{Workers: 1})
+	for _, idx := range set.Components() {
+		sub := set.Subset(idx)
+		parent := make([]int, rel.Len())
+		for r := range parent {
+			parent[r] = r
+		}
+		var find func(int) int
+		find = func(x int) int {
+			for parent[x] != x {
+				x = parent[x]
+			}
+			return x
+		}
+		link := func(a, b int) { parent[find(a)] = find(b) }
+		for _, i := range idx {
+			g := graphs[i]
+			for v := range g.Vertices {
+				r0 := g.Vertices[v].Rows[0]
+				for _, r := range g.Vertices[v].Rows {
+					link(r, r0)
+				}
+				for _, e := range g.Neighbors(v) {
+					link(g.Vertices[e.To].Rows[0], r0)
+				}
+			}
+		}
+		shards := map[int][]int{}
+		for r := range parent {
+			shards[find(r)] = append(shards[find(r)], r)
+		}
+		for _, rows := range shards {
+			part := &dataset.Relation{Schema: rel.Schema}
+			for _, r := range rows {
+				part.Tuples = append(part.Tuples, rel.Tuples[r])
+			}
+			res, err := repair.Run(part, sub, cfg, algo, repair.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, r := range rows {
+				for _, c := range fd.UnionAttrs(sub.FDs) {
+					out.Tuples[r][c] = res.Repaired.Tuples[k][c]
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestEngineMatchesShardReference holds the batched multi-FD engine to
+// shardReference, which shares no code with the engine's graph state, so
+// a shard run handed wrong graphs or the wrong rows fails here even where
+// RepairAll, which reads the same state, would agree with the engine.
+func TestEngineMatchesShardReference(t *testing.T) {
+	inst := hospInstance(t, 300, 0)
+	split := 100
+	base := &dataset.Relation{Schema: inst.Dirty.Schema, Tuples: inst.Dirty.Tuples[:split]}
+	rows := rowsOf(inst.Dirty)[split:]
+	for _, algo := range []repair.Algorithm{repair.AlgoGreedyM, repair.AlgoApproM} {
+		want := shardReference(t, inst.Dirty, inst.Set, inst.Cfg, algo)
+		for _, workers := range []int{1, 2, 8} {
+			for _, chunk := range []int{7, 60, len(rows)} {
+				name := fmt.Sprintf("%s/w%d/chunk%d", algo, workers, chunk)
+				eng := ingest(t, base, rows, chunk, inst.Set, inst.Cfg,
+					incr.Options{Algorithm: algo, Workers: workers})
+				mustEqualRelations(t, eng.Snapshot(), want, name)
+			}
+		}
+	}
+}
+
+// TestEngineGraphOptions: the engine's graph state honours
+// Repair.Graph.DisableIndex and Workers (the output does not change), and
+// NewEngine rejects the switches a state kept across flushes cannot
+// honour.
+func TestEngineGraphOptions(t *testing.T) {
+	inst := hospInstance(t, 200, 3)
+	want, _, err := incr.RepairAll(inst.Dirty, inst.Set, inst.Cfg, incr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []vgraph.Options{{DisableIndex: true}, {Workers: 1}, {Workers: 3}} {
+		got, _, err := incr.RepairAll(inst.Dirty, inst.Set, inst.Cfg, incr.Options{Repair: repair.Options{Graph: g}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqualRelations(t, got, want, fmt.Sprintf("%+v", g))
+	}
+	for _, g := range []vgraph.Options{{DisableGrouping: true}, {Cancel: make(chan struct{})}} {
+		if _, _, err := incr.NewEngine(inst.Dirty, inst.Set, inst.Cfg, incr.Options{Repair: repair.Options{Graph: g}}); err == nil {
+			t.Fatalf("NewEngine accepted graph options %+v", g)
+		}
 	}
 }

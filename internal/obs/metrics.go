@@ -21,8 +21,11 @@ func Default() *Registry { return std }
 // ftrepair_<what>_seconds for duration histograms. Units always in the
 // name; labels only where cardinality is fixed (phase, algorithm).
 var Pipeline = struct {
-	// GraphBuilds / GraphVertices / GraphEdges flush once per vgraph.Build:
-	// builds run, pattern vertices grouped, violation edges verified.
+	// GraphBuilds / GraphVertices / GraphEdges flush once per FD graph per
+	// vgraph.State append (a one-shot Build or BuildSet is one append):
+	// appends run, pattern vertices added, violation edges verified. Views
+	// of a state's graphs add nothing, so a streaming session counts each
+	// vertex and edge once, when its rows arrive.
 	GraphBuilds   *Counter
 	GraphVertices *Counter
 	GraphEdges    *Counter
@@ -55,11 +58,11 @@ var Pipeline = struct {
 	JoinFallbacks *Counter
 }{
 	GraphBuilds: std.Counter("ftrepair_graph_builds_total",
-		"Violation-graph constructions (vgraph.Build calls)."),
+		"Violation-graph builds and appends, one per FD graph."),
 	GraphVertices: std.Counter("ftrepair_graph_vertices_total",
-		"Pattern vertices grouped across violation-graph builds."),
+		"Pattern vertices added across violation-graph builds and appends."),
 	GraphEdges: std.Counter("ftrepair_graph_edges_built_total",
-		"FT-violation edges verified across violation-graph builds."),
+		"FT-violation edges verified across violation-graph builds and appends."),
 	DistCacheHits: std.Counter("ftrepair_distcache_hits_total",
 		"Distance-cache hits reported by finished repair runs."),
 	DistCacheMisses: std.Counter("ftrepair_distcache_misses_total",
@@ -190,9 +193,9 @@ func ObserveRepair(algorithm string, d time.Duration) {
 }
 
 // runStatCounters maps repair Stats keys to their registry counters. The
-// "vertices"/"edges" keys are deliberately absent: vgraph.Build flushes
-// those itself (covering builds outside finished Results too), and a second
-// flush here would double count.
+// "vertices"/"edges" keys are deliberately absent: vgraph flushes those
+// itself at each build or append (covering builds outside finished Results
+// too), and a second flush here would double count.
 var runStatCounters = map[string]*Counter{
 	"nodes":           Pipeline.MISNodes,
 	"pruned":          Pipeline.MISPruned,

@@ -7,6 +7,7 @@ import (
 
 	"ftrepair/internal/dataset"
 	"ftrepair/internal/fd"
+	"ftrepair/internal/vgraph"
 )
 
 // Algorithm names one of the paper's five repair algorithms (Table 2).
@@ -61,19 +62,46 @@ func (a Algorithm) Check(set *fd.Set) error {
 // Run repairs rel against set with the chosen algorithm, after Check. The
 // input relation is never modified; the Result is copy-on-write over it.
 func Run(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, algo Algorithm, opts Options) (*Result, error) {
+	return run(rel, set, cfg, algo, opts, nil)
+}
+
+// RunOnGraphs is Run over caller-supplied violation graphs of one FD
+// component: set.Components() must have a single member, and graphs[i]
+// must be set.FDs[i]'s graph over rel at set.Tau[i], as vgraph.BuildSet
+// would build it (a vgraph view of a larger relation's graphs qualifies).
+// The run reads the graphs and builds none, so Options.Graph applies only
+// to the rebuilds of sequentialFallback, which repairs over its own
+// output.
+func RunOnGraphs(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, algo Algorithm, graphs []*vgraph.Graph, opts Options) (*Result, error) {
+	if n := len(set.Components()); n != 1 {
+		return nil, fmt.Errorf("repair: RunOnGraphs needs one FD component, set has %d", n)
+	}
+	if len(graphs) != len(set.FDs) {
+		return nil, fmt.Errorf("repair: %d graphs for %d FDs", len(graphs), len(set.FDs))
+	}
+	return run(rel, set, cfg, algo, opts, graphs)
+}
+
+// run is Run, over graphs when they are given and over graphs it builds
+// when they are nil.
+func run(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, algo Algorithm, opts Options, graphs []*vgraph.Graph) (*Result, error) {
 	if err := algo.Check(set); err != nil {
 		return nil, err
 	}
+	var g *vgraph.Graph
+	if graphs != nil {
+		g = graphs[0]
+	}
 	switch algo {
 	case AlgoExactS:
-		return ExactS(rel, set.FDs[0], cfg, set.Tau[0], opts)
+		return exactS(rel, set.FDs[0], cfg, set.Tau[0], opts, g)
 	case AlgoGreedyS:
-		return GreedyS(rel, set.FDs[0], cfg, set.Tau[0], opts)
+		return greedyS(rel, set.FDs[0], cfg, set.Tau[0], opts, g)
 	case AlgoExactM:
-		return ExactM(rel, set, cfg, opts)
+		return multiRepair(rel, set, cfg, opts, string(AlgoExactM), exactComponent, graphs)
 	case AlgoApproM:
-		return ApproM(rel, set, cfg, opts)
+		return multiRepair(rel, set, cfg, opts, string(AlgoApproM), approComponent, graphs)
 	default:
-		return GreedyM(rel, set, cfg, opts)
+		return multiRepair(rel, set, cfg, opts, string(AlgoGreedyM), greedyComponent, graphs)
 	}
 }

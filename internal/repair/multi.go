@@ -31,7 +31,7 @@ const maxCombos = 1 << 20
 // best known one, which plays the role of the paper's bound-based pruning
 // while remaining exact.
 func ExactM(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options) (*Result, error) {
-	return multiRepair(rel, set, cfg, opts, string(AlgoExactM), exactComponent)
+	return multiRepair(rel, set, cfg, opts, string(AlgoExactM), exactComponent, nil)
 }
 
 // ApproM repairs rel w.r.t. a set of FDs with the §4.3 heuristic: the
@@ -39,7 +39,7 @@ func ExactM(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options
 // independently; the sets are joined and every tuple repairs to its nearest
 // target.
 func ApproM(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options) (*Result, error) {
-	return multiRepair(rel, set, cfg, opts, string(AlgoApproM), approComponent)
+	return multiRepair(rel, set, cfg, opts, string(AlgoApproM), approComponent, nil)
 }
 
 // GreedyM repairs rel w.r.t. a set of FDs with the §4.4 joint greedy: the
@@ -49,15 +49,19 @@ func ApproM(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options
 // of connected FDs are penalized by the extra repair distance they would
 // force).
 func GreedyM(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options) (*Result, error) {
-	return multiRepair(rel, set, cfg, opts, string(AlgoGreedyM), greedyComponent)
+	return multiRepair(rel, set, cfg, opts, string(AlgoGreedyM), greedyComponent, nil)
 }
 
-// componentFunc repairs one connected component of the FD graph: it builds
-// its graphs over rel and writes its repairs through out, holding out.mu
-// over its apply phase, recording applied cells into ev when non-nil.
-type componentFunc func(rel *dataset.Relation, out *output, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error
+// componentFunc repairs one connected component of the FD graph over its
+// graphs, sub.FDs[i]'s at index i, and writes its repairs through out,
+// holding out.mu over its apply phase, recording applied cells into ev
+// when non-nil.
+type componentFunc func(rel *dataset.Relation, out *output, sub *fd.Set, graphs []*vgraph.Graph, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error
 
-func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options, name string, repairComp componentFunc) (*Result, error) {
+// multiRepair runs repairComp on every component of set, over the given
+// graphs when set is one component and graphs is non-nil, else over the
+// graphs buildGraphs builds per component.
+func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options, name string, repairComp componentFunc, graphs []*vgraph.Graph) (*Result, error) {
 	start := time.Now()
 	snap := snapCacheStats(cfg)
 	out := newOutput(rel)
@@ -97,8 +101,15 @@ func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Op
 		}
 		return bufs[i]
 	}
+	repairOne := func(sub *fd.Set, stats map[string]int, ev *eventBuf) error {
+		gs := graphs
+		if gs == nil {
+			gs = buildGraphs(rel, sub, cfg, opts)
+		}
+		return repairComp(rel, out, sub, gs, cfg, opts, stats, ev)
+	}
 	if opts.Parallel >= 2 && len(comps) > 1 {
-		if err := repairComponentsParallel(rel, out, set, cfg, opts, stats, comps, repairComp, compBuf); err != nil {
+		if err := repairComponentsParallel(set, opts, stats, comps, repairOne, compBuf); err != nil {
 			if errors.Is(err, ErrCanceled) {
 				return partial()
 			}
@@ -109,8 +120,7 @@ func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Op
 			if canceled(opts.Cancel) {
 				return partial()
 			}
-			sub := set.Subset(comp)
-			if err := repairComp(rel, out, sub, cfg, opts, stats, compBuf(i)); err != nil {
+			if err := repairOne(set.Subset(comp), stats, compBuf(i)); err != nil {
 				if errors.Is(err, ErrCanceled) {
 					return partial()
 				}
@@ -123,11 +133,11 @@ func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Op
 }
 
 // repairComponentsParallel runs component repairs on up to opts.Parallel
-// goroutines. Components write disjoint attribute columns of out, so the
-// repairs commute; their apply phases serialize on out.mu, stats merge
-// under a lock, and each worker records events into its own component
-// buffer (fetched via compBuf by component index).
-func repairComponentsParallel(rel *dataset.Relation, out *output, set *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, comps [][]int, repairComp componentFunc, compBuf func(int) *eventBuf) error {
+// goroutines. Components write disjoint attribute columns of the output,
+// so the repairs commute; their apply phases serialize on the output's
+// lock, stats merge under a lock, and each worker records events into its
+// own component buffer (fetched via compBuf by component index).
+func repairComponentsParallel(set *fd.Set, opts Options, stats map[string]int, comps [][]int, repairOne func(*fd.Set, map[string]int, *eventBuf) error, compBuf func(int) *eventBuf) error {
 	sem := make(chan struct{}, opts.Parallel)
 	errs := make(chan error, len(comps))
 	var mu sync.Mutex
@@ -145,7 +155,7 @@ func repairComponentsParallel(rel *dataset.Relation, out *output, set *fd.Set, c
 			defer wg.Done()
 			defer func() { <-sem }()
 			local := make(map[string]int)
-			err := repairComp(rel, out, set.Subset(comp), cfg, opts, local, compBuf(ci))
+			err := repairOne(set.Subset(comp), local, compBuf(ci))
 			if err != nil {
 				errs <- err
 				return
@@ -178,16 +188,15 @@ func repairComponentsParallel(rel *dataset.Relation, out *output, set *fd.Set, c
 
 // buildGraphs builds the component's violation graphs in one vgraph call,
 // which shares the column encoding and probe joins among the FDs and fans
-// the builds out itself. With a fired Cancel it still returns every graph,
-// vertex-only where verification never ran, so callers surface the
-// cancellation themselves.
+// the builds out itself: the graphs a run uses unless RunOnGraphs supplies
+// them. With a fired Cancel it still returns every graph, vertex-only where
+// verification never ran, so callers surface the cancellation themselves.
 func buildGraphs(rel *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options) []*vgraph.Graph {
 	return vgraph.BuildSet(rel, sub.FDs, cfg, sub.Tau, graphOpts(opts))
 }
 
 // exactComponent implements Algorithm 3 for one component.
-func exactComponent(rel *dataset.Relation, out *output, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
-	graphs := buildGraphs(rel, sub, cfg, opts)
+func exactComponent(rel *dataset.Relation, out *output, sub *fd.Set, graphs []*vgraph.Graph, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
 	if len(sub.FDs) == 1 {
 		// Single-FD component: the expansion algorithm is optimal
 		// (Theorem 5) and far cheaper than enumeration + join.
@@ -270,8 +279,7 @@ func exactComponent(rel *dataset.Relation, out *output, sub *fd.Set, cfg *fd.Dis
 }
 
 // approComponent implements §4.3 for one component.
-func approComponent(rel *dataset.Relation, out *output, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
-	graphs := buildGraphs(rel, sub, cfg, opts)
+func approComponent(rel *dataset.Relation, out *output, sub *fd.Set, graphs []*vgraph.Graph, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
 	sp := obs.Begin(opts.Trace, obs.PhaseGreedyGrow)
 	sets := make([][]int, len(graphs))
 	for i, g := range graphs {
@@ -286,8 +294,7 @@ func approComponent(rel *dataset.Relation, out *output, sub *fd.Set, cfg *fd.Dis
 }
 
 // greedyComponent implements §4.4 for one component.
-func greedyComponent(rel *dataset.Relation, out *output, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
-	graphs := buildGraphs(rel, sub, cfg, opts)
+func greedyComponent(rel *dataset.Relation, out *output, sub *fd.Set, graphs []*vgraph.Graph, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
 	sp := obs.Begin(opts.Trace, obs.PhaseGreedyGrow)
 	js := jointGreedySets(rel, graphs, opts.Cancel)
 	sp.Add("syncEvals", int64(js.syncEvals))

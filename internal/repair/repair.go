@@ -182,7 +182,7 @@ func finish(out *output, cfg *fd.DistConfig, algorithm string, elapsed time.Dura
 	// The one flush point for run-level stats: every algorithm funnels its
 	// finished (or canceled-partial) Result through finish, so registry
 	// totals see each run exactly once. Graph vertex/edge totals are
-	// excluded — vgraph.Build flushes those at construction.
+	// excluded — vgraph flushes those where it builds or appends a graph.
 	obs.FlushRunStats(stats)
 	obs.ObserveRepair(algorithm, elapsed)
 	if sink != nil && len(events) > 0 {

@@ -20,9 +20,17 @@ import (
 // (the problem is NP-hard, Theorem 3); Options.MaxNodes bounds the tree and
 // yields an error when exceeded.
 func ExactS(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, opts Options) (*Result, error) {
+	return exactS(rel, f, cfg, tau, opts, nil)
+}
+
+// exactS is ExactS over g, f's graph over rel, or over a graph it builds
+// when g is nil.
+func exactS(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, opts Options, g *vgraph.Graph) (*Result, error) {
 	start := time.Now()
 	snap := snapCacheStats(cfg)
-	g := vgraph.Build(rel, f, cfg, tau, graphOpts(opts))
+	if g == nil {
+		g = vgraph.Build(rel, f, cfg, tau, graphOpts(opts))
+	}
 	sp := obs.Begin(opts.Trace, obs.PhaseExpand)
 	sp.SetFD(f.String())
 	res, err := mis.BestMIS(g, mis.Options{
@@ -91,9 +99,17 @@ func repairTargets(g *vgraph.Graph, set []int) map[int]int {
 // the pattern with the smallest incremental repair cost (Eq. 8), then
 // repair excluded patterns to their cheapest chosen neighbor.
 func GreedyS(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, opts Options) (*Result, error) {
+	return greedyS(rel, f, cfg, tau, opts, nil)
+}
+
+// greedyS is GreedyS over g, f's graph over rel, or over a graph it builds
+// when g is nil.
+func greedyS(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, opts Options, g *vgraph.Graph) (*Result, error) {
 	start := time.Now()
 	snap := snapCacheStats(cfg)
-	g := vgraph.Build(rel, f, cfg, tau, graphOpts(opts))
+	if g == nil {
+		g = vgraph.Build(rel, f, cfg, tau, graphOpts(opts))
+	}
 	sp := obs.Begin(opts.Trace, obs.PhaseGreedyGrow)
 	sp.SetFD(f.String())
 	set := greedySet(g, opts.Cancel)

@@ -127,12 +127,14 @@ func FuzzIndexSearch(f *testing.F) {
 	})
 }
 
-// FuzzSelfJoin holds the column self-join (JoinAbove over every id, then
-// MirrorJoin) to SearchNormalized on the same index: for every string the
-// same ids, in the same order, with the same distance bits; and the match
-// relation must be symmetric with equal distances both ways. The strings
-// are short so the filters' boundary cases (short strings, scan mode,
-// count mode) all occur.
+// FuzzSelfJoin holds the column self-join, run in two appends
+// (JoinAppended over each append's ids, then ExtendJoin), to
+// SearchNormalized on the whole index: for every string the same ids, in
+// the same order, with the same distance bits; and the match relation must
+// be symmetric with equal distances both ways. The strings are short so
+// the filters' boundary cases (short strings, scan mode, count mode) all
+// occur, and the split point varies with the input, so the first append
+// is sometimes empty and sometimes everything.
 func FuzzSelfJoin(f *testing.F) {
 	f.Add([]byte("ab,ab456,abc,b,,xyz,ab45"), byte(120))
 	f.Add([]byte("000000,000001,100000,0,00"), byte(86))
@@ -150,14 +152,19 @@ func FuzzSelfJoin(f *testing.F) {
 		}
 		tt := float64(tb) / 200
 		ix := NewIndex(2)
-		for _, s := range strs {
-			ix.Add(s)
+		var lists [][]NormMatch
+		split := len(data) % (len(strs) + 1)
+		for _, part := range [][]string{strs[:split], strs[split:]} {
+			old := ix.Len()
+			for _, s := range part {
+				ix.Add(s)
+			}
+			above := make([][]NormMatch, len(part))
+			for i := range above {
+				above[i] = ix.JoinAppended(old+i, old, tt)
+			}
+			lists = ExtendJoin(lists, above, tt)
 		}
-		above := make([][]NormMatch, ix.Len())
-		for id := range above {
-			above[id] = ix.JoinAbove(id, tt)
-		}
-		lists := MirrorJoin(above, tt)
 		for id, s := range strs {
 			want := ix.SearchNormalized(s, tt)
 			got := lists[id]

@@ -16,7 +16,7 @@ import (
 // a banded edit-distance computation.
 //
 // The violation-graph builder uses it to self-join a probe column's
-// distinct values (JoinAbove, MirrorJoin), finding for each value the others
+// distinct values (JoinAppended, ExtendJoin), finding for each value the others
 // that could be within the FT-violation threshold on that attribute, and
 // avoiding the all-pairs comparison the naive semantics implies.
 type Index struct {
@@ -108,20 +108,25 @@ type searchScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
-// candidates returns, ascending, the ids above `above` that pass the length
-// and count filters for a query s of ls runes at edit bound maxDist. Short
-// strings (and short queries) bypass the count filter: every short string is
-// a candidate, and when the count filter cannot exclude anything — the query
-// is shorter than a gram, or the minimum required shared-gram count is
-// non-positive — every string passing the length filter is.
-func (ix *Index) candidates(s string, ls, maxDist, above int, sc *searchScratch) []int32 {
+// candidates returns, ascending, the ids below old or above self that pass
+// the length and count filters for a query s of ls runes at edit bound
+// maxDist. Short strings (and short queries) bypass the count filter: every
+// short string is a candidate, and when the count filter cannot exclude
+// anything — the query is shorter than a gram, or the minimum required
+// shared-gram count is non-positive — every string passing the length
+// filter is.
+func (ix *Index) candidates(s string, ls, maxDist, old, self int, sc *searchScratch) []int32 {
 	cands := sc.cands[:0]
 	if ls < ix.q || ls-ix.q+1-maxDist*ix.q <= 0 {
-		for id := above + 1; id < len(ix.strs); id++ {
-			if abs(ix.lens[id]-ls) <= maxDist {
-				cands = append(cands, int32(id))
+		scan := func(from, to int) {
+			for id := from; id < to; id++ {
+				if abs(ix.lens[id]-ls) <= maxDist {
+					cands = append(cands, int32(id))
+				}
 			}
 		}
+		scan(0, old)
+		scan(self+1, len(ix.strs))
 		sc.cands = cands
 		return cands
 	}
@@ -135,8 +140,18 @@ func (ix *Index) candidates(s string, ls, maxDist, above int, sc *searchScratch)
 	touched := sc.touched[:0]
 	for _, g := range sc.grams {
 		ps := ix.gram[g.gram]
-		lo := sort.Search(len(ps), func(i int) bool { return int(ps[i].id) > above })
-		for _, p := range ps[lo:] {
+		lo := 0
+		if old > 0 {
+			lo = sort.Search(len(ps), func(i int) bool { return int(ps[i].id) >= old })
+		}
+		hi := sort.Search(len(ps), func(i int) bool { return int(ps[i].id) > self })
+		for _, p := range ps[:lo] {
+			if sc.counts[p.id] == 0 {
+				touched = append(touched, p.id)
+			}
+			sc.counts[p.id] += min(g.cnt, p.cnt)
+		}
+		for _, p := range ps[max(lo, hi):] {
 			if sc.counts[p.id] == 0 {
 				touched = append(touched, p.id)
 			}
@@ -154,7 +169,7 @@ func (ix *Index) candidates(s string, ls, maxDist, above int, sc *searchScratch)
 	// Short indexed strings never share grams with a long query but may
 	// still be within maxDist.
 	for _, id := range ix.short {
-		if int(id) > above && abs(ix.lens[id]-ls) <= maxDist {
+		if (int(id) < old || int(id) > self) && abs(ix.lens[id]-ls) <= maxDist {
 			cands = append(cands, id)
 		}
 	}
@@ -181,11 +196,12 @@ type Match struct {
 // most maxDist, with the distances. The query string itself, if indexed,
 // matches with distance 0. Results are in ascending id order.
 func (ix *Index) Search(s string, maxDist int) []Match {
-	return ix.search(s, utf8.RuneCountInString(s), maxDist, -1)
+	return ix.search(s, utf8.RuneCountInString(s), maxDist, 0, -1)
 }
 
-// search is Search for a query s of ls runes over the ids above `above`.
-func (ix *Index) search(s string, ls, maxDist, above int) []Match {
+// search is Search for a query s of ls runes over the ids below old or
+// above self.
+func (ix *Index) search(s string, ls, maxDist, old, self int) []Match {
 	if maxDist < 0 {
 		return nil
 	}
@@ -196,7 +212,7 @@ func (ix *Index) search(s string, ls, maxDist, above int) []Match {
 	mt := AcquireMatcher(s)
 	defer mt.Release()
 	var out []Match
-	for _, id := range ix.candidates(s, ls, maxDist, above, sc) {
+	for _, id := range ix.candidates(s, ls, maxDist, old, self, sc) {
 		if d, ok := mt.DistanceBounded(ix.strs[id], maxDist); ok {
 			out = append(out, Match{ID: int(id), Dist: d})
 		}
@@ -236,26 +252,28 @@ func normBound(l int, t float64) int {
 // SearchNormalized returns ids whose normalized edit distance to s is at
 // most t, with the normalized distances, in ascending id order.
 func (ix *Index) SearchNormalized(s string, t float64) []NormMatch {
-	return ix.searchNormalized(s, utf8.RuneCountInString(s), t, -1)
+	return ix.searchNormalized(s, utf8.RuneCountInString(s), t, 0, -1)
 }
 
-// JoinAbove returns the part of SearchNormalized(ix.String(id), t) above
-// id: the strings with a higher id within normalized distance t. Calling
-// it for every id verifies each unordered pair once; MirrorJoin then
-// assembles every string's whole SearchNormalized result. Distinct ids may
-// be joined concurrently.
-func (ix *Index) JoinAbove(id int, t float64) []NormMatch {
-	return ix.searchNormalized(ix.strs[id], ix.lens[id], t, id)
+// JoinAppended returns the part of SearchNormalized(ix.String(id), t) that
+// a self-join appending strings old, old+1, ... still has to verify for
+// string id (id >= old): its matches below old and above id. Calling it for
+// every appended id verifies each new unordered pair once, and no pair of
+// two strings below old; ExtendJoin then assembles every string's whole
+// SearchNormalized result. With old 0 it is a plain self-join's half above
+// id. Distinct ids may be joined concurrently.
+func (ix *Index) JoinAppended(id, old int, t float64) []NormMatch {
+	return ix.searchNormalized(ix.strs[id], ix.lens[id], t, old, id)
 }
 
 // searchNormalized is SearchNormalized for a query s of ls runes over the
-// ids above `above`.
-func (ix *Index) searchNormalized(s string, ls int, t float64, above int) []NormMatch {
+// ids below old or above self.
+func (ix *Index) searchNormalized(s string, ls int, t float64, old, self int) []NormMatch {
 	if !(t >= 0) {
 		return nil
 	}
 	var out []NormMatch
-	for _, m := range ix.search(s, ls, normBound(ls, t), above) {
+	for _, m := range ix.search(s, ls, normBound(ls, t), old, self) {
 		var nd float64
 		if mx := max(ls, ix.lens[m.ID]); mx > 0 {
 			nd = float64(m.Dist) / float64(mx)
@@ -267,40 +285,65 @@ func (ix *Index) searchNormalized(s string, ls int, t float64, above int) []Norm
 	return out
 }
 
-// MirrorJoin assembles full match lists from JoinAbove's halves at
-// threshold t: list i holds the matches of the lower ids (mirrored from
-// their halves), then i itself at distance 0, then above[i] — what
-// SearchNormalized returns for string i. The lists share one backing
-// array.
-func MirrorJoin(above [][]NormMatch, t float64) [][]NormMatch {
+// ExtendJoin extends a self-join at threshold t by the strings appended
+// after it. lists holds the full match lists of strings [0, old), and
+// above[i] the JoinAppended result of string old+i. The returned lists hold
+// what SearchNormalized returns for every string: an old list gains its
+// matches among the appended strings after its old entries (moving to a
+// fresh array when it gains any), and an appended string's list holds its
+// old matches, the matches of lower appended ids (mirrored from their
+// results), itself at distance 0, then its matches above. The appended
+// strings' lists share one backing array. With no old lists this is the
+// whole self-join.
+func ExtendJoin(lists, above [][]NormMatch, t float64) [][]NormMatch {
+	old := len(lists)
 	if !(t >= 0) {
-		return make([][]NormMatch, len(above))
+		return append(lists, make([][]NormMatch, len(above))...)
 	}
-	lower := make([]int, len(above))
+	// gain[id] counts the entries id receives mirrored from appended
+	// strings below it; it is then reused as each list's write cursor.
+	gain := make([]int, old+len(above))
 	total := len(above)
 	for _, ms := range above {
 		total += 2 * len(ms)
 		for _, m := range ms {
-			lower[m.ID]++
+			gain[m.ID]++
 		}
 	}
-	arena := make([]NormMatch, total)
-	lists := make([][]NormMatch, len(above))
-	cur := lower // reused as each list's write cursor
-	off := 0
+	for o, l := range lists {
+		if gain[o] > 0 {
+			grown := make([]NormMatch, len(l), len(l)+gain[o])
+			copy(grown, l)
+			lists[o] = grown
+		}
+	}
+	arena := make([]NormMatch, 0, total)
 	for i, ms := range above {
-		end := off + lower[i] + 1 + len(ms)
-		lists[i] = arena[off:end:end]
-		cur[i] = off
-		off = end
+		id := old + i
+		split := 0
+		for split < len(ms) && ms[split].ID < old {
+			split++
+		}
+		start := len(arena)
+		arena = append(arena, ms[:split]...)
+		cur := len(arena)
+		arena = arena[:cur+gain[id]]
+		arena = append(arena, NormMatch{ID: id})
+		arena = append(arena, ms[split:]...)
+		lists = append(lists, arena[start:len(arena):len(arena)])
+		gain[id] = cur - start
 	}
 	for i, ms := range above {
-		// Every lower id has placed its entry by now, in ascending order.
-		arena[cur[i]] = NormMatch{ID: i}
-		copy(arena[cur[i]+1:], ms)
+		id := old + i
 		for _, m := range ms {
-			arena[cur[m.ID]] = NormMatch{ID: i, Dist: m.Dist}
-			cur[m.ID]++
+			if m.ID < old {
+				lists[m.ID] = append(lists[m.ID], NormMatch{ID: id, Dist: m.Dist})
+				continue
+			}
+			// Every lower appended id has placed its entry by now, in
+			// ascending order.
+			lists[m.ID][gain[m.ID]] = NormMatch{ID: id, Dist: m.Dist}
+			gain[m.ID]++
 		}
 	}
 	return lists

@@ -3,6 +3,7 @@ package vgraph
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,11 +50,22 @@ func Build(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, opt
 }
 
 // BuildSet constructs the violation graph of every fds[i] at taus[i] over
-// rel, sharing what the FDs have in common:
+// rel: a fresh State given all of rel's rows in one Append. Nothing is
+// memoized on cfg or keyed to rel, so a relation may be rebuilt after it is
+// mutated, and the join state lives exactly as long as the graphs that
+// reference it.
+func BuildSet(rel *dataset.Relation, fds []*fd.FD, cfg *fd.DistConfig, taus []float64, opts Options) []*Graph {
+	s := NewState(rel.Schema, fds, cfg, taus, opts)
+	s.Append(rel.Tuples)
+	return s.graphs
+}
+
+// State is the appendable build state of the violation graphs of an FD
+// set over a growing relation, sharing what the FDs have in common:
 //
 //   - each FD column is encoded once into value ids, numbered in
 //     first-occurrence row order (an interned value is found through its
-//     DistConfig dictionary code, any other value through a call-local
+//     DistConfig dictionary code, any other value through a state-local
 //     code, so every relation takes the same path);
 //   - each probe column is q-gram self-joined once per per-attribute
 //     threshold, every unordered value pair verified once, the (join,
@@ -62,36 +74,112 @@ func Build(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, opt
 //     one projection key per vertex, and verifies its candidates from the
 //     shared join matches.
 //
-// All of it is per call: nothing is memoized on cfg or keyed to rel, so a
-// relation may be rebuilt after it is mutated, and the join state lives
-// exactly as long as the graphs that reference it.
-func BuildSet(rel *dataset.Relation, fds []*fd.FD, cfg *fd.DistConfig, taus []float64, opts Options) []*Graph {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// Append extends all of it by new rows: the encodings gain the new rows and
+// values, rows join existing vertices or found new ones, the joins verify
+// only pairs with a newly seen value, and each FD verifies only pairs with
+// a new vertex. Patterns never change once grouped, so no earlier vertex,
+// edge or match is revisited, and the graphs after any sequence of Appends
+// equal BuildSet's over all the rows, bit for bit. A State is not safe for
+// concurrent use: its graphs may be read concurrently between Appends, not
+// during one.
+type State struct {
+	rel    *dataset.Relation
+	cfg    *fd.DistConfig
+	opts   Options
+	fds    []*fd.FD
+	taus   []float64
+	cols   []*column
+	joins  []*colJoin
+	joinOf []*colJoin // per FD: its probe column's join, nil for all-pairs
+	// levels[i][l] numbers FD i's projections onto its first l+2
+	// attributes by (class of the first l+1, value id of the next), in
+	// first-occurrence row order; the last level numbers the vertices.
+	levels [][]map[uint64]int32
+	graphs []*Graph
+}
+
+// NewState starts an empty build state for the graphs of every fds[i] at
+// taus[i] over relations of the given schema. Options apply to every
+// Append; a state built with DisableGrouping takes a single Append, and one
+// whose Append was canceled takes none after it.
+func NewState(schema *dataset.Schema, fds []*fd.FD, cfg *fd.DistConfig, taus []float64, opts Options) *State {
+	s := &State{
+		rel:    &dataset.Relation{Schema: schema},
+		cfg:    cfg,
+		opts:   opts,
+		fds:    fds,
+		taus:   taus,
+		cols:   make([]*column, schema.Len()),
+		levels: make([][]map[uint64]int32, len(fds)),
+		graphs: make([]*Graph, len(fds)),
 	}
-	sp := obs.Begin(opts.Trace, obs.PhaseGraphBuild)
-	s := &setBuild{rel: rel, cfg: cfg, opts: opts, cols: make([]*column, rel.Schema.Len())}
 	for _, f := range fds {
 		for _, c := range f.Attrs() {
 			if s.cols[c] == nil {
-				s.cols[c] = encode(rel, c, cfg)
+				s.cols[c] = newColumn(c, cfg)
 			}
 		}
 	}
-	s.planJoins(fds, taus)
-	s.runJoins(workers)
+	s.planJoins()
+	for i, f := range fds {
+		s.graphs[i] = &Graph{FD: f, Cfg: cfg, Tau: taus[i], ungrouped: opts.DisableGrouping, join: s.joinOf[i]}
+		s.levels[i] = make([]map[uint64]int32, len(f.Attrs())-1)
+		for l := range s.levels[i] {
+			s.levels[i][l] = make(map[uint64]int32)
+		}
+	}
+	return s
+}
+
+// Graphs returns the state's graphs, fds[i]'s at index i, over every row
+// appended so far. They grow in place with each Append.
+func (s *State) Graphs() []*Graph { return s.graphs }
+
+// ValueID returns the id of row r's value in column c: a column's values
+// are numbered in first-occurrence row order over the state's rows. c must
+// be an attribute of one of the state's FDs.
+func (s *State) ValueID(c, r int) int { return int(s.cols[c].ids[r]) }
+
+// Append adds rows to the relation the graphs are built over, as rows
+// len(before) onward, and extends every graph by them. The state keeps the
+// row slices, which must not change afterwards. Appending no rows does
+// nothing.
+func (s *State) Append(rows []dataset.Tuple) {
+	if len(rows) == 0 {
+		return
+	}
+	workers := s.opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if s.opts.DisableGrouping && s.rel.Len() > 0 {
+		panic("vgraph: a state built with DisableGrouping takes a single Append")
+	}
+	sp := obs.Begin(s.opts.Trace, obs.PhaseGraphBuild)
+	from := s.rel.Len()
+	if from == 0 {
+		// Capped, so a later Append copies rather than write past rows.
+		s.rel.Tuples = rows[:len(rows):len(rows)]
+	} else {
+		s.rel.Tuples = append(s.rel.Tuples, rows...)
+	}
+	oldVals := make([]int, len(s.cols))
+	for c, col := range s.cols {
+		if col != nil {
+			oldVals[c] = len(col.vals)
+			col.extend(rows)
+		}
+	}
+	s.runJoins(workers, oldVals)
 	sp.Add("joins", int64(len(s.joins)))
 	sp.Add("workers", int64(workers))
 	sp.End()
 
-	graphs := make([]*Graph, len(fds))
-	forEach(workers, len(fds), func(i int) {
+	forEach(workers, len(s.fds), func(i int) {
 		b := builderPool.Get().(*builder)
-		graphs[i] = s.buildFD(b, i, fds[i], taus[i], len(fds) > 1, workers)
+		s.extendFD(b, i, from, len(s.fds) > 1, workers)
 		builderPool.Put(b)
 	})
-	return graphs
 }
 
 // forEach calls do(i) for every i below n on up to workers goroutines,
@@ -120,30 +208,38 @@ func forEach(workers, n int, do func(i int)) {
 
 // bucket lists, for each key below k, the indices i with keys[i] == key in
 // ascending order; the lists share one backing array.
-func bucket(keys []int32, k int) [][]int {
-	off := make([]int, k+1)
+func bucket(keys []int32, k int) [][]int { return extendBuckets(nil, keys, 0, k) }
+
+// extendBuckets appends each item base+i to lists[keys[i]], in ascending
+// order, after growing lists to k. The lists it adds share one backing
+// array; a list it extends moves to a fresh array unless it has room.
+func extendBuckets(lists [][]int, keys []int32, base, k int) [][]int {
+	old := len(lists)
+	off := make([]int, k-old+1)
 	for _, c := range keys {
-		off[c+1]++
+		if int(c) >= old {
+			off[int(c)-old+1]++
+		}
 	}
-	for c := 0; c < k; c++ {
+	for c := 0; c < k-old; c++ {
 		off[c+1] += off[c]
 	}
-	arena := make([]int, len(keys))
-	out := make([][]int, k)
-	for c := range out {
-		out[c] = arena[off[c]:off[c]:off[c+1]]
+	arena := make([]int, off[k-old])
+	for c := 0; c < k-old; c++ {
+		lists = append(lists, arena[off[c]:off[c]:off[c+1]])
 	}
 	for i, c := range keys {
-		out[c] = append(out[c], i)
+		lists[c] = append(lists[c], base+i)
 	}
-	return out
+	return lists
 }
 
-// column is one attribute encoded for one BuildSet call: every row's value
-// id, ids numbering the column's distinct values in first-occurrence row
+// column is one attribute encoded for one State: every row's value id,
+// ids numbering the column's distinct values in first-occurrence row
 // order. A value is found through its code: the DistConfig dictionary's
-// code when interned, else a call-local code past the dictionary's.
+// code when interned, else a state-local code past the dictionary's.
 type column struct {
+	attr   int
 	ids    []int32          // row -> value id
 	vals   []string         // value id -> value
 	dict   *dataset.Dict    // the config's dictionary, nil when none
@@ -152,9 +248,9 @@ type column struct {
 	ix     *strsim.Index    // the distinct values in id order, when probed
 }
 
-// encode numbers column c's values over rel's rows.
-func encode(rel *dataset.Relation, c int, cfg *fd.DistConfig) *column {
-	col := &column{ids: make([]int32, len(rel.Tuples))}
+// newColumn starts an empty encoding of column c.
+func newColumn(c int, cfg *fd.DistConfig) *column {
+	col := &column{attr: c}
 	if c < len(cfg.Dicts) {
 		col.dict = cfg.Dicts[c]
 	}
@@ -164,8 +260,14 @@ func encode(rel *dataset.Relation, c int, cfg *fd.DistConfig) *column {
 			col.byCode[i] = -1
 		}
 	}
-	for r, t := range rel.Tuples {
-		v := t[c]
+	return col
+}
+
+// extend numbers the column's values over appended rows.
+func (col *column) extend(rows []dataset.Tuple) {
+	col.ids = slices.Grow(col.ids, len(rows))
+	for _, t := range rows {
+		v := t[col.attr]
 		code, ok := col.code(v)
 		if !ok {
 			if col.local == nil {
@@ -181,9 +283,8 @@ func encode(rel *dataset.Relation, c int, cfg *fd.DistConfig) *column {
 			col.byCode[code] = id
 			col.vals = append(col.vals, v)
 		}
-		col.ids[r] = id
+		col.ids = append(col.ids, id)
 	}
-	return col
 }
 
 // code returns v's code: its dictionary code when interned, else its
@@ -209,8 +310,8 @@ func (col *column) id(v string) (int32, bool) {
 }
 
 // colJoin is one probe column's q-gram self-join at one per-attribute
-// threshold, shared by every FD of the call that probes the column there.
-// lists[id] holds value id's matches (strsim.MirrorJoin); it is nil when a
+// threshold, shared by every FD of the state that probes the column there.
+// lists[id] holds value id's matches (strsim.ExtendJoin); it is nil when a
 // cancellation stopped the join, and then point queries search the index.
 type colJoin struct {
 	attr  int
@@ -230,29 +331,19 @@ func (j *colJoin) matches(v string) []strsim.NormMatch {
 	return j.col.ix.SearchNormalized(v, j.tau)
 }
 
-// setBuild is one BuildSet call's shared state.
-type setBuild struct {
-	rel    *dataset.Relation
-	cfg    *fd.DistConfig
-	opts   Options
-	cols   []*column
-	joins  []*colJoin
-	joinOf []*colJoin // per FD: its probe column's join, nil for all-pairs
-}
-
 // planJoins picks every FD's probe column and gives each distinct (column,
 // per-attribute threshold) one join, indexing each probed column once.
-func (s *setBuild) planJoins(fds []*fd.FD, taus []float64) {
-	s.joinOf = make([]*colJoin, len(fds))
-	for i, f := range fds {
+func (s *State) planJoins() {
+	s.joinOf = make([]*colJoin, len(s.fds))
+	for i, f := range s.fds {
 		if s.opts.DisableIndex {
 			continue
 		}
-		c, w := ChooseProbe(s.rel.Schema, f, s.cfg, taus[i])
+		c, w := ChooseProbe(s.rel.Schema, f, s.cfg, s.taus[i])
 		if c < 0 {
 			continue
 		}
-		tau := taus[i] / w
+		tau := s.taus[i] / w
 		for _, j := range s.joins {
 			if j.attr == c && math.Float64bits(j.tau) == math.Float64bits(tau) {
 				s.joinOf[i] = j
@@ -264,28 +355,33 @@ func (s *setBuild) planJoins(fds []*fd.FD, taus []float64) {
 		col := s.cols[c]
 		if col.ix == nil {
 			col.ix = strsim.NewIndex(2)
-			for _, v := range col.vals {
-				col.ix.Add(v)
-			}
 		}
 		s.joinOf[i] = &colJoin{attr: c, col: col, tau: tau}
 		s.joins = append(s.joins, s.joinOf[i])
 	}
 }
 
-// runJoins runs every join's JoinAbove over its values, the (join, value)
-// items claimed by index across the workers and each written to its own
-// slot, then mirrors each join's halves into full lists. A cancellation
-// leaves every join without lists.
-func (s *setBuild) runJoins(workers int) {
+// runJoins indexes each probed column's new values (those from
+// oldVals[c] on) and joins them: JoinAppended over every (join, new value)
+// item, the items claimed by index across the workers and each written to
+// its own slot, then ExtendJoin folds each join's results into its lists.
+// A cancellation leaves every join without lists.
+func (s *State) runJoins(workers int, oldVals []int) {
 	if len(s.joins) == 0 {
 		return
+	}
+	for _, col := range s.cols {
+		if col != nil && col.ix != nil {
+			for id := col.ix.Len(); id < len(col.vals); id++ {
+				col.ix.Add(col.vals[id])
+			}
+		}
 	}
 	above := make([][][]strsim.NormMatch, len(s.joins))
 	start := make([]int, len(s.joins)+1)
 	for k, j := range s.joins {
-		above[k] = make([][]strsim.NormMatch, len(j.col.vals))
-		start[k+1] = start[k] + len(j.col.vals)
+		above[k] = make([][]strsim.NormMatch, len(j.col.vals)-oldVals[j.attr])
+		start[k+1] = start[k] + len(above[k])
 	}
 	var stopped atomic.Bool
 	forEach(workers, start[len(s.joins)], func(it int) {
@@ -294,14 +390,15 @@ func (s *setBuild) runJoins(workers int) {
 			return
 		}
 		k := sort.Search(len(s.joins), func(k int) bool { return start[k+1] > it })
-		id := it - start[k]
-		above[k][id] = s.joins[k].col.ix.JoinAbove(id, s.joins[k].tau)
+		old := oldVals[s.joins[k].attr]
+		above[k][it-start[k]] = s.joins[k].col.ix.JoinAppended(old+it-start[k], old, s.joins[k].tau)
 	})
-	if stopped.Load() {
-		return
-	}
 	for k, j := range s.joins {
-		j.lists = strsim.MirrorJoin(above[k], j.tau)
+		if stopped.Load() || (j.lists == nil && oldVals[j.attr] > 0) {
+			j.lists = nil
+			continue
+		}
+		j.lists = strsim.ExtendJoin(j.lists, above[k], j.tau)
 	}
 }
 
@@ -373,79 +470,134 @@ func RowGroups(graphs []*Graph) [][]int {
 }
 
 // builder carries the reusable construction scratch — per-worker edge
-// record lists and the CSR degree/cursor counters — so repeated builds
-// (benchmark loops, incremental shard rebuilds) do not reallocate it.
+// record lists, the degree/cursor counters and the row classes — so
+// repeated builds and appends do not reallocate it.
 type builder struct {
 	lists [][]edgeRec
 	deg   []int32
+	cls   []int32
 }
 
 var builderPool = sync.Pool{New: func() any { return new(builder) }}
 
-// buildFD builds FD i's graph from the shared encoding and join.
-func (s *setBuild) buildFD(b *builder, i int, f *fd.FD, tau float64, labeled bool, workers int) *Graph {
+// extendFD extends FD i's graph by the rows from `from` on: it groups them
+// into vertices, indexes the new vertices by probe value, and verifies and
+// adds the edges of every pair with a new vertex.
+func (s *State) extendFD(b *builder, i, from int, labeled bool, workers int) {
+	g := s.graphs[i]
 	sp := obs.Begin(s.opts.Trace, obs.PhaseGraphBuild)
-	sp.SetFD(f.String())
+	sp.SetFD(g.FD.String())
 	if labeled {
 		sp.SetWorker(i)
 	}
 	defer sp.End()
 
-	g := &Graph{FD: f, Cfg: s.cfg, Tau: tau, ungrouped: s.opts.DisableGrouping, join: s.joinOf[i]}
-	g.group(s.rel, s.cols)
-	workers = max(1, min(workers, len(g.Vertices)))
-	if g.join != nil {
-		g.indexValues(g.join.col)
-		g.mergeCSR(b, g.fanOut(b, workers, s.opts.Cancel, g.indexedRange))
+	nv0, e0 := len(g.Vertices), g.NumEdges()
+	cls, k := s.classes(b, i, from)
+	if g.ungrouped {
+		g.ungroupedLayout(s.rel, cls, k)
 	} else {
-		g.mergeCSR(b, g.fanOut(b, workers, s.opts.Cancel, g.allPairsRange))
+		g.addRows(s.rel, cls, k, from)
 	}
+	workers = max(1, min(workers, len(g.Vertices)-nv0))
+	cancel := s.opts.Cancel
+	run := func(dst []edgeRec, start, stride int) []edgeRec {
+		return g.allPairsRange(dst, nv0, start, stride, cancel)
+	}
+	if g.join != nil {
+		g.indexValues(nv0)
+		run = func(dst []edgeRec, start, stride int) []edgeRec {
+			return g.indexedRange(dst, nv0, start, stride, cancel)
+		}
+	}
+	g.addEdges(b, nv0, g.fanOut(b, workers, run))
 
-	// Flush build totals into the default registry here — the single flush
-	// point for graph metrics, covering every build regardless of caller
-	// (repairs, Detect, benchmarks). FlushRunStats deliberately skips the
+	// Flush the extension's totals into the default registry here — the
+	// single flush point for graph metrics, covering every build and append
+	// regardless of caller (repairs, Detect, benchmarks, the incremental
+	// engine); views add nothing. FlushRunStats deliberately skips the
 	// vertices/edges Stats keys for the same reason.
-	edges := g.NumEdges()
+	vertices, edges := len(g.Vertices)-nv0, g.NumEdges()-e0
 	obs.Pipeline.GraphBuilds.Inc()
-	obs.Pipeline.GraphVertices.AddInt(len(g.Vertices))
+	obs.Pipeline.GraphVertices.AddInt(vertices)
 	obs.Pipeline.GraphEdges.AddInt(edges)
-	sp.Add("vertices", int64(len(g.Vertices)))
+	sp.Add("vertices", int64(vertices))
 	sp.Add("edges", int64(edges))
 	sp.Add("workers", int64(workers))
-	return g
 }
 
-// group numbers the rows' projections onto the FD's attributes by
-// value-id tuples and lays out the vertices: one per projection in
-// first-occurrence row order, or one per row without grouping. Tuple.Key
-// runs once per projection, for byKey.
-func (g *Graph) group(rel *dataset.Relation, cols []*column) {
-	attrs := g.FD.Attrs()
-	cls := append([]int32(nil), cols[attrs[0]].ids...)
-	k := len(cols[attrs[0]].vals)
-	for _, a := range attrs[1:] {
-		k = refine(cls, cols[a].ids)
-	}
-	classes := bucket(cls, k)
-	g.byKey = make(map[string]int, k)
-	if !g.ungrouped {
-		g.rowV = cls
-		g.Vertices = make([]Vertex, k)
-		for c, rows := range classes {
-			g.Vertices[c] = Vertex{Rep: rel.Tuples[rows[0]], Rows: rows}
-			g.byKey[g.Vertices[c].Rep.Key(attrs)] = c
+// classes numbers FD i's projections of the rows from `from` on by
+// value-id tuples, continuing the state's first-occurrence numbering, and
+// returns each row's class with the number of classes so far.
+func (s *State) classes(b *builder, i, from int) ([]int32, int) {
+	attrs := s.fds[i].Attrs()
+	cls := append(b.cls[:0], s.cols[attrs[0]].ids[from:]...)
+	k := len(s.cols[attrs[0]].vals)
+	for l, a := range attrs[1:] {
+		ids, next := s.levels[i][l], s.cols[a].ids[from:]
+		for r, c := range cls {
+			key := uint64(uint32(c))<<32 | uint64(uint32(next[r]))
+			id, ok := ids[key]
+			if !ok {
+				id = int32(len(ids))
+				ids[key] = id
+			}
+			cls[r] = id
 		}
-		return
+		k = len(ids)
 	}
-	// Key classes are non-trivial only without grouping: Lookup resolves a
-	// key to the class's last row, as each row's vertex overwrote the key
-	// in turn.
+	b.cls = cls
+	return cls, k
+}
+
+// addRows adds rows from, from+1, ... with projection classes cls to the
+// grouped graph: classes past its vertices found new vertices, in
+// first-occurrence row order, each with one projection key for byKey. The
+// new vertices' row lists share one backing array, as bucket's do.
+func (g *Graph) addRows(rel *dataset.Relation, cls []int32, k, from int) {
+	nv0 := len(g.Vertices)
+	off := make([]int, k-nv0+1)
+	for _, c := range cls {
+		if int(c) >= nv0 {
+			off[int(c)-nv0+1]++
+		}
+	}
+	for c := 0; c < k-nv0; c++ {
+		off[c+1] += off[c]
+	}
+	arena := make([]int, off[k-nv0])
+	g.Vertices = slices.Grow(g.Vertices, k-nv0)
+	for c := 0; c < k-nv0; c++ {
+		g.Vertices = append(g.Vertices, Vertex{Rows: arena[off[c]:off[c]:off[c+1]]})
+	}
+	for j, c := range cls {
+		v := &g.Vertices[c]
+		if len(v.Rows) == 0 {
+			v.Rep = rel.Tuples[from+j]
+		}
+		v.Rows = append(v.Rows, from+j)
+	}
+	if g.byKey == nil {
+		g.byKey = make(map[string]int, k)
+	}
+	for v := nv0; v < k; v++ {
+		g.byKey[g.Vertices[v].Rep.Key(g.FD.Attrs())] = v
+	}
+	g.rowV = append(g.rowV, cls...)
+}
+
+// ungroupedLayout gives every row of rel its own vertex, the rows'
+// projection classes cls numbering k key classes. Key classes are
+// non-trivial only without grouping: Lookup resolves a key to the class's
+// last row, as each row's vertex overwrote the key in turn.
+func (g *Graph) ungroupedLayout(rel *dataset.Relation, cls []int32, k int) {
 	n := len(rel.Tuples)
 	g.rowV, g.canon = make([]int32, n), make([]int32, n)
 	g.Vertices = make([]Vertex, n)
-	for _, rows := range classes {
+	g.byKey = make(map[string]int, k)
+	for _, rows := range bucket(cls, k) {
 		last := rows[len(rows)-1]
-		g.byKey[rel.Tuples[last].Key(attrs)] = last
+		g.byKey[rel.Tuples[last].Key(g.FD.Attrs())] = last
 		for j, r := range rows {
 			g.rowV[r], g.canon[r] = int32(r), int32(last)
 			g.Vertices[r] = Vertex{Rep: rel.Tuples[r], Rows: rows[j : j+1 : j+1]}
@@ -454,13 +606,15 @@ func (g *Graph) group(rel *dataset.Relation, cols []*column) {
 }
 
 // indexValues lists, per value id of the probe column, the vertices whose
-// pattern carries the value, in vertex order.
-func (g *Graph) indexValues(col *column) {
-	vid := make([]int32, len(g.Vertices))
-	for v := range g.Vertices {
-		vid[v] = col.ids[g.Vertices[v].Rows[0]]
+// pattern carries the value, in vertex order, adding the vertices from nv0
+// on.
+func (g *Graph) indexValues(nv0 int) {
+	col := g.join.col
+	vid := make([]int32, len(g.Vertices)-nv0)
+	for v := range vid {
+		vid[v] = col.ids[g.Vertices[nv0+v].Rows[0]]
 	}
-	g.byVal = bucket(vid, len(col.vals))
+	g.byVal = extendBuckets(g.byVal, vid, nv0, len(col.vals))
 }
 
 // edgeRec is one verified edge produced by a build worker, buffered locally
@@ -475,8 +629,8 @@ type edgeRec struct {
 // with its repair weight and violation distance. The build ranges stream
 // every candidate j through the matcher, so i's bit-parallel tables are
 // built once, not once per pair. Pure in the pair (the distance cache only
-// memoizes, never changes, results), so workers can verify pairs in any
-// order and partition.
+// memoizes, never changes, results, and every distance is symmetric), so
+// workers can verify pairs in any order, orientation and partition.
 func (g *Graph) verifyPairMT(pm *fd.PairMatcher, i, j int) (edgeRec, bool) {
 	if g.ungrouped && g.canon[i] == g.canon[j] {
 		return edgeRec{}, false
@@ -495,12 +649,12 @@ func (g *Graph) verifyPairMT(pm *fd.PairMatcher, i, j int) (edgeRec, bool) {
 
 // fanOut runs the given range verifier on `workers` goroutines, worker w
 // owning the stride-partitioned slice {w, w+workers, w+2*workers, ...} of
-// the outer loop. Stride partitioning balances the triangular all-pairs
+// the new vertices. Stride partitioning balances the triangular all-pairs
 // loop without a work queue, and each worker's output is a deterministic
 // function of (start, stride), so the merged edge set does not depend on
 // scheduling. The per-worker record lists come from the builder and keep
 // their capacity across builds.
-func (g *Graph) fanOut(b *builder, workers int, cancel <-chan struct{}, run func(dst []edgeRec, start, stride int, cancel <-chan struct{}) []edgeRec) [][]edgeRec {
+func (g *Graph) fanOut(b *builder, workers int, run func(dst []edgeRec, start, stride int) []edgeRec) [][]edgeRec {
 	if cap(b.lists) < workers {
 		lists := make([][]edgeRec, workers)
 		copy(lists, b.lists)
@@ -508,55 +662,70 @@ func (g *Graph) fanOut(b *builder, workers int, cancel <-chan struct{}, run func
 	}
 	b.lists = b.lists[:workers]
 	out := b.lists
-	forEach(workers, workers, func(w int) { out[w] = run(out[w][:0], w, workers, cancel) })
+	forEach(workers, workers, func(w int) { out[w] = run(out[w][:0], w, workers) })
 	return out
 }
 
-// mergeCSR folds the per-worker edge lists into the CSR arena: count
-// degrees, prefix-sum the offset table, place both directions of every
-// record, then sort each vertex's slice by To. Merge order is irrelevant to
-// the final graph: each undirected edge appears in exactly one worker's
-// list, and To is a strict sort key since a vertex pair carries at most one
-// edge — so the arena is bit-identical at any worker count.
-func (g *Graph) mergeCSR(b *builder, lists [][]edgeRec) {
+// addEdges folds the per-worker edge lists, every record naming a pair
+// with a vertex from nv0 on, into the adjacency lists: count degrees, place
+// both directions of every record into one arena, then sort each vertex's
+// slice by To. A new vertex's list is its slice of the arena; an older
+// vertex's new partners all come after its old ones, so its slice is
+// appended to its list. Merge order is irrelevant to the final graph: each
+// undirected edge appears in exactly one worker's list, and To is a strict
+// sort key since a vertex pair carries at most one edge — so the lists are
+// bit-identical at any worker count.
+func (g *Graph) addEdges(b *builder, nv0 int, lists [][]edgeRec) {
 	n := len(g.Vertices)
+	g.adj = append(g.adj, make([][]Edge, n-len(g.adj))...)
 	if cap(b.deg) < n {
 		b.deg = make([]int32, n)
 	}
 	b.deg = b.deg[:n]
-	deg := b.deg
-	for i := range deg {
-		deg[i] = 0
+	cur := b.deg
+	for i := range cur {
+		cur[i] = 0
 	}
 	total := 0
 	for _, recs := range lists {
 		total += 2 * len(recs)
 		for _, r := range recs {
-			deg[r.u]++
-			deg[r.v]++
-		}
-	}
-	g.eoff = make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		g.eoff[i+1] = g.eoff[i] + deg[i]
-	}
-	g.edges = make([]Edge, total)
-	// Reuse deg as the per-vertex write cursor.
-	cur := deg
-	for i := 0; i < n; i++ {
-		cur[i] = g.eoff[i]
-	}
-	for _, recs := range lists {
-		for _, r := range recs {
-			g.edges[cur[r.u]] = Edge{To: r.v, W: r.w, D: r.d}
 			cur[r.u]++
-			g.edges[cur[r.v]] = Edge{To: r.u, W: r.w, D: r.d}
 			cur[r.v]++
 		}
 	}
-	for i := 0; i < n; i++ {
-		sortEdges(g.edges[g.eoff[i]:g.eoff[i+1]])
+	if total == 0 {
+		return
 	}
+	// Turn the degrees into each vertex's write cursor into the arena.
+	var off int32
+	for i, d := range cur {
+		cur[i] = off
+		off += d
+	}
+	arena := make([]Edge, total)
+	for _, recs := range lists {
+		for _, r := range recs {
+			arena[cur[r.u]] = Edge{To: r.v, W: r.w, D: r.d}
+			cur[r.u]++
+			arena[cur[r.v]] = Edge{To: r.u, W: r.w, D: r.d}
+			cur[r.v]++
+		}
+	}
+	var start int32
+	for u, end := range cur {
+		if end > start {
+			es := arena[start:end:end]
+			sortEdges(es)
+			if u < nv0 {
+				g.adj[u] = append(g.adj[u], es...)
+			} else {
+				g.adj[u] = es
+			}
+		}
+		start = end
+	}
+	g.nedges += total / 2
 }
 
 // sortEdges orders one vertex's adjacency slice by To: insertion sort for
@@ -592,22 +761,24 @@ func buildCanceled(cancel <-chan struct{}) bool {
 	}
 }
 
-// allPairsRange verifies every pair (i, j), i < j, whose outer index i is
-// congruent to start modulo stride. Cancellation is polled every 1024
-// candidate pairs.
-func (g *Graph) allPairsRange(recs []edgeRec, start, stride int, cancel <-chan struct{}) []edgeRec {
+// allPairsRange verifies, for every new vertex i (i >= nv0) congruent to
+// nv0+start modulo stride, the pairs (i, j) with j an older vertex or a
+// new one above i. Cancellation is polled every 1024 candidate pairs.
+func (g *Graph) allPairsRange(recs []edgeRec, nv0, start, stride int, cancel <-chan struct{}) []edgeRec {
 	n := len(g.Vertices)
 	pairs := 0
-	for i := start; i < n; i += stride {
+	for i := nv0 + start; i < n; i += stride {
 		pm := g.Cfg.AcquirePairMatcher(g.FD, g.Vertices[i].Rep)
-		for j := i + 1; j < n; j++ {
-			pairs++
-			if pairs&1023 == 0 && buildCanceled(cancel) {
-				pm.Release()
-				return recs
-			}
-			if rec, ok := g.verifyPairMT(pm, i, j); ok {
-				recs = append(recs, rec)
+		for _, span := range [2][2]int{{0, nv0}, {i + 1, n}} {
+			for j := span[0]; j < span[1]; j++ {
+				pairs++
+				if pairs&1023 == 0 && buildCanceled(cancel) {
+					pm.Release()
+					return recs
+				}
+				if rec, ok := g.verifyPairMT(pm, i, j); ok {
+					recs = append(recs, rec)
+				}
 			}
 		}
 		pm.Release()
@@ -615,45 +786,40 @@ func (g *Graph) allPairsRange(recs []edgeRec, start, stride int, cancel <-chan s
 	return recs
 }
 
-// indexedRange verifies the candidates of every probe value id congruent
-// to start modulo stride: the vertex pairs whose probe values the shared
-// join matched. Each distinct value *pair* is handled exactly once (by the
-// lower id), so the emitted edges partition across workers. The vi loop is
-// outside the match loop so one PairMatcher serves vertex vi against every
-// candidate; the merge sorts per-vertex adjacency anyway.
-func (g *Graph) indexedRange(recs []edgeRec, start, stride int, cancel <-chan struct{}) []edgeRec {
+// indexedRange verifies, for every new vertex vi (vi >= nv0) congruent to
+// nv0+start modulo stride, its candidates: the vertices carrying a probe
+// value the shared join matched to vi's, older than nv0 or new and above
+// vi, so each pair with a new vertex is verified exactly once and the
+// emitted edges partition across workers. One PairMatcher serves vi
+// against every candidate; the merge sorts per-vertex adjacency anyway.
+func (g *Graph) indexedRange(recs []edgeRec, nv0, start, stride int, cancel <-chan struct{}) []edgeRec {
 	lists := g.join.lists
 	if lists == nil {
 		return recs // the join was canceled, so is this build
 	}
+	ids := g.join.col.ids
 	pairs := 0
-	for id := start; id < len(g.byVal); id += stride {
+	for vi := nv0 + start; vi < len(g.Vertices); vi += stride {
 		if buildCanceled(cancel) {
 			return recs
 		}
-		matches := lists[id]
-		for _, vi := range g.byVal[id] {
-			pm := g.Cfg.AcquirePairMatcher(g.FD, g.Vertices[vi].Rep)
-			for _, m := range matches {
-				if m.ID < id {
-					continue // handle each value pair once (m.ID == id covers same-value vertices)
+		pm := g.Cfg.AcquirePairMatcher(g.FD, g.Vertices[vi].Rep)
+		for _, m := range lists[ids[g.Vertices[vi].Rows[0]]] {
+			for _, vj := range g.byVal[m.ID] {
+				if vj >= nv0 && vj <= vi {
+					continue // verified from a lower new vertex, or vi itself
 				}
-				for _, vj := range g.byVal[m.ID] {
-					if m.ID == id && vj <= vi {
-						continue // same value bucket: avoid double visits and self loops
-					}
-					pairs++
-					if pairs&1023 == 0 && buildCanceled(cancel) {
-						pm.Release()
-						return recs
-					}
-					if rec, ok := g.verifyPairMT(pm, vi, vj); ok {
-						recs = append(recs, rec)
-					}
+				pairs++
+				if pairs&1023 == 0 && buildCanceled(cancel) {
+					pm.Release()
+					return recs
+				}
+				if rec, ok := g.verifyPairMT(pm, vi, vj); ok {
+					recs = append(recs, rec)
 				}
 			}
-			pm.Release()
 		}
+		pm.Release()
 	}
 	return recs
 }

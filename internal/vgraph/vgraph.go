@@ -5,25 +5,32 @@
 // vertices scale the distance by the multiplicity of the vertex being
 // repaired, realizing the paper's directed grouped graph G'.
 //
-// Construction is the pipeline's bottleneck (§6). BuildSet builds every
+// Construction is the pipeline's bottleneck (§6). A State builds every
 // graph of an FD set over one relation at once: each FD column is encoded
 // into value ids once, each probe column is q-gram self-joined once and
 // shared by the FDs probing it, and candidate verification fans out across
-// a worker pool. The result is deterministic: the same graphs, bit for bit,
-// for any worker count — see Options.Workers. Build is its one-FD case.
+// a worker pool. The state is appendable: rows added later extend the
+// encodings, vertices, joins and edges, verifying only pairs with something
+// new, and the graphs always equal a fresh build over all the rows.
+// BuildSet is its one-batch case and Build its one-FD case. The result is
+// deterministic: the same graphs, bit for bit, for any worker count and
+// any split of the rows into appends — see Options.Workers.
 //
-// The graph is stored CSR-style: all adjacency entries live in one flat
-// []Edge arena indexed by a per-vertex offset table, and vertices are a
-// flat []Vertex slice. Every hot consumer (mis expansion, greedy growth,
-// plan costing) addresses vertices by dense index, so traversal is
+// Each vertex keeps its adjacency list sorted by neighbour id, and
+// vertices are a flat []Vertex slice; a one-batch build lays every list
+// out in one arena. Every hot consumer (mis expansion, greedy growth, plan
+// costing) addresses vertices by dense index, so traversal is
 // pointer-free; the byKey map survives only for point lookups by
 // projection key, and rows of the build's own relation find their vertex
-// by index (RowVertex). A pooled builder reuses the per-worker edge lists
-// and the CSR counting scratch across builds, which matters to the
-// incremental engine's frequent small shard rebuilds.
+// by index (RowVertex). A View restricts a graph to a row subset closed
+// under its patterns and edges (an incremental engine's shard), renumbered
+// as a fresh build over those rows would number it. A pooled builder reuses
+// the per-worker edge lists and the degree counters across builds and
+// appends.
 package vgraph
 
 import (
+	"slices"
 	"sort"
 
 	"ftrepair/internal/bitset"
@@ -62,12 +69,11 @@ type Graph struct {
 	Cfg      *fd.DistConfig
 	Tau      float64
 	Vertices []Vertex
-	// CSR adjacency arena: edges holds every directed adjacency entry,
-	// grouped by source vertex and sorted by To within a vertex;
-	// eoff[u]:eoff[u+1] bounds vertex u's slice.
-	edges []Edge
-	eoff  []int32
-	byKey map[string]int
+	// adj[u] is vertex u's adjacency list, sorted by To; nedges counts the
+	// undirected edges.
+	adj    [][]Edge
+	nedges int
+	byKey  map[string]int
 	// rowV[r] is the vertex holding row r of the relation the graph was
 	// built over.
 	rowV []int32
@@ -86,6 +92,11 @@ type Graph struct {
 	// graph was built all-pairs.
 	join  *colJoin
 	byVal [][]int // probe value id -> vertex indices carrying it
+	// A view (View) answers point queries through the graph it restricts,
+	// parent, keeping only its own vertices: ids[v] is view vertex v's
+	// vertex in parent, ascending. Both are nil on built graphs.
+	parent *Graph
+	ids    []int32
 }
 
 // PatternDist is the Eq-3 repair cost between the patterns of two vertices:
@@ -99,12 +110,12 @@ func (g *Graph) PatternDist(u, v int) float64 {
 	return sum
 }
 
-// Neighbors returns the adjacency list of vertex u, sorted by vertex id: a
-// view into the CSR arena. Callers must not modify it.
-func (g *Graph) Neighbors(u int) []Edge { return g.edges[g.eoff[u]:g.eoff[u+1]] }
+// Neighbors returns the adjacency list of vertex u, sorted by vertex id.
+// Callers must not modify it.
+func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
 
 // Degree is the number of FT-violation partners of u.
-func (g *Graph) Degree(u int) int { return int(g.eoff[u+1] - g.eoff[u]) }
+func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
 // Edge reports the weight of edge (u,v) if present.
 func (g *Graph) Edge(u, v int) (float64, bool) {
@@ -125,7 +136,7 @@ func (g *Graph) Edge(u, v int) (float64, bool) {
 }
 
 // NumEdges counts undirected edges.
-func (g *Graph) NumEdges() int { return len(g.edges) / 2 }
+func (g *Graph) NumEdges() int { return g.nedges }
 
 // RepairCost is the cost of repairing every tuple grouped in vertex `from`
 // to the pattern of vertex `to`: multiplicity times pattern distance (the
@@ -180,8 +191,22 @@ func (g *Graph) Components() [][]int {
 
 // Lookup returns the vertex carrying the same projection as t, if any.
 func (g *Graph) Lookup(t dataset.Tuple) (int, bool) {
+	if g.parent != nil {
+		if v, ok := g.parent.Lookup(t); ok {
+			if lv, ok := g.local(v); ok {
+				return lv, true
+			}
+		}
+		return 0, false
+	}
 	v, ok := g.byKey[t.Key(g.FD.Attrs())]
 	return v, ok
+}
+
+// local returns a view's vertex for the parent's vertex v, if the view
+// holds it.
+func (g *Graph) local(v int) (int, bool) {
+	return slices.BinarySearch(g.ids, int32(v))
 }
 
 // RowVertex returns the vertex holding row r of the relation the graph was
@@ -200,7 +225,8 @@ func (g *Graph) RowVertex(r int) int { return int(g.rowV[r]) }
 // attribute, so the probe value's matches at τ/w lose no candidates and
 // the O(V) scan drops to them. When the probe value is one the build
 // joined, its kept matches serve; only another value (or any value after a
-// canceled join) runs the q-gram search here.
+// canceled join) runs the q-gram search here. A view reads its parent's
+// join and keeps the candidates it holds.
 func (g *Graph) ViolatorCount(t dataset.Tuple) int {
 	if v, ok := g.Lookup(t); ok {
 		return g.Degree(v)
@@ -208,9 +234,19 @@ func (g *Graph) ViolatorCount(t dataset.Tuple) int {
 	count := 0
 	pm := g.Cfg.AcquirePairMatcher(g.FD, t)
 	defer pm.Release()
-	if g.join != nil {
-		for _, m := range g.join.matches(t[g.join.attr]) {
-			for _, u := range g.byVal[m.ID] {
+	src := g
+	if g.parent != nil {
+		src = g.parent
+	}
+	if src.join != nil {
+		for _, m := range src.join.matches(t[src.join.attr]) {
+			for _, u := range src.byVal[m.ID] {
+				if g.parent != nil {
+					var ok bool
+					if u, ok = g.local(u); !ok {
+						continue
+					}
+				}
 				if _, ok := pm.DistWithin(g.Tau, g.Vertices[u].Rep); ok {
 					count++
 				}
@@ -238,4 +274,63 @@ func (g *Graph) FTAdjacent(t dataset.Tuple, v int) bool {
 	}
 	_, within := g.Cfg.DistWithin(g.FD, g.Tau, t, g.Vertices[v].Rep)
 	return within
+}
+
+// View restricts the grouped graph g to rows, ascending row indices of the
+// relation g was built over, for a run over the sub-relation of those rows.
+// rows must hold every row of each vertex it touches, and the vertices of
+// every edge of those vertices: an incremental engine's shard. The view
+// then equals a fresh build over the sub-relation field for field, edge
+// weights and distances included: its vertices keep g's order (a vertex's
+// first row is in rows, and rows keep their order), vertex rows, row
+// vertices and edge targets are renumbered to the view, and Lookup,
+// ViolatorCount and FTAdjacent answer for the view's vertices only. A view
+// shares g's vertex tuples and join, so g must not grow while the view is
+// in use.
+func (g *Graph) View(rows []int) *Graph {
+	if g.ungrouped || g.parent != nil {
+		panic("vgraph: View of an ungrouped graph or of a view")
+	}
+	v := &Graph{FD: g.FD, Cfg: g.Cfg, Tau: g.Tau, parent: g, rowV: make([]int32, len(rows))}
+	for _, r := range rows {
+		if u := g.rowV[r]; g.Vertices[u].Rows[0] == r {
+			v.ids = append(v.ids, u)
+		}
+	}
+	v.Vertices = make([]Vertex, len(v.ids))
+	v.adj = make([][]Edge, len(v.ids))
+	rowArena := make([]int, 0, len(rows))
+	edges := 0
+	for lu, u := range v.ids {
+		n := len(rowArena)
+		rowArena = rowArena[:n+len(g.Vertices[u].Rows)]
+		v.Vertices[lu] = Vertex{Rep: g.Vertices[u].Rep, Rows: rowArena[n:n:len(rowArena)]}
+		edges += g.Degree(int(u))
+	}
+	if len(rowArena) != len(rows) {
+		panic("vgraph: View rows are not closed under the graph's patterns")
+	}
+	for k, r := range rows {
+		lu, ok := v.local(int(g.rowV[r]))
+		if !ok {
+			panic("vgraph: View rows are not closed under the graph's patterns")
+		}
+		v.rowV[k] = int32(lu)
+		v.Vertices[lu].Rows = append(v.Vertices[lu].Rows, k)
+	}
+	arena := make([]Edge, edges)
+	for lu, u := range v.ids {
+		es := arena[:g.Degree(int(u)):g.Degree(int(u))]
+		arena = arena[len(es):]
+		for i, e := range g.adj[u] {
+			lt, ok := v.local(e.To)
+			if !ok {
+				panic("vgraph: View rows are not closed under the graph's edges")
+			}
+			es[i] = Edge{To: lt, W: e.W, D: e.D}
+		}
+		v.adj[lu] = es
+	}
+	v.nedges = edges / 2
+	return v
 }
