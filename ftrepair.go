@@ -48,6 +48,13 @@ import (
 // and measured, but not FT-consistent in general. Test with errors.Is.
 var ErrCanceled = repair.ErrCanceled
 
+// ErrEmptyJoin reports that a multi-FD repair (ExactM, ApproM, GreedyM)
+// found no target for a component: its per-FD independent sets join into
+// none. The error names the component's FDs and comes with no Result,
+// since any repair of that component would not be valid. Test with
+// errors.Is.
+var ErrEmptyJoin = repair.ErrEmptyJoin
+
 // Service-layer types re-exported from internal/server: an HTTP/JSON
 // daemon (cmd/repaird) over the repair library with batch jobs, streaming
 // sessions and operational endpoints.

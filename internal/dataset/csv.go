@@ -42,7 +42,7 @@ func ReadCSVOpts(r io.Reader, typeSpec string, opts CSVOptions) (*Relation, erro
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
 	}
-	types, err := parseTypeSpec(typeSpec, len(header))
+	types, err := ParseTypeSpec(typeSpec, len(header))
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +91,11 @@ func ReadCSVOpts(r io.Reader, typeSpec string, opts CSVOptions) (*Relation, erro
 	return rel, nil
 }
 
-func parseTypeSpec(spec string, n int) ([]Type, error) {
+// ParseTypeSpec parses a comma-separated attribute type list aligned with
+// n header columns, ignoring case and surrounding space: "string", "str",
+// "s" or an empty entry is String; "numeric", "num", "n", "number",
+// "float" or "int" is Numeric. The empty spec makes every column a string.
+func ParseTypeSpec(spec string, n int) ([]Type, error) {
 	types := make([]Type, n)
 	if spec == "" {
 		return types, nil
@@ -104,7 +108,7 @@ func parseTypeSpec(spec string, n int) ([]Type, error) {
 		switch strings.TrimSpace(strings.ToLower(p)) {
 		case "string", "str", "s", "":
 			types[i] = String
-		case "numeric", "num", "n", "float", "int":
+		case "numeric", "num", "n", "number", "float", "int":
 			types[i] = Numeric
 		default:
 			return nil, fmt.Errorf("dataset: unknown type %q in type spec", p)

@@ -284,13 +284,13 @@ func TestCSVErrors(t *testing.T) {
 }
 
 func TestParseTypeSpecAliases(t *testing.T) {
-	types, err := parseTypeSpec("s,STR,n,Float", 4)
+	types, err := ParseTypeSpec("s,STR,n,Float", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Type{String, String, Numeric, Numeric}
 	if !reflect.DeepEqual(types, want) {
-		t.Fatalf("parseTypeSpec = %v", types)
+		t.Fatalf("ParseTypeSpec = %v", types)
 	}
 }
 

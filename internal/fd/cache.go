@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"ftrepair/internal/dataset"
+	"ftrepair/internal/obs"
 )
 
 // DistCache memoizes per-attribute normalized string distances. The same
@@ -30,7 +31,8 @@ import (
 // equal the string lookups made, at any worker count. Every lookup goes
 // through a PairMatcher, which tallies the outcomes in plain fields and
 // adds them once (in Release, or at the end of a DistConfig method), so no
-// lookup writes a shared counter; the totals are the same sums.
+// lookup writes a shared counter; the totals are the same sums. The same
+// add feeds the obs registry's distance counters.
 //
 // A DistCache must not be copied after first use.
 type DistCache struct {
@@ -129,13 +131,26 @@ func stored(filled bool) lookup {
 	return planeHit
 }
 
-// add folds an evaluator's tally into the counters: the counters' one
-// write path.
+// add folds an evaluator's tally into the counters and into the obs
+// registry's distance counters: the one write path of both, so the
+// registry sees each lookup once whichever run, graph append or shard
+// made it.
 func (c *DistCache) add(t *tally) {
 	for o, n := range t {
 		if n != 0 {
 			c.counts[o].Add(n)
 		}
+	}
+	if n := t[planeHit]; n != 0 {
+		obs.Pipeline.DistCacheHits.Add(n)
+		obs.Pipeline.DistPlaneHits.Add(n)
+	}
+	if n := t[planeMiss]; n != 0 {
+		obs.Pipeline.DistCacheMisses.Add(n)
+		obs.Pipeline.DistPlaneMisses.Add(n)
+	}
+	if n := t[uncachedMiss]; n != 0 {
+		obs.Pipeline.DistCacheMisses.Add(n)
 	}
 }
 

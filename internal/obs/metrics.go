@@ -29,16 +29,19 @@ var Pipeline = struct {
 	GraphBuilds   *Counter
 	GraphVertices *Counter
 	GraphEdges    *Counter
-	// DistCacheHits / DistCacheMisses are per-run distance-cache deltas
-	// (the "distCacheHits"/"distCacheMisses" Stats entries).
+	// DistCacheHits / DistCacheMisses count distance-cache lookups by
+	// outcome. fd.DistCache adds to them where it adds to its own counters,
+	// so they see every lookup once, whether a repair run, a graph-state
+	// append or a concurrent shard run made it; a run's "distCacheHits" /
+	// "distCacheMisses" Stats entries are its cache's delta over the run.
 	DistCacheHits   *Counter
 	DistCacheMisses *Counter
-	// DistPlaneHits / DistPlaneMisses are the per-run distance-plane deltas
-	// (the "distPlaneHits"/"distPlaneMisses" Stats entries): plane lookups
-	// answered without filling a cell versus lookups that filled an empty
-	// cell. The plane counts are also folded into the distcache totals
-	// above, whose misses add the uncached computations, so these split the
-	// cache traffic, they do not add to it.
+	// DistPlaneHits / DistPlaneMisses split the same lookups by distance
+	// plane (the "distPlaneHits"/"distPlaneMisses" Stats entries): plane
+	// lookups answered without filling a cell versus lookups that filled
+	// an empty cell. The plane counts are also folded into the distcache
+	// totals above, whose misses add the uncached computations, so these
+	// split the cache traffic, they do not add to it.
 	DistPlaneHits   *Counter
 	DistPlaneMisses *Counter
 	// MISNodes / MISPruned count expansion-tree nodes explored and subtrees
@@ -52,10 +55,9 @@ var Pipeline = struct {
 	// TreeVisited counts target-tree nodes visited across nearest-target
 	// searches (targettree.Nearest / NearestScan).
 	TreeVisited *Counter
-	// GreedySetSize accumulates grown independent-set sizes; JoinFallbacks
-	// counts empty joined-set fallbacks to sequential per-FD repair.
+	// GreedySetSize accumulates the independent-set sizes GreedyS and
+	// ApproM grow.
 	GreedySetSize *Counter
-	JoinFallbacks *Counter
 }{
 	GraphBuilds: std.Counter("ftrepair_graph_builds_total",
 		"Violation-graph builds and appends, one per FD graph."),
@@ -64,13 +66,13 @@ var Pipeline = struct {
 	GraphEdges: std.Counter("ftrepair_graph_edges_built_total",
 		"FT-violation edges verified across violation-graph builds and appends."),
 	DistCacheHits: std.Counter("ftrepair_distcache_hits_total",
-		"Distance-cache hits reported by finished repair runs."),
+		"Distance-cache hits."),
 	DistCacheMisses: std.Counter("ftrepair_distcache_misses_total",
-		"Distance-cache misses reported by finished repair runs."),
+		"Distance-cache misses."),
 	DistPlaneHits: std.Counter("ftrepair_distplane_hits_total",
-		"Distance-plane hits (one-atomic-load answers) reported by finished repair runs."),
+		"Distance-plane hits (one-atomic-load answers)."),
 	DistPlaneMisses: std.Counter("ftrepair_distplane_misses_total",
-		"Distance-plane lookups that filled an empty cell reported by finished repair runs."),
+		"Distance-plane lookups that filled an empty cell."),
 	MISNodes: std.Counter("ftrepair_mis_nodes_explored_total",
 		"Expansion-tree nodes explored by the exact MIS search."),
 	MISPruned: std.Counter("ftrepair_mis_subtrees_pruned_total",
@@ -83,8 +85,6 @@ var Pipeline = struct {
 		"Target-tree nodes visited across nearest-target searches."),
 	GreedySetSize: std.Counter("ftrepair_greedy_set_vertices_total",
 		"Vertices admitted into greedily grown independent sets."),
-	JoinFallbacks: std.Counter("ftrepair_join_fallbacks_total",
-		"Empty joined-set fallbacks to sequential per-FD greedy repair."),
 }
 
 // Incr bundles the incremental-engine metrics. The batcher/engine flush one
@@ -193,21 +193,17 @@ func ObserveRepair(algorithm string, d time.Duration) {
 }
 
 // runStatCounters maps repair Stats keys to their registry counters. The
-// "vertices"/"edges" keys are deliberately absent: vgraph flushes those
-// itself at each build or append (covering builds outside finished Results
-// too), and a second flush here would double count.
+// "vertices"/"edges" and distance-cache keys are deliberately absent:
+// vgraph flushes graph totals at each build or append, and fd.DistCache
+// its lookups where it counts them (both covering work outside finished
+// Results too), so a second flush here would double count.
 var runStatCounters = map[string]*Counter{
-	"nodes":           Pipeline.MISNodes,
-	"pruned":          Pipeline.MISPruned,
-	"combinations":    Pipeline.BnBCombos,
-	"bnbIncumbents":   Pipeline.BnBIncumbents,
-	"treeVisited":     Pipeline.TreeVisited,
-	"setSize":         Pipeline.GreedySetSize,
-	"joinFallback":    Pipeline.JoinFallbacks,
-	"distCacheHits":   Pipeline.DistCacheHits,
-	"distCacheMisses": Pipeline.DistCacheMisses,
-	"distPlaneHits":   Pipeline.DistPlaneHits,
-	"distPlaneMisses": Pipeline.DistPlaneMisses,
+	"nodes":         Pipeline.MISNodes,
+	"pruned":        Pipeline.MISPruned,
+	"combinations":  Pipeline.BnBCombos,
+	"bnbIncumbents": Pipeline.BnBIncumbents,
+	"treeVisited":   Pipeline.TreeVisited,
+	"setSize":       Pipeline.GreedySetSize,
 }
 
 // Ledger bundles the repair-ledger metrics. internal/ledger flushes the

@@ -15,7 +15,8 @@ import (
 type Column struct {
 	Name string
 	// Inferred is the domain type inference: Numeric when at least
-	// NumericThreshold of the non-empty values parse as numbers.
+	// NumericThreshold of the non-empty values parse as numbers and the
+	// column is not identifier-shaped (see identifierShaped).
 	Inferred dataset.Type
 	// Distinct counts distinct values; Nulls counts empty cells.
 	Distinct int
@@ -81,7 +82,7 @@ func profileColumn(rel *dataset.Relation, col int) Column {
 	}
 	if nonEmpty > 0 {
 		p.AvgLen = float64(totalLen) / float64(nonEmpty)
-		if float64(numeric)/float64(nonEmpty) >= NumericThreshold && !identifierShaped(counts) {
+		if float64(numeric)/float64(nonEmpty) >= NumericThreshold && !identifierShaped(counts, nonEmpty) {
 			p.Inferred = dataset.Numeric
 		}
 		p.IsKey = p.MaxMult == 1
@@ -90,28 +91,36 @@ func profileColumn(rel *dataset.Relation, col int) Column {
 }
 
 // identifierShaped reports whether the values look like fixed-width digit
-// identifiers (zip codes, provider numbers, phones): all digits, all the
-// same length of at least 4. Such columns parse as numbers but compare
-// meaningfully as strings — Euclidean distance between zip codes is
-// noise.
-func identifierShaped(counts map[string]int) bool {
-	width := -1
-	for v := range counts {
-		if len(v) < 4 {
-			return false
+// identifiers (zip codes, provider numbers, phones, area codes): digit
+// strings of one width of at least 3 fill at least NumericThreshold of the
+// nonEmpty cells that counts tallies. Such columns parse as numbers but
+// compare meaningfully as strings — Euclidean distance between zip codes
+// is noise. The few off-width cells are typos in an identifier, not
+// evidence of a numeric domain: read as numbers, one inserted digit would
+// stretch the column's range until distinct identifiers fall within τ.
+func identifierShaped(counts map[string]int, nonEmpty int) bool {
+	byWidth := make(map[int]int)
+	for v, n := range counts {
+		if len(v) >= 3 && allDigits(v) {
+			byWidth[len(v)] += n
 		}
-		for i := 0; i < len(v); i++ {
-			if v[i] < '0' || v[i] > '9' {
-				return false
-			}
+	}
+	for _, n := range byWidth {
+		if float64(n)/float64(nonEmpty) >= NumericThreshold {
+			return true
 		}
-		if width < 0 {
-			width = len(v)
-		} else if len(v) != width {
+	}
+	return false
+}
+
+// allDigits reports whether v is made of ASCII digits only.
+func allDigits(v string) bool {
+	for i := 0; i < len(v); i++ {
+		if v[i] < '0' || v[i] > '9' {
 			return false
 		}
 	}
-	return width >= 4
+	return true
 }
 
 // InferTypes returns the inferred type per attribute, suitable for

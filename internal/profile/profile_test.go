@@ -1,6 +1,7 @@
 package profile_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -131,5 +132,37 @@ func TestIdentifierShapedStaysString(t *testing.T) {
 	}
 	if types[1] != dataset.Numeric {
 		t.Fatal("variable-width amounts not inferred numeric")
+	}
+}
+
+// TestIdentifierShapedToleratesTypos holds the majority-width rule: a
+// digit column is an identifier when one width of at least 3 fills
+// NumericThreshold of its non-empty cells, so a typo that inserts a digit
+// does not turn it numeric, while integers of mixed widths stay numeric.
+func TestIdentifierShapedToleratesTypos(t *testing.T) {
+	var zip, code, amount [][]string
+	for i := 0; i < 40; i++ {
+		zip = append(zip, []string{fmt.Sprintf("%05d", 1000+i*937)})
+		code = append(code, []string{fmt.Sprintf("%03d", 200+i*17)})
+		amount = append(amount, []string{fmt.Sprint([]int{7, 42, 650, 1200}[i%4] + i)})
+	}
+	zip[3][0] = "021345"            // one inserted digit
+	zip = append(zip, []string{""}) // empty cells do not count
+	for _, c := range []struct {
+		name string
+		rows [][]string
+		want dataset.Type
+	}{
+		{"zip with one inserted digit", zip, dataset.String},
+		{"3-digit code", code, dataset.String},
+		{"mixed-width integers", amount, dataset.Numeric},
+	} {
+		rel, err := dataset.FromRows(dataset.Strings("A"), c.rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := profile.InferTypes(rel)[0]; got != c.want {
+			t.Errorf("%s: inferred %v, want %v", c.name, got, c.want)
+		}
 	}
 }

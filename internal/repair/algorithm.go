@@ -69,9 +69,7 @@ func Run(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, algo Algorithm,
 // component: set.Components() must have a single member, and graphs[i]
 // must be set.FDs[i]'s graph over rel at set.Tau[i], as vgraph.BuildSet
 // would build it (a vgraph view of a larger relation's graphs qualifies).
-// The run reads the graphs and builds none, so Options.Graph applies only
-// to the rebuilds of sequentialFallback, which repairs over its own
-// output.
+// The run reads the graphs and builds none, so Options.Graph is unused.
 func RunOnGraphs(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, algo Algorithm, graphs []*vgraph.Graph, opts Options) (*Result, error) {
 	if n := len(set.Components()); n != 1 {
 		return nil, fmt.Errorf("repair: RunOnGraphs needs one FD component, set has %d", n)
@@ -83,25 +81,19 @@ func RunOnGraphs(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, algo Al
 }
 
 // run is Run, over graphs when they are given and over graphs it builds
-// when they are nil.
+// when they are nil. The five algorithms share multiRepair and three
+// component functions: ExactS is ExactM's one-FD case and GreedyS
+// ApproM's.
 func run(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, algo Algorithm, opts Options, graphs []*vgraph.Graph) (*Result, error) {
 	if err := algo.Check(set); err != nil {
 		return nil, err
 	}
-	var g *vgraph.Graph
-	if graphs != nil {
-		g = graphs[0]
-	}
+	comp := greedyComponent
 	switch algo {
-	case AlgoExactS:
-		return exactS(rel, set.FDs[0], cfg, set.Tau[0], opts, g)
-	case AlgoGreedyS:
-		return greedyS(rel, set.FDs[0], cfg, set.Tau[0], opts, g)
-	case AlgoExactM:
-		return multiRepair(rel, set, cfg, opts, string(AlgoExactM), exactComponent, graphs)
-	case AlgoApproM:
-		return multiRepair(rel, set, cfg, opts, string(AlgoApproM), approComponent, graphs)
-	default:
-		return multiRepair(rel, set, cfg, opts, string(AlgoGreedyM), greedyComponent, graphs)
+	case AlgoExactS, AlgoExactM:
+		comp = exactComponent
+	case AlgoGreedyS, AlgoApproM:
+		comp = approComponent
 	}
+	return multiRepair(rel, set, cfg, opts, string(algo), comp, graphs)
 }

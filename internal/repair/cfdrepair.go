@@ -170,7 +170,7 @@ func RepairCFD(rel *dataset.Relation, c *fd.CFD, cfg *fd.DistConfig, tau float64
 		return nil, fmt.Errorf("repair: RepairCFD supports ExactS or GreedyS, got %q", string(algo))
 	}
 	sub, rows := c.Restrict(rel)
-	res, err := Run(sub, &fd.Set{FDs: []*fd.FD{c.Embedded}, Tau: []float64{tau}}, cfg, algo, opts)
+	res, err := Run(sub, oneFD(c.Embedded, tau), cfg, algo, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -3,10 +3,12 @@ package repair
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
 
+	"ftrepair/internal/bitset"
 	"ftrepair/internal/dataset"
 	"ftrepair/internal/fd"
 	"ftrepair/internal/ledger"
@@ -20,6 +22,15 @@ import (
 // repaired with ApproM or GreedyM instead.
 var ErrTooManyMIS = fmt.Errorf("repair: too many maximal independent sets for exact repair")
 
+// ErrEmptyJoin is returned, wrapped with the component's FD label, when a
+// multi-FD component's independent sets join into no target: for ExactM no
+// combination of maximal sets does, for ApproM and GreedyM the one
+// combination they grew does not. No tuple can then take patterns of
+// every FD's set at once, and repairing FD by FD writes projections absent
+// from the input, which is not a valid repair (§2.2); so the run fails and
+// returns no Result.
+var ErrEmptyJoin = errors.New("repair: no feasible combination of independent sets joins into targets")
+
 // maxCombos bounds the Cartesian product ExactM is willing to evaluate.
 const maxCombos = 1 << 20
 
@@ -32,6 +43,31 @@ const maxCombos = 1 << 20
 // while remaining exact.
 func ExactM(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options) (*Result, error) {
 	return multiRepair(rel, set, cfg, opts, string(AlgoExactM), exactComponent, nil)
+}
+
+// ExactS repairs rel w.r.t. a single FD optimally (§3.1): it finds the best
+// maximal independent set of the violation graph by expansion with
+// lower/upper-bound pruning, then repairs every excluded pattern to its
+// cheapest neighbor in the set. It is ExactM's one-FD component. The
+// search is exponential in the worst case (the problem is NP-hard,
+// Theorem 3); Options.MaxNodes bounds the tree and yields an error when
+// exceeded.
+func ExactS(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, opts Options) (*Result, error) {
+	return multiRepair(rel, oneFD(f, tau), cfg, opts, string(AlgoExactS), exactComponent, nil)
+}
+
+// GreedyS repairs rel w.r.t. a single FD with the greedy heuristic of §3.2
+// (Algorithm 2): grow an expected-best independent set by repeatedly adding
+// the pattern with the smallest incremental repair cost (Eq. 8), then
+// repair excluded patterns to their cheapest chosen neighbor. It is
+// ApproM's one-FD component.
+func GreedyS(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, opts Options) (*Result, error) {
+	return multiRepair(rel, oneFD(f, tau), cfg, opts, string(AlgoGreedyS), approComponent, nil)
+}
+
+// oneFD is the constraint set {f} at tau.
+func oneFD(f *fd.FD, tau float64) *fd.Set {
+	return &fd.Set{FDs: []*fd.FD{f}, Tau: []float64{tau}}
 }
 
 // ApproM repairs rel w.r.t. a set of FDs with the §4.3 heuristic: the
@@ -55,12 +91,13 @@ func GreedyM(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Option
 // componentFunc repairs one connected component of the FD graph over its
 // graphs, sub.FDs[i]'s at index i, and writes its repairs through out,
 // holding out.mu over its apply phase, recording applied cells into ev
-// when non-nil.
+// when non-nil. A component that fails or is canceled writes nothing.
 type componentFunc func(rel *dataset.Relation, out *output, sub *fd.Set, graphs []*vgraph.Graph, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error
 
-// multiRepair runs repairComp on every component of set, over the given
-// graphs when set is one component and graphs is non-nil, else over the
-// graphs buildGraphs builds per component.
+// multiRepair is the one repair driver: it runs repairComp on every
+// component of set, over the given graphs when set is one component and
+// graphs is non-nil, else over the graphs buildGraphs builds per
+// component, and reports the graphs' vertices and edges in Stats.
 func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options, name string, repairComp componentFunc, graphs []*vgraph.Graph) (*Result, error) {
 	start := time.Now()
 	snap := snapCacheStats(cfg)
@@ -106,6 +143,10 @@ func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Op
 		if gs == nil {
 			gs = buildGraphs(rel, sub, cfg, opts)
 		}
+		for _, g := range gs {
+			stats["vertices"] += len(g.Vertices)
+			stats["edges"] += g.NumEdges()
+		}
 		return repairComp(rel, out, sub, gs, cfg, opts, stats, ev)
 	}
 	if opts.Parallel >= 2 && len(comps) > 1 {
@@ -136,10 +177,12 @@ func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Op
 // goroutines. Components write disjoint attribute columns of the output,
 // so the repairs commute; their apply phases serialize on the output's
 // lock, stats merge under a lock, and each worker records events into its
-// own component buffer (fetched via compBuf by component index).
+// own component buffer (fetched via compBuf by component index). Of
+// several failures it returns the first component's, as the sequential
+// loop would.
 func repairComponentsParallel(set *fd.Set, opts Options, stats map[string]int, comps [][]int, repairOne func(*fd.Set, map[string]int, *eventBuf) error, compBuf func(int) *eventBuf) error {
 	sem := make(chan struct{}, opts.Parallel)
-	errs := make(chan error, len(comps))
+	errs := make([]error, len(comps))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for ci, comp := range comps {
@@ -155,9 +198,7 @@ func repairComponentsParallel(set *fd.Set, opts Options, stats map[string]int, c
 			defer wg.Done()
 			defer func() { <-sem }()
 			local := make(map[string]int)
-			err := repairOne(set.Subset(comp), local, compBuf(ci))
-			if err != nil {
-				errs <- err
+			if errs[ci] = repairOne(set.Subset(comp), local, compBuf(ci)); errs[ci] != nil {
 				return
 			}
 			mu.Lock()
@@ -168,10 +209,12 @@ func repairComponentsParallel(set *fd.Set, opts Options, stats map[string]int, c
 		}()
 	}
 	wg.Wait()
-	close(errs)
 	// Prefer a real failure over a cancellation when both occurred.
 	var firstCancel error
-	for err := range errs {
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
 		if errors.Is(err, ErrCanceled) {
 			firstCancel = err
 			continue
@@ -198,8 +241,8 @@ func buildGraphs(rel *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Op
 // exactComponent implements Algorithm 3 for one component.
 func exactComponent(rel *dataset.Relation, out *output, sub *fd.Set, graphs []*vgraph.Graph, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
 	if len(sub.FDs) == 1 {
-		// Single-FD component: the expansion algorithm is optimal
-		// (Theorem 5) and far cheaper than enumeration + join.
+		// Single-FD component, ExactS: the expansion search (§3.1) is
+		// optimal (Theorem 5) and far cheaper than enumeration + join.
 		sp := obs.Begin(opts.Trace, obs.PhaseExpand)
 		sp.SetFD(sub.FDs[0].String())
 		res, err := mis.BestMIS(graphs[0], mis.Options{
@@ -265,7 +308,7 @@ func exactComponent(rel *dataset.Relation, out *output, sub *fd.Set, graphs []*v
 		return err
 	}
 	if best == nil {
-		return fmt.Errorf("repair: no feasible combination of independent sets joins into targets")
+		return fmt.Errorf("%w: %s", ErrEmptyJoin, fdSetLabel(sub))
 	}
 	if ev != nil {
 		ev.fdLabel = fdSetLabel(sub)
@@ -278,18 +321,26 @@ func exactComponent(rel *dataset.Relation, out *output, sub *fd.Set, graphs []*v
 	return nil
 }
 
-// approComponent implements §4.3 for one component.
+// approComponent implements §4.3 for one component: GreedyS's set growth
+// (§3.2) per FD, so a one-FD component is GreedyS.
 func approComponent(rel *dataset.Relation, out *output, sub *fd.Set, graphs []*vgraph.Graph, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
 	sp := obs.Begin(opts.Trace, obs.PhaseGreedyGrow)
+	sp.SetFD(fdSetLabel(sub))
 	sets := make([][]int, len(graphs))
+	size := 0
 	for i, g := range graphs {
 		sets[i] = greedySet(g, opts.Cancel)
 		if canceled(opts.Cancel) {
+			// The growth stopped early; leave this component untouched
+			// rather than applying a half-grown set.
 			sp.End()
 			return ErrCanceled
 		}
+		size += len(sets[i])
 	}
+	sp.Add("setSize", int64(size))
 	sp.End()
+	stats["setSize"] += size
 	return applyJoinedSets(rel, out, sub, cfg, opts, stats, graphs, sets, ev)
 }
 
@@ -309,9 +360,10 @@ func greedyComponent(rel *dataset.Relation, out *output, sub *fd.Set, graphs []*
 }
 
 // applyJoinedSets joins per-FD independent sets into targets and repairs
-// every tuple whose projections fall outside them. When the join is empty
-// (the chosen sets disagree on every shared value — possible for heuristic
-// sets), it falls back to iterated per-FD greedy repair.
+// every tuple whose projections fall outside them; one FD's set repairs
+// each excluded pattern to its cheapest neighbor in it. When the join is
+// empty (the chosen sets disagree on every shared value, which heuristic
+// sets may), it returns ErrEmptyJoin and writes nothing.
 func applyJoinedSets(rel *dataset.Relation, out *output, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, graphs []*vgraph.Graph, sets [][]int, ev *eventBuf) error {
 	if len(graphs) == 1 {
 		ap := obs.Begin(opts.Trace, obs.PhaseApply)
@@ -333,8 +385,7 @@ func applyJoinedSets(rel *dataset.Relation, out *output, sub *fd.Set, cfg *fd.Di
 		return ErrCanceled
 	}
 	if !ok {
-		stats["joinFallback"]++
-		return sequentialFallback(out, sub, cfg, opts, ev)
+		return fmt.Errorf("%w: %s", ErrEmptyJoin, fdSetLabel(sub))
 	}
 	if ev != nil {
 		ev.fdLabel = fdSetLabel(sub)
@@ -347,43 +398,38 @@ func applyJoinedSets(rel *dataset.Relation, out *output, sub *fd.Set, cfg *fd.Di
 	return nil
 }
 
-// sequentialFallback repairs the component FD by FD with the single-FD
-// greedy algorithm, iterating until the component is FT-consistent or a
-// round budget is exhausted. It is only used when the joined independent
-// sets admit no target. Each round's graphs are built over the output it
-// writes, and their vertices hold its rows as Rep, so it holds out.mu
-// throughout: no other component may copy a row under it.
-func sequentialFallback(out *output, sub *fd.Set, cfg *fd.DistConfig, opts Options, ev *eventBuf) error {
-	out.mu.Lock()
-	defer out.mu.Unlock()
-	const maxRounds = 5
-	for round := 0; round < maxRounds; round++ {
-		clean := true
-		for i, f := range sub.FDs {
-			if canceled(opts.Cancel) {
-				return ErrCanceled
-			}
-			g := vgraph.Build(out.rel, f, cfg, sub.Tau[i], graphOpts(opts))
-			if g.NumEdges() == 0 {
-				continue
-			}
-			clean = false
-			applyInPlace(out, g, repairTargets(g, greedySet(g, opts.Cancel)), cfg, ev)
+// repairTargets maps every vertex outside the independent set to its
+// cheapest neighbor inside it.
+func repairTargets(g *vgraph.Graph, set []int) map[int]int {
+	in := bitset.New(len(g.Vertices))
+	for _, v := range set {
+		in.Set(v)
+	}
+	target := make(map[int]int)
+	for v := range g.Vertices {
+		if in.Has(v) {
+			continue
 		}
-		if clean {
-			return nil
+		best, bestW := -1, math.Inf(1)
+		for _, e := range g.Neighbors(v) {
+			if in.Has(e.To) && e.W < bestW {
+				best, bestW = e.To, e.W
+			}
+		}
+		if best >= 0 {
+			target[v] = best
 		}
 	}
-	return nil // best effort; verification reports any residual violations
+	return target
 }
 
-// applyInPlace is applyVertexRepairs writing through out (whose rows align
-// with the graph's source relation). Writes that change nothing are
+// applyInPlace writes pattern repairs through out (whose rows align with
+// the graph's source relation): each entry of target maps a vertex to the
+// vertex whose pattern its rows adopt. Writes that change nothing are
 // skipped, so a row is copied only when one of its cells changes. When ev
 // is non-nil, every cell whose value actually changes is recorded with the
 // violation edge (from → to) that justified the repair; unchanged cells
-// stay silent, so the ledger matches Changed exactly for single-write
-// repairs.
+// stay silent, so the ledger matches Changed exactly.
 func applyInPlace(out *output, g *vgraph.Graph, target map[int]int, cfg *fd.DistConfig, ev *eventBuf) {
 	for from, to := range target {
 		pattern := g.Vertices[to].Rep

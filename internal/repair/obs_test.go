@@ -97,7 +97,8 @@ func TestExactMTraceSpans(t *testing.T) {
 
 // TestTraceClosesOnCancel fires the cancel mid-greedy-growth (via the
 // test hook the determinism suite uses) and asserts the ErrCanceled
-// partial leaves no dangling open spans.
+// partial leaves no dangling open spans, and, as every algorithm does,
+// leaves the interrupted component untouched.
 func TestTraceClosesOnCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rel := noisyPairRelation(t, rng, 150, 0.35)
@@ -115,12 +116,15 @@ func TestTraceClosesOnCancel(t *testing.T) {
 	defer func() { greedyStepHook = nil }()
 
 	tr := obs.NewTrace("test")
-	_, err := GreedyS(rel, f, cfg, 0.3, Options{Cancel: cancel, Trace: tr})
+	res, err := GreedyS(rel, f, cfg, 0.3, Options{Cancel: cancel, Trace: tr})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	if n := tr.OpenSpans(); n != 0 {
 		t.Fatalf("open spans after canceled repair = %d, want 0", n)
+	}
+	if !fired || len(res.Changed) != 0 {
+		t.Fatalf("cancel fired %v; canceled GreedyS changed %d cells, want 0", fired, len(res.Changed))
 	}
 }
 

@@ -1,10 +1,12 @@
 package repair_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ftrepair/internal/dataset"
@@ -22,8 +24,6 @@ type contractCase struct {
 	set  *fd.Set
 	cfg  *fd.DistConfig
 	run  multiAlgo
-	// fallback requires the run to go through sequentialFallback.
-	fallback bool
 }
 
 // singleFD adapts a single-FD algorithm to a one-FD set.
@@ -34,8 +34,8 @@ func singleFD(algo func(*dataset.Relation, *fd.FD, *fd.DistConfig, float64, repa
 }
 
 // contractCases draws HOSP and Tax inputs for all five algorithms, plus a
-// two-component HOSP draw with inferred types whose GreedyM and ApproM runs
-// join into no target in one component and go through sequentialFallback.
+// HOSP draw of several FD components with inferred types for the two
+// multi-FD heuristics.
 func contractCases(t *testing.T) []contractCase {
 	t.Helper()
 	var cases []contractCase
@@ -50,42 +50,63 @@ func contractCases(t *testing.T) []contractCase {
 		}
 		one := inst.Set.Subset([]int{0})
 		cases = append(cases,
-			contractCase{w + "/ExactS", small.Dirty, small.Set.Subset([]int{0}), small.Cfg, singleFD(repair.ExactS), false},
-			contractCase{w + "/GreedyS", inst.Dirty, one, inst.Cfg, singleFD(repair.GreedyS), false},
-			contractCase{w + "/ExactM", small.Dirty, small.Set, small.Cfg, repair.ExactM, false},
-			contractCase{w + "/ApproM", inst.Dirty, inst.Set, inst.Cfg, repair.ApproM, false},
-			contractCase{w + "/GreedyM", inst.Dirty, inst.Set, inst.Cfg, repair.GreedyM, false},
+			contractCase{w + "/ExactS", small.Dirty, small.Set.Subset([]int{0}), small.Cfg, singleFD(repair.ExactS)},
+			contractCase{w + "/GreedyS", inst.Dirty, one, inst.Cfg, singleFD(repair.GreedyS)},
+			contractCase{w + "/ExactM", small.Dirty, small.Set, small.Cfg, repair.ExactM},
+			contractCase{w + "/ApproM", inst.Dirty, inst.Set, inst.Cfg, repair.ApproM},
+			contractCase{w + "/GreedyM", inst.Dirty, inst.Set, inst.Cfg, repair.GreedyM},
 		)
 	}
+	rel, set, cfg := hospInferred(t, nil)
+	cases = append(cases,
+		contractCase{"hosp-inferred/ApproM", rel, set, cfg, repair.ApproM},
+		contractCase{"hosp-inferred/GreedyM", rel, set, cfg, repair.GreedyM},
+	)
+	return cases
+}
+
+// hospInferred is a 120-row HOSP draw of several FD components whose
+// types profile.Retype infers or, when numeric is non-nil, that declares
+// the named columns numeric and the rest strings.
+func hospInferred(t *testing.T, numeric []string) (*dataset.Relation, *fd.Set, *fd.DistConfig) {
+	t.Helper()
 	inst, err := eval.Prepare(eval.Setup{Workload: "hosp", N: 120, ErrorRate: 0.04, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := len(inst.Set.Components()); n < 2 {
+		t.Fatalf("the draw has %d FD components, want several", n)
+	}
 	rel := profile.Retype(inst.Dirty)
+	if numeric != nil {
+		attrs := make([]dataset.Attribute, rel.Schema.Len())
+		for i := range attrs {
+			attrs[i] = dataset.Attribute{Name: rel.Schema.Attr(i).Name, Type: dataset.String}
+			if slices.Contains(numeric, attrs[i].Name) {
+				attrs[i].Type = dataset.Numeric
+			}
+		}
+		// Cells that do not parse keep their string value, as under
+		// Retype; the distance layer compares them as strings.
+		rel = &dataset.Relation{Schema: dataset.MustSchema(attrs...), Tuples: inst.Dirty.Tuples}
+	}
 	cfg, err := fd.NewDistConfig(rel, 0.7, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(inst.Set.Components()); n < 2 {
-		t.Fatalf("fallback draw has %d FD components, want several", n)
-	}
-	cases = append(cases,
-		contractCase{"hosp-inferred/ApproM", rel, inst.Set, cfg, repair.ApproM, true},
-		contractCase{"hosp-inferred/GreedyM", rel, inst.Set, cfg, repair.GreedyM, true},
-	)
-	return cases
+	return rel, inst.Set, cfg
 }
 
 // sameRow reports whether two rows share their backing array.
 func sameRow(a, b dataset.Tuple) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
-// TestOutputContract checks the copy-on-write output contract of every
-// algorithm at Parallel 1, 2 and 8 and GOMAXPROCS 1 and 2, with a ledger
-// attached: Changed and the Cost bits equal dataset.Diff and
-// DatabaseCost recomputed over the input and Repaired, the input is left
-// as it was, no changed row aliases an input row while every unchanged row
-// of a run without the fallback does, and outputs, Changed, Cost bits and
-// ledger run roots match the Parallel 1 run.
+// TestOutputContract checks the output contract of every algorithm at
+// Parallel 1, 2 and 8 and GOMAXPROCS 1 and 2, with a ledger attached: the
+// repair is valid and FT-consistent, Changed and the Cost bits equal
+// dataset.Diff and DatabaseCost recomputed over the input and Repaired,
+// the input is left as it was, no changed row aliases an input row while
+// every unchanged row does, and outputs, Changed, Cost bits and ledger run
+// roots match the Parallel 1 run.
 func TestOutputContract(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range contractCases(t) {
@@ -101,9 +122,11 @@ func TestOutputContract(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", where, err)
 				}
-				fellBack := res.Stats["joinFallback"] > 0
-				if fellBack != c.fallback {
-					t.Fatalf("%s: joinFallback %d, want fallback %v", where, res.Stats["joinFallback"], c.fallback)
+				if err := repair.VerifyValid(c.rel, res.Repaired, c.set); err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				if err := repair.VerifyFTConsistent(res.Repaired, c.set, c.cfg); err != nil {
+					t.Fatalf("%s: %v", where, err)
 				}
 				if cells, err := dataset.Diff(before, c.rel); err != nil || len(cells) != 0 {
 					t.Fatalf("%s: the input changed at %v (%v)", where, cells, err)
@@ -130,7 +153,7 @@ func TestOutputContract(t *testing.T) {
 					if changedRow[row] && shared {
 						t.Fatalf("%s: changed row %d aliases the input row", where, row)
 					}
-					if !changedRow[row] && !shared && !fellBack {
+					if !changedRow[row] && !shared {
 						t.Fatalf("%s: unchanged row %d was copied", where, row)
 					}
 				}
@@ -148,6 +171,59 @@ func TestOutputContract(t *testing.T) {
 				if root != refRoot {
 					t.Fatalf("%s: ledger run root %s, first run %s", where, root, refRoot)
 				}
+			}
+		}
+	}
+}
+
+// TestEmptyJoinIsAnError runs GreedyM and ApproM on the contract's
+// inferred HOSP draw with Provider, Zip, Score and Sample declared numeric.
+// Numeric distance over the identifier columns' range puts distinct
+// providers and zips within τ, and in one component the grown sets join
+// into no target: both algorithms must say so with ErrEmptyJoin and no
+// Result at any Parallel, not return an invalid best effort.
+func TestEmptyJoinIsAnError(t *testing.T) {
+	rel, set, cfg := hospInferred(t, []string{"Provider", "Zip", "Score", "Sample"})
+	for _, algo := range []repair.Algorithm{repair.AlgoGreedyM, repair.AlgoApproM} {
+		for _, parallel := range []int{1, 2} {
+			res, err := repair.Run(rel, set, cfg, algo, repair.Options{Parallel: parallel})
+			if !errors.Is(err, repair.ErrEmptyJoin) || res != nil {
+				t.Fatalf("%s Parallel=%d: err %v, Result %v; want ErrEmptyJoin and no Result", algo, parallel, err, res != nil)
+			}
+		}
+	}
+}
+
+// TestInferredTypesRepairValid repairs 500-row HOSP and Tax draws under
+// inferred types, as repaird and the CLI read a CSV without a type spec:
+// GreedyM and ApproM must return valid, FT-consistent repairs. Each draw
+// has an identifier column with a few off-width typos (HOSP) or a 3-digit
+// code column (Tax) that inference once read as numeric.
+func TestInferredTypesRepairValid(t *testing.T) {
+	for _, d := range []struct {
+		workload string
+		seed     int64
+	}{{"hosp", 100005}, {"hosp", 100009}, {"tax", 100012}, {"tax", 100013}} {
+		inst, err := eval.Prepare(eval.Setup{Workload: d.workload, N: 500, ErrorRate: 0.04, Seed: d.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, set := profile.Retype(inst.Dirty), inst.Set
+		cfg, err := fd.NewDistConfig(rel, 0.7, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range []repair.Algorithm{repair.AlgoGreedyM, repair.AlgoApproM} {
+			where := fmt.Sprintf("%s seed %d %s", d.workload, d.seed, algo)
+			res, err := repair.Run(rel, set, cfg, algo, repair.Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			if err := repair.VerifyValid(rel, res.Repaired, set); err != nil {
+				t.Errorf("%s: %v", where, err)
+			}
+			if err := repair.VerifyFTConsistent(res.Repaired, set, cfg); err != nil {
+				t.Errorf("%s: %v", where, err)
 			}
 		}
 	}

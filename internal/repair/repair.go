@@ -54,7 +54,9 @@ type Result struct {
 	// subtrees, targets considered, ...). Every Result this package returns
 	// has a non-nil map. The run has already added each counter that
 	// obs.FlushRunStats knows to the obs registry, exactly once; a key
-	// written afterwards stays out of the registry.
+	// written afterwards stays out of the registry. The distCache* and
+	// distPlane* entries are the run's delta of the distance cache's
+	// counters, which the cache itself adds to the registry.
 	Stats map[string]int
 }
 
@@ -106,10 +108,10 @@ type Options struct {
 }
 
 // ErrCanceled is returned when Options.Cancel fires mid-repair. The Result
-// returned alongside it is a partial repair: components (or, for the greedy
-// algorithms, set-growth steps) completed before the cancellation are
-// applied, the rest of the relation is untouched. Partial results are not
-// FT-consistent in general.
+// returned alongside it is a partial repair: the FD components repaired
+// before the cancellation are applied, and the component it interrupted
+// and every later one are untouched. Partial results are not FT-consistent
+// in general.
 var ErrCanceled = errors.New("repair: canceled")
 
 // graphOpts returns the graph-construction options with the repair-level
@@ -210,9 +212,8 @@ func finish(out *output, cfg *fd.DistConfig, algorithm string, elapsed time.Dura
 // Concurrent components (Options.Parallel >= 2) write disjoint columns of
 // the same rows, and a first write replaces the row slice that another
 // component may be reading. Each component therefore holds mu over its
-// apply phase, and sequentialFallback, which rebuilds graphs over rel while
-// it writes it, holds mu throughout; the sequential loop takes the same
-// (uncontended) lock, so both run one code path.
+// apply phase; the sequential loop takes the same (uncontended) lock, so
+// both run one code path.
 type output struct {
 	in, rel *dataset.Relation
 	// copied marks the rows rel no longer shares with in.
@@ -323,14 +324,4 @@ func VerifyValid(orig, repaired *dataset.Relation, set *fd.Set) error {
 		}
 	}
 	return nil
-}
-
-// applyVertexRepairs writes pattern repairs into a copy-on-write view of
-// rel: each entry maps a graph vertex to the vertex whose pattern its rows
-// adopt. When ev is non-nil, every actually changed cell is recorded with
-// the violation edge that justified the repair.
-func applyVertexRepairs(rel *dataset.Relation, g *vgraph.Graph, target map[int]int, cfg *fd.DistConfig, ev *eventBuf) *output {
-	out := newOutput(rel)
-	applyInPlace(out, g, target, cfg, ev)
-	return out
 }

@@ -475,6 +475,32 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestTypeSpecSameForBothInputs: a CSV job and a header+rows job parse
+// their type spec with one parser, so both accept every alias ("int" and
+// "number" among them) and both reject the same unknown type.
+func TestTypeSpecSameForBothInputs(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	inputs := map[string]func(types string) JobSpec{
+		"csv": func(types string) JobSpec {
+			return JobSpec{CSV: "A,B\n1,x\n2,x\n", Types: types, FDs: []string{"A -> B"}}
+		},
+		"rows": func(types string) JobSpec {
+			return JobSpec{Header: []string{"A", "B"}, Rows: [][]string{{"1", "x"}, {"2", "x"}}, Types: types, FDs: []string{"A -> B"}}
+		},
+	}
+	for name, spec := range inputs {
+		for _, types := range []string{"int,string", "number,str", "float,s", "numeric,"} {
+			v := submitJob(t, ts.URL, spec(types))
+			if final := pollJob(t, ts.URL, v.ID, 30*time.Second); final.State != JobDone {
+				t.Errorf("%s with types %q: job ended %s (%s)", name, types, final.State, final.Error)
+			}
+		}
+		if resp, body := postJSON(t, ts.URL+"/v1/jobs", spec("integer,string")); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with an unknown type: status %d (%s), want 400", name, resp.StatusCode, body)
+		}
+	}
+}
+
 func TestHealthzAndStats(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	resp, body := doJSON(t, http.MethodGet, ts.URL+"/healthz")

@@ -23,7 +23,8 @@ type JobSpec struct {
 	Header []string   `json:"header,omitempty"`
 	Rows   [][]string `json:"rows,omitempty"`
 	// Types is a comma-separated attribute type spec aligned with the
-	// header (string|numeric). Empty means inferred from the data.
+	// header (string|numeric, with dataset.ParseTypeSpec's aliases). Empty
+	// means inferred from the data.
 	Types string `json:"types,omitempty"`
 	// FDs are dependency specs like "City,Street -> District" (required).
 	FDs []string `json:"fds"`
@@ -92,31 +93,6 @@ const (
 	defaultWR  = 0.3
 )
 
-// buildSchema assembles a schema from a header and an optional type spec.
-func buildSchema(header []string, types string) (*dataset.Schema, error) {
-	attrs := make([]dataset.Attribute, len(header))
-	for i, name := range header {
-		attrs[i] = dataset.Attribute{Name: name, Type: dataset.String}
-	}
-	if types != "" {
-		parts := strings.Split(types, ",")
-		if len(parts) != len(header) {
-			return nil, fmt.Errorf("types lists %d entries, header has %d", len(parts), len(header))
-		}
-		for i, p := range parts {
-			switch strings.ToLower(strings.TrimSpace(p)) {
-			case "", "string", "s", "str":
-				attrs[i].Type = dataset.String
-			case "numeric", "n", "num", "number", "float":
-				attrs[i].Type = dataset.Numeric
-			default:
-				return nil, fmt.Errorf("unknown attribute type %q", p)
-			}
-		}
-	}
-	return dataset.NewSchema(attrs...)
-}
-
 // loadRelation parses the data half of a spec: CSV text or header+rows.
 func loadRelation(csv string, header []string, rows [][]string, types string) (*dataset.Relation, error) {
 	switch {
@@ -135,7 +111,15 @@ func loadRelation(csv string, header []string, rows [][]string, types string) (*
 		if len(header) == 0 {
 			return nil, fmt.Errorf("rows requires a header")
 		}
-		schema, err := buildSchema(header, types)
+		ts, err := dataset.ParseTypeSpec(types, len(header))
+		if err != nil {
+			return nil, err
+		}
+		attrs := make([]dataset.Attribute, len(header))
+		for i, name := range header {
+			attrs[i] = dataset.Attribute{Name: name, Type: ts[i]}
+		}
+		schema, err := dataset.NewSchema(attrs...)
 		if err != nil {
 			return nil, err
 		}

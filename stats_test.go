@@ -15,7 +15,10 @@ import (
 // obs.FlushRunStats adds to a registry counter, the run moved that counter
 // by exactly the Result's value. An entry point that flushes a nested
 // run's counters a second time, or reports a counter it never flushed,
-// fails here.
+// fails here. The distance counters are flushed where the cache counts a
+// lookup, not by FlushRunStats: they must move by exactly the cache's own
+// delta over the call, which also covers lookups outside the run (the
+// Result's Cost), so each Stats distance entry stays at most that delta.
 func TestStatsMatchRegistry(t *testing.T) {
 	counters := obs.RunStatCounters()
 	keys := make([]string, 0, len(counters))
@@ -23,12 +26,25 @@ func TestStatsMatchRegistry(t *testing.T) {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	check := func(name string, run func() (*ftrepair.Result, error)) {
+	distKeys := []string{"distCacheHits", "distCacheMisses", "distPlaneHits", "distPlaneMisses"}
+	distCounters := []*obs.Counter{obs.Pipeline.DistCacheHits, obs.Pipeline.DistCacheMisses, obs.Pipeline.DistPlaneHits, obs.Pipeline.DistPlaneMisses}
+	cacheCounts := func(cfg *ftrepair.DistConfig) [4]uint64 {
+		var c [4]uint64
+		c[0], c[1] = cfg.Cache.Counters()
+		c[2], c[3] = cfg.Cache.PlaneCounters()
+		return c
+	}
+	check := func(name string, cfg *ftrepair.DistConfig, run func() (*ftrepair.Result, error)) {
 		t.Helper()
 		before := make(map[string]uint64, len(keys))
 		for _, k := range keys {
 			before[k] = counters[k].Value()
 		}
+		var distBefore [4]uint64
+		for i, c := range distCounters {
+			distBefore[i] = c.Value()
+		}
+		cacheBefore := cacheCounts(cfg)
 		res, err := run()
 		if err != nil && !errors.Is(err, ftrepair.ErrCanceled) {
 			t.Fatalf("%s: %v", name, err)
@@ -39,6 +55,16 @@ func TestStatsMatchRegistry(t *testing.T) {
 		for _, k := range keys {
 			if got, want := counters[k].Value()-before[k], res.Stats[k]; got != uint64(want) {
 				t.Errorf("%s: registry %s moved by %d, Stats[%q] = %d", name, k, got, k, want)
+			}
+		}
+		cacheAfter := cacheCounts(cfg)
+		for i, c := range distCounters {
+			got, want := c.Value()-distBefore[i], cacheAfter[i]-cacheBefore[i]
+			if got != want {
+				t.Errorf("%s: registry %s moved by %d, the cache by %d", name, distKeys[i], got, want)
+			}
+			if st := res.Stats[distKeys[i]]; st < 0 || uint64(st) > want {
+				t.Errorf("%s: Stats[%q] = %d, outside the cache's delta %d", name, distKeys[i], st, want)
 			}
 		}
 	}
@@ -57,27 +83,29 @@ func TestStatsMatchRegistry(t *testing.T) {
 		if algo == ftrepair.ExactS || algo == ftrepair.GreedyS {
 			s = one
 		}
-		check(string(algo), func() (*ftrepair.Result, error) {
-			return ftrepair.Repair(dirty, s, ftrepair.DefaultDistConfig(dirty), algo, ftrepair.Options{})
+		cfg := ftrepair.DefaultDistConfig(dirty)
+		check(string(algo), cfg, func() (*ftrepair.Result, error) {
+			return ftrepair.Repair(dirty, s, cfg, algo, ftrepair.Options{})
 		})
 	}
 
 	cfdRel, cfds, cfdCfg := cfdSetInput(t)
-	check("RepairCFD", func() (*ftrepair.Result, error) {
+	check("RepairCFD", cfdCfg, func() (*ftrepair.Result, error) {
 		return ftrepair.RepairCFD(cfdRel, cfds.CFDs[0], cfdCfg, 0.3, ftrepair.GreedyS, ftrepair.Options{})
 	})
-	check("RepairCFDSet", func() (*ftrepair.Result, error) {
+	check("RepairCFDSet", cfdCfg, func() (*ftrepair.Result, error) {
 		return ftrepair.RepairCFDSet(cfdRel, cfds, cfdCfg, ftrepair.Options{})
 	})
 	canceled := make(chan struct{})
 	close(canceled)
-	check("RepairCFDSet canceled", func() (*ftrepair.Result, error) {
+	check("RepairCFDSet canceled", cfdCfg, func() (*ftrepair.Result, error) {
 		return ftrepair.RepairCFDSet(cfdRel, cfds, cfdCfg, ftrepair.Options{Cancel: canceled})
 	})
 
 	engine, masterSet, masterRel := masterInput(t)
-	check("RepairWithMaster", func() (*ftrepair.Result, error) {
-		return ftrepair.RepairWithMaster(masterRel, engine, masterSet, ftrepair.DefaultDistConfig(masterRel), ftrepair.GreedyM, ftrepair.Options{})
+	masterCfg := ftrepair.DefaultDistConfig(masterRel)
+	check("RepairWithMaster", masterCfg, func() (*ftrepair.Result, error) {
+		return ftrepair.RepairWithMaster(masterRel, engine, masterSet, masterCfg, ftrepair.GreedyM, ftrepair.Options{})
 	})
 }
 
